@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     except SystemExit1 as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
-    except (ParseError, ValueError) as err:
+    except (ParseError, ValueError, RuntimeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
 

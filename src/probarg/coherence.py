@@ -25,7 +25,7 @@ from .events import (
     constituents,
     eval_classical,
 )
-from .linprog import EQ, GE, solve_lp
+from .linprog import EQ, GE, Region, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -146,35 +146,50 @@ class ClassificationConfig:
 # --- layer systems -----------------------------------------------------------
 
 
-def _entry_indices(entry, world_list):
-    """Constituent indices where the antecedent (m) resp. its conjunction
-    with the consequent (e) hold."""
-    m_idx = [
-        j for j, v in enumerate(world_list) if eval_classical(entry.obj.antecedent, v)
-    ]
-    e_idx = [j for j in m_idx if eval_classical(entry.obj.consequent, world_list[j])]
-    return m_idx, e_idx
+class _Layer:
+    """One zero-layer system, built once: per entry, the constituent indices
+    where its antecedent holds (m_idx), and the homogeneous rows
+    lo*m <= e <= hi*m, two per entry (e: antecedent and consequent hold)."""
 
+    def __init__(self, entries, world_list):
+        n = len(world_list)
+        self.worlds = world_list
+        self.m_idx = []
+        self.homogeneous = []
+        for entry in entries:
+            m_idx = [
+                j
+                for j, v in enumerate(world_list)
+                if eval_classical(entry.obj.antecedent, v)
+            ]
+            e_idx = [
+                j for j in m_idx if eval_classical(entry.obj.consequent, world_list[j])
+            ]
+            lo_row = [ZERO] * n
+            hi_row = [ZERO] * n
+            for j in m_idx:
+                lo_row[j] -= entry.lo
+                hi_row[j] += entry.hi
+            for j in e_idx:
+                lo_row[j] += ONE
+                hi_row[j] -= ONE
+            self.m_idx.append(m_idx)
+            self.homogeneous.append((lo_row, GE, ZERO))
+            self.homogeneous.append((hi_row, GE, ZERO))
 
-def _layer_rows(entries, world_list, extra_rows=()):
-    """Constraint rows of one layer: masses sum to 1 plus, per entry,
-    lo*m <= e <= hi*m rewritten as two homogeneous inequalities."""
-    n = len(world_list)
-    rows = [([ONE] * n, EQ, ONE)]
-    for entry in entries:
-        m_idx, e_idx = _entry_indices(entry, world_list)
-        lo_row = [ZERO] * n
-        hi_row = [ZERO] * n
-        for j in m_idx:
-            lo_row[j] -= entry.lo
-            hi_row[j] += entry.hi
-        for j in e_idx:
-            lo_row[j] += ONE
-            hi_row[j] -= ONE
-        rows.append((lo_row, GE, ZERO))
-        rows.append((hi_row, GE, ZERO))
-    rows.extend(extra_rows)
-    return rows
+    def region(self, *extra_rows) -> Region:
+        """The layer's masses summing to 1 under its rows, plus extra_rows."""
+        n = len(self.worlds)
+        rows = [([ONE] * n, EQ, ONE)] + self.homogeneous + list(extra_rows)
+        return Region(rows, n)
+
+    def antecedent_mass(self, indices):
+        """Objective: the summed antecedent mass of the given entries."""
+        objective = [ZERO] * len(self.worlds)
+        for i in indices:
+            for j in self.m_idx[i]:
+                objective[j] += ONE
+        return objective
 
 
 def _mass_row(obj, world_list):
@@ -185,9 +200,9 @@ def _mass_row(obj, world_list):
     return row
 
 
-def _forced_zero(entries, world_list, extra_rows=()):
+def _forced_zero(layer, region):
     """Indices of entries whose conditioning event has zero mass in every
-    solution of the layer system.
+    solution of the layer system (region).
 
     Iterative fixpoint: maximize the summed antecedent mass over the current
     candidate set; a maximum of zero proves every candidate forced (the
@@ -196,25 +211,18 @@ def _forced_zero(entries, world_list, extra_rows=()):
     optimum can park an individual antecedent at zero even though another
     solution gives it positive mass.
     """
-    candidates = list(range(len(entries)))
-    rows = _layer_rows(entries, world_list, extra_rows)
+    candidates = list(range(len(layer.m_idx)))
     while candidates:
-        objective = [ZERO] * len(world_list)
-        for i in candidates:
-            m_idx, _ = _entry_indices(entries[i], world_list)
-            for j in m_idx:
-                objective[j] += ONE
-        res = solve_lp(objective, rows, maximize=True)
+        res = solve_lp(layer.antecedent_mass(candidates), region, maximize=True)
         if res.status != "optimal":
             raise RuntimeError(f"layer system unexpectedly {res.status}")
         if res.value == 0:
             return candidates
-        kept = []
-        for i in candidates:
-            m_idx, _ = _entry_indices(entries[i], world_list)
-            if sum(res.solution[j] for j in m_idx) == 0:
-                kept.append(i)
-        candidates = kept
+        candidates = [
+            i
+            for i in candidates
+            if sum(res.solution[j] for j in layer.m_idx[i]) == 0
+        ]
     return []
 
 
@@ -239,13 +247,9 @@ def check_coherence(a: Assessment, atomset):
     witness = None
     level = 0
     while True:
-        rows = _layer_rows(entries, world_list)
-        support = [ZERO] * len(world_list)
-        for entry in entries:
-            m_idx, _ = _entry_indices(entry, world_list)
-            for j in m_idx:
-                support[j] += ONE
-        res = solve_lp(support, rows, maximize=True)
+        layer = _Layer(entries, world_list)
+        region = layer.region()
+        res = solve_lp(layer.antecedent_mass(range(len(entries))), region)
         if res.status == "infeasible":
             desc = (
                 f"level-{level} system over {len(world_list)} constituents is "
@@ -257,7 +261,7 @@ def check_coherence(a: Assessment, atomset):
             return Incoherent(level, desc)
         if witness is None:
             witness = tuple(res.solution)
-        forced = _forced_zero(entries, world_list)
+        forced = _forced_zero(layer, region)
         if not forced:
             return Coherent(witness, atomset)
         entries = [entries[i] for i in forced]
@@ -281,7 +285,7 @@ def structural_bounds(q: ConditionalObject):
     return None
 
 
-def _fractional_bounds(entries, world_list, q):
+def _fractional_bounds(layer, q, m_row):
     """Exact min/max of e_q / m_q over the layer region with m_q > 0.
 
     Charnes-Cooper: scale masses so the antecedent of q carries total mass 1;
@@ -290,19 +294,18 @@ def _fractional_bounds(entries, world_list, q):
     objective is e_q(mu) <= m_q(mu) = 1, so both programs are bounded and
     their optima are attained by genuine mass vectors.
     """
-    n = len(world_list)
-    rows = [
-        row for row in _layer_rows(entries, world_list) if row[1] == GE
-    ]
-    m_row = _mass_row(q, world_list)
-    rows.append((m_row, EQ, ONE))
-    e_row = [ZERO] * n
+    world_list = layer.worlds
+    region = Region(layer.homogeneous + [(m_row, EQ, ONE)], len(world_list))
+    e_row = [ZERO] * len(world_list)
     for j, v in enumerate(world_list):
-        if eval_classical(q.antecedent, v) and eval_classical(q.consequent, v):
+        if m_row[j] and eval_classical(q.consequent, v):
             e_row[j] = ONE
-    lo = solve_lp(e_row, rows, maximize=False)
-    hi = solve_lp(e_row, rows, maximize=True)
-    assert lo.status == "optimal" and hi.status == "optimal"
+    lo = solve_lp(e_row, region, maximize=False)
+    hi = solve_lp(e_row, region, maximize=True)
+    if lo.status != "optimal" or hi.status != "optimal":
+        raise RuntimeError(
+            f"Charnes-Cooper programs unexpectedly {lo.status}/{hi.status}"
+        )
     return lo.value, hi.value
 
 
@@ -329,23 +332,23 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
 
 
 def _propagate_layer(entries, world_list, q) -> Bounds:
-    rows = _layer_rows(entries, world_list)
+    layer = _Layer(entries, world_list)
+    region = layer.region()
     m_row = _mass_row(q, world_list)
-    max_m = solve_lp(m_row, rows, maximize=True)
+    max_m = solve_lp(m_row, region, maximize=True)
     if max_m.status != "optimal":
         raise RuntimeError(f"layer system unexpectedly {max_m.status}")
     if max_m.value > 0:
-        lo, hi = _fractional_bounds(entries, world_list, q)
-        min_m = solve_lp(m_row, rows, maximize=False)
+        lo, hi = _fractional_bounds(layer, q, m_row)
+        min_m = solve_lp(m_row, region, maximize=False)
         if min_m.value > 0:
             return Bounds(lo, hi)
         # m_q = 0 stays feasible: values settled only at the deeper layer
         # where q's antecedent turns positive remain coherent too.
-        pinned = [(m_row, EQ, ZERO)]
-        forced = _forced_zero(entries, world_list, extra_rows=pinned)
+        forced = _forced_zero(layer, layer.region((m_row, EQ, ZERO)))
         deeper = _descend(entries, forced, world_list, q)
         return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
-    forced = _forced_zero(entries, world_list)
+    forced = _forced_zero(layer, region)
     return _descend(entries, forced, world_list, q)
 
 

@@ -128,7 +128,6 @@ class Prediction:
     interpretation: Interpretation
     bounds: Bounds
     category: ResponseCategory
-    theta_used: Fraction
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,8 @@ def builtin_tasks():
             .read_text()
         )
         (spec,) = parse(text)
-        assert spec.name == abbrev
+        if spec.name != abbrev:
+            raise RuntimeError(f"corpus file for {abbrev} defines task {spec.name}")
         records.append(
             TaskRecord(
                 abbrev=abbrev,
@@ -188,7 +188,7 @@ def evaluate_task(
         raise RuntimeError(
             f"task {task.abbrev} under {interpretation.value}: {err}"
         ) from err
-    return Prediction(task.abbrev, interpretation, bounds, classify(bounds, cfg), cfg.theta)
+    return Prediction(task.abbrev, interpretation, bounds, classify(bounds, cfg))
 
 
 def _share_of(task: TaskRecord, category: ResponseCategory) -> Fraction:

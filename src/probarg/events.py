@@ -153,10 +153,6 @@ def is_satisfiable(f: Formula, atomset=None) -> bool:
     return any(eval_classical(f, v) for v in constituents(names))
 
 
-def is_tautology(f: Formula, atomset=None) -> bool:
-    return not is_satisfiable(Not(f), atomset)
-
-
 def equivalent(f: Formula, g: Formula, atomset=None) -> bool:
     """Truth-table equivalence over the union of the formulas' atoms."""
     names = sorted(atoms_of(f) | atoms_of(g)) if atomset is None else list(atomset)

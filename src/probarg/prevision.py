@@ -85,5 +85,6 @@ def nested_prevision(c: Formula, b: Formula, a: Formula, p_cb, atomset) -> Fract
     # The quantity is constant on a's worlds, so any admissible conditional
     # averaging yields the same number; uniform weights make that explicit.
     prevision = sum(on_a, ZERO) / len(on_a)
-    assert all(val == prevision for val in on_a)
+    if any(val != prevision for val in on_a):
+        raise RuntimeError("quantity is not constant on the conditioning event")
     return prevision

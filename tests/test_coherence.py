@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from probarg.coherence import (
     Assessment,
@@ -17,9 +17,15 @@ from probarg.coherence import (
     propagate,
     structural_bounds,
 )
-from probarg.events import And, Atom, ConditionalObject, Not, Or, constituents
+from probarg.events import TOP, And, Atom, ConditionalObject, Not, Or, constituents
 
-from oracles import vertex_bounds, witness_satisfies
+from oracles import (
+    assessment_polytope_rows,
+    conditional_value,
+    enumerate_vertices,
+    vertex_bounds,
+    witness_satisfies,
+)
 
 A = Atom("A")
 C = Atom("C")
@@ -188,6 +194,53 @@ class TestPropagate:
         assert values
         assert abs(min(values) - got.lo) <= F(1, 100)
         assert abs(max(values) - got.hi) <= F(1, 100)
+
+
+FORMULAS_AC = [A, C, Not(A), Not(C), And(A, C), Or(A, C), And(A, Not(C)), Or(Not(A), C)]
+ANTECEDENTS_AC = [TOP, TOP, A, C, Not(A), Or(A, C)]
+WIDEN = st.sampled_from([F(0), F(0), F(1, 10), F(1, 4), F(1)])
+
+
+@st.composite
+def two_atom_problems(draw):
+    """A 2-atom assessment whose intervals contain the values of a random
+    mass vector (so level 0 is solvable), and a query."""
+    raw = draw(st.lists(st.integers(0, 6), min_size=4, max_size=4).filter(any))
+    worlds = constituents(["A", "C"])
+    lam = [F(x, sum(raw)) for x in raw]
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        obj = ConditionalObject(
+            draw(st.sampled_from(FORMULAS_AC)), draw(st.sampled_from(ANTECEDENTS_AC))
+        )
+        value = conditional_value(obj, worlds, lam)
+        if value is None:
+            value = draw(st.sampled_from([F(0), F(1, 3), F(1)]))
+        lo = max(F(0), value - draw(WIDEN))
+        hi = min(F(1), value + draw(WIDEN))
+        entries.append(AssessmentEntry(obj, lo, hi))
+    query = ConditionalObject(
+        draw(st.sampled_from(FORMULAS_AC)), draw(st.sampled_from(ANTECEDENTS_AC))
+    )
+    return Assessment(tuple(entries)), query
+
+
+class TestVertexOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(two_atom_problems())
+    def test_propagate_matches_vertex_bounds(self, problem):
+        # The oracle enumerates level-0 vertices. Where every vertex gives
+        # the query's antecedent positive mass, the coherent interval is
+        # exactly the range of the query over those vertices, whichever
+        # vertex any solver visits.
+        prem, q = problem
+        worlds = constituents(["A", "C"])
+        eqs, ineqs = assessment_polytope_rows(prem.entries, worlds)
+        vertices = enumerate_vertices(len(worlds), eqs, ineqs)
+        assume(all(conditional_value(q, worlds, x) is not None for x in vertices))
+        assume(isinstance(check_coherence(prem, ["A", "C"]), Coherent))
+        got = propagate(prem, q, ["A", "C"])
+        assert (got.lo, got.hi) == vertex_bounds(prem.entries, worlds, q)
 
 
 class TestMonotonicity:

@@ -1,6 +1,10 @@
 from fractions import Fraction as F
 
-from probarg.linprog import EQ, GE, LE, solve_lp
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bland_reference
+from probarg.linprog import EQ, GE, LE, Region, solve_lp
 
 
 def test_simple_max():
@@ -60,3 +64,94 @@ def test_determinism():
     a = solve_lp([3, 1, 2], rows)
     b = solve_lp([3, 1, 2], rows)
     assert a == b
+
+
+
+def test_beale_cycling_example_terminates(monkeypatch):
+    # Beale's LP cycles under Dantzig's rule alone; the Bland fallback
+    # after a run of degenerate pivots must break the cycle.
+    from probarg import linprog
+
+    pivot = linprog._pivot
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 200:
+            raise AssertionError("simplex is cycling")
+        pivot(*args)
+
+    monkeypatch.setattr(linprog, "_pivot", counted)
+    rows = [
+        ([F(1, 4), -8, -1, 9], LE, 0),
+        ([F(1, 2), -12, F(-1, 2), 3], LE, 0),
+        ([0, 0, 1, 0], LE, 1),
+    ]
+    res = solve_lp([F(3, 4), -20, F(1, 2), -6], rows)
+    assert res.status == "optimal"
+    assert res.value == F(5, 4)
+
+
+COEFF = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, F(1, 2), F(-1, 3)])
+RHS = st.sampled_from([0, 0, 1, -1, 2, -2, F(1, 2), F(-3, 4)])
+
+
+@st.composite
+def lp_systems(draw):
+    """Small rational systems: every relation, rhs of every sign, and
+    often a redundant pair of equalities (a row and a multiple of it)."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.lists(COEFF, min_size=n, max_size=n), st.sampled_from([LE, GE, EQ]), RHS
+    )
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        coeffs, _, rhs = draw(st.sampled_from(rows))
+        k = draw(st.sampled_from([1, 2, -1, F(1, 2)]))
+        rows += [(coeffs, EQ, rhs), ([k * v for v in coeffs], EQ, k * rhs)]
+    return n, draw(st.permutations(rows))
+
+
+def satisfies(rows, x):
+    for coeffs, rel, rhs in rows:
+        lhs = sum(F(c) * v for c, v in zip(coeffs, x))
+        if not {LE: lhs <= rhs, GE: lhs >= rhs, EQ: lhs == rhs}[rel]:
+            return False
+    return all(v >= 0 for v in x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lp_systems(), st.data(), st.booleans())
+def test_matches_bland_reference(system, data, maximize):
+    n, rows = system
+    objective = data.draw(st.lists(COEFF, min_size=n, max_size=n))
+    got = solve_lp(objective, rows, maximize)
+    ref = bland_reference.solve_lp(objective, rows, maximize)
+    assert got.status == ref.status
+    if got.status == "optimal":
+        assert got.value == ref.value
+        assert satisfies(rows, got.solution)
+        assert sum(F(c) * v for c, v in zip(objective, got.solution)) == got.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_systems(), st.data())
+def test_region_reuse_equals_fresh_solves(system, data):
+    n, rows = system
+    objectives = data.draw(
+        st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=4)
+    )
+    region = Region(rows, n)
+    assert len(region) == len(rows)
+    for objective in objectives + objectives[:1]:
+        for maximize in (True, False):
+            assert solve_lp(objective, region, maximize) == solve_lp(
+                objective, rows, maximize
+            )
+
+
+def test_region_arity_checked():
+    region = Region([([1, 1], LE, 1)], 2)
+    with pytest.raises(ValueError, match="arity"):
+        solve_lp([1, 1, 1], region)
