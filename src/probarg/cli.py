@@ -26,7 +26,7 @@ from .corpus import (
     report_structured,
     report_text,
 )
-from .dsl import ParseError, lower, parse
+from .dsl import ParseError, lower, parse, parse_formula
 from .events import Interpretation, atoms_of
 from .prevision import crq_of, nested_prevision
 from .stats import ContingencyTable, fisher_exact_2x2, holm_bonferroni, monte_carlo_rxc
@@ -110,19 +110,11 @@ class SystemExit1(Exception):
     pass
 
 
-def _parse_formula_arg(text: str):
-    # reuse the DSL form grammar, treating every identifier as an atom
-    import re
-
-    from .dsl import _Parser
-
-    idents = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
-    idents -= {"not", "and", "or", "implies"}
-    parser = _Parser(text)
-    form = parser.parse_form(idents)
-    if parser.peek().kind != "eof":
-        raise SystemExit1(f"trailing input in formula {text!r}")
-    return form
+def _formula_arg(option: str, text: str):
+    try:
+        return parse_formula(text)
+    except ParseError as err:
+        raise SystemExit1(f"{option} {text!r}: {err}")
 
 
 def _interps(selector: str):
@@ -196,9 +188,9 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_counterfactual(args) -> int:
-    c = _parse_formula_arg(args.c)
-    b = _parse_formula_arg(args.b)
-    a = _parse_formula_arg(args.a)
+    c = _formula_arg("--c", args.c)
+    b = _formula_arg("--b", args.b)
+    a = _formula_arg("--a", args.a)
     atoms = sorted(atoms_of(c) | atoms_of(b) | atoms_of(a))
     if not (0 <= args.p <= 1):
         raise SystemExit1(f"--p must be in [0, 1], got {args.p}")

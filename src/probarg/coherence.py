@@ -85,8 +85,6 @@ class Assessment:
 class Bounds:
     lo: Fraction
     hi: Fraction
-    attained_lo: bool = True
-    attained_hi: bool = True
 
     def __post_init__(self):
         if not (ZERO <= self.lo <= self.hi <= ONE):
@@ -147,12 +145,14 @@ class ClassificationConfig:
 
 
 class _Layer:
-    """One zero-layer system, built once: per entry, the constituent indices
-    where its antecedent holds (m_idx), and the homogeneous rows
-    lo*m <= e <= hi*m, two per entry (e: antecedent and consequent hold)."""
+    """One zero-layer system, built once: its entries and constituents, per
+    entry the constituent indices where its antecedent holds (m_idx), and
+    the homogeneous rows lo*m <= e <= hi*m, two per entry (e: antecedent
+    and consequent hold)."""
 
     def __init__(self, entries, world_list):
         n = len(world_list)
+        self.entries = entries
         self.worlds = world_list
         self.m_idx = []
         self.homogeneous = []
@@ -200,9 +200,10 @@ def _mass_row(obj, world_list):
     return row
 
 
-def _forced_zero(layer, region):
+def _forced_zero(layer, region, res=None):
     """Indices of entries whose conditioning event has zero mass in every
-    solution of the layer system (region).
+    solution of the layer system (region). res, when given, is the first
+    round's solve: the summed antecedent mass of all entries, maximized.
 
     Iterative fixpoint: maximize the summed antecedent mass over the current
     candidate set; a maximum of zero proves every candidate forced (the
@@ -213,7 +214,8 @@ def _forced_zero(layer, region):
     """
     candidates = list(range(len(layer.m_idx)))
     while candidates:
-        res = solve_lp(layer.antecedent_mass(candidates), region, maximize=True)
+        if res is None:
+            res = solve_lp(layer.antecedent_mass(candidates), region, maximize=True)
         if res.status != "optimal":
             raise RuntimeError(f"layer system unexpectedly {res.status}")
         if res.value == 0:
@@ -223,6 +225,7 @@ def _forced_zero(layer, region):
             for i in candidates
             if sum(res.solution[j] for j in layer.m_idx[i]) == 0
         ]
+        res = None
     return []
 
 
@@ -238,6 +241,11 @@ def check_coherence(a: Assessment, atomset):
     Returns Coherent with a level-0 mass witness (chosen with maximal
     antecedent support) or Incoherent with the failing layer.
     """
+    return _check(a, atomset)[0]
+
+
+def _check(a: Assessment, atomset):
+    """check_coherence's verdict, with the level-0 _Layer and its region."""
     atomset = tuple(atomset)
     missing = a.atoms() - set(atomset)
     if missing:
@@ -249,6 +257,8 @@ def check_coherence(a: Assessment, atomset):
     while True:
         layer = _Layer(entries, world_list)
         region = layer.region()
+        if level == 0:
+            level0 = layer, region
         res = solve_lp(layer.antecedent_mass(range(len(entries))), region)
         if res.status == "infeasible":
             desc = (
@@ -258,12 +268,12 @@ def check_coherence(a: Assessment, atomset):
                     f"p({e.obj}) in [{e.lo}, {e.hi}]" for e in entries
                 )
             )
-            return Incoherent(level, desc)
+            return (Incoherent(level, desc),) + level0
         if witness is None:
             witness = tuple(res.solution)
-        forced = _forced_zero(layer, region)
+        forced = _forced_zero(layer, region, res)
         if not forced:
-            return Coherent(witness, atomset)
+            return (Coherent(witness, atomset),) + level0
         entries = [entries[i] for i in forced]
         world_list = _restrict_worlds(
             world_list, [e.obj.antecedent for e in entries]
@@ -317,24 +327,21 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
     becomes positive is searched as well, constrained by the premises that
     are forced to zero alongside it, and the results are joined.
     """
-    verdict = check_coherence(a, atomset)
+    verdict, layer, region = _check(a, atomset)
     if isinstance(verdict, Incoherent):
         raise IncoherentPremises(verdict)
     sb = structural_bounds(q)
     if sb is not None:
         return sb
-    atomset = tuple(atomset)
-    missing = q.atoms() - set(atomset)
+    missing = q.atoms() - set(verdict.atomset)
     if missing:
         raise ValueError(f"undeclared atoms in query: {sorted(missing)}")
-    world_list = constituents(atomset)
-    return _propagate_layer(list(a.entries), world_list, q)
+    return _propagate_layer(layer, region, q)
 
 
-def _propagate_layer(entries, world_list, q) -> Bounds:
-    layer = _Layer(entries, world_list)
-    region = layer.region()
-    m_row = _mass_row(q, world_list)
+def _propagate_layer(layer, region, q) -> Bounds:
+    """Bounds on p(q) over one layer; region is layer.region()."""
+    m_row = _mass_row(q, layer.worlds)
     max_m = solve_lp(m_row, region, maximize=True)
     if max_m.status != "optimal":
         raise RuntimeError(f"layer system unexpectedly {max_m.status}")
@@ -346,21 +353,22 @@ def _propagate_layer(entries, world_list, q) -> Bounds:
         # m_q = 0 stays feasible: values settled only at the deeper layer
         # where q's antecedent turns positive remain coherent too.
         forced = _forced_zero(layer, layer.region((m_row, EQ, ZERO)))
-        deeper = _descend(entries, forced, world_list, q)
+        deeper = _descend(layer, forced, q)
         return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
     forced = _forced_zero(layer, region)
-    return _descend(entries, forced, world_list, q)
+    return _descend(layer, forced, q)
 
 
-def _descend(entries, forced, world_list, q) -> Bounds:
-    sub_entries = [entries[i] for i in forced]
+def _descend(layer, forced, q) -> Bounds:
+    sub_entries = [layer.entries[i] for i in forced]
     sub_worlds = _restrict_worlds(
-        world_list, [q.antecedent] + [e.obj.antecedent for e in sub_entries]
+        layer.worlds, [q.antecedent] + [e.obj.antecedent for e in sub_entries]
     )
     # q's antecedent is satisfiable, so the restriction is nonempty; it is
-    # also strictly smaller than world_list (otherwise the pinned masses
-    # could not sum to one), which bounds the recursion depth.
-    return _propagate_layer(sub_entries, sub_worlds, q)
+    # also strictly smaller than the layer's worlds (otherwise the pinned
+    # masses could not sum to one), which bounds the recursion depth.
+    sub = _Layer(sub_entries, sub_worlds)
+    return _propagate_layer(sub, sub.region(), q)
 
 
 def classify(b: Bounds, cfg: ClassificationConfig = ClassificationConfig()) -> ResponseCategory:

@@ -259,6 +259,8 @@ class _Parser:
         return tok.text
 
     def parse_form(self, declared) -> Formula:
+        """A formula over the atoms in declared, or over any atom when
+        declared is None."""
         tok = self.next()
         if tok.kind != "ident":
             self.fail("expected formula", tok)
@@ -275,7 +277,7 @@ class _Parser:
             self.expect(")")
             cls = {"and": And, "or": Or, "implies": MaterialImp}[tok.text]
             return cls(left, right)
-        if tok.text not in declared:
+        if declared is not None and tok.text not in declared:
             self.fail(f"undeclared atom {tok.text}", tok)
         return Atom(tok.text)
 
@@ -283,6 +285,17 @@ class _Parser:
 def parse(text: str):
     """Parse DSL text into a list of ArgumentSpec."""
     return _Parser(text).parse_file()
+
+
+def parse_formula(text: str) -> Formula:
+    """Parse one formula, reading every identifier other than the
+    connectives not/and/or/implies as an atom. Input left after the
+    formula is a ParseError."""
+    parser = _Parser(text)
+    form = parser.parse_form(None)
+    if parser.peek().kind != "eof":
+        parser.fail("trailing input after formula")
+    return form
 
 
 # --- pretty printing (round-trips through parse) -----------------------------

@@ -1,20 +1,33 @@
 """Exact linear programming over rationals.
 
-One two-phase simplex, all arithmetic in fractions.Fraction.
+One two-phase simplex. Rows come in as rationals (fractions.Fraction) and
+the tableau keeps them as rows of Python ints.
 
 - Rows are normalised so each slack can start basic: a row with rhs < 0,
   and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
   rows with rhs > 0 get an artificial column.
+- Each tableau row, and each reduced-cost row, is scaled once to coprime
+  ints. A pivot on entry p of the pivot row replaces every other row r
+  whose entry f in the pivot column is nonzero by p*r - f*(pivot row),
+  divided by the gcd of its entries; the pivot row itself and the rows
+  with f = 0 stay as they are. This is integer-preserving elimination
+  (Edmonds 1967, Bareiss 1968) with a per-row gcd in place of Bareiss's
+  global divisor, so a pivot touches only the rows it changes.
+- Invariant: each constraint row is a positive multiple of the row a
+  rational tableau with unit basic coefficients holds, so its basic
+  coefficient d is positive, its rhs is >= 0 and its basic variable is
+  rhs/d; the reduced-cost row is a positive multiple of the rational one.
+  The ratio test compares rhs_i*a_k with rhs_k*a_i. Every entering and
+  leaving choice is therefore the one the rational tableau makes.
 - A Region holds one system of rows and runs phase 1 on it once, on its
-  first solve. Every solve_lp over the region copies that basic feasible
-  tableau and runs phase 2 only. A row list passed to solve_lp becomes a
-  one-use region.
+  first solve. Every solve_lp over the region starts from that basic
+  feasible tableau and runs phase 2 only. A row list passed to solve_lp
+  becomes a one-use region.
 - The reduced-cost row lives in the tableau and is updated by each pivot.
   The entering column is the one with the largest reduced cost (Dantzig).
   After a run of degenerate pivots the choice falls back to Bland's rule
   (smallest improving index, ties in the ratio test to the smallest basic
   index) until the next nondegenerate pivot, so the method cannot cycle.
-- A pivot touches only the columns where the pivot row is nonzero.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,8 +82,8 @@ class Region:
 
     @cached_property
     def _start(self):
-        """A basic feasible (tableau, basis) with the artificial columns
-        removed, or None when the rows are infeasible."""
+        """A basic feasible (integer tableau, basis) with the artificial
+        columns removed, or None when the rows are infeasible."""
         n = self.n
         n_slack = sum(1 for _, rel, _ in self._rows if rel != EQ)
         n_art = sum(1 for _, rel, _ in self._rows if rel != LE)
@@ -89,17 +103,19 @@ class Region:
                 row[ai] = ONE
                 basis.append(ai)
                 ai += 1
-            tableau.append(row)
+            tableau.append(_integer_row(row))
         if n_art:
             # Phase 1 maximizes minus the sum of the artificials; its
-            # reduced costs start as the sum of the rows they are basic in.
+            # reduced costs start as the sum of the rows they are basic in,
+            # each divided by its basic coefficient.
             cost = [ZERO] * (cols + 1)
             for row, b in zip(tableau, basis):
                 if b >= n_real:
+                    d = row[b]
                     for j in range(n_real):
-                        cost[j] += row[j]
-                    cost[-1] += row[-1]
-            tableau.append(cost)
+                        cost[j] += Fraction(row[j], d)
+                    cost[-1] += Fraction(row[-1], d)
+            tableau.append(_integer_row(cost))
             if _simplex(tableau, basis) != "optimal":
                 raise RuntimeError("phase 1 unexpectedly unbounded")
             if tableau.pop()[-1] != 0:
@@ -128,27 +144,38 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
     if start is None:
         return LPResult("infeasible")
     base, basis = start
-    tableau = [row[:] for row in base]
+    tableau = base[:]
     basis = basis[:]
     cols = len(base[0]) - 1 if base else n
     # Reduced costs of c at the starting basis: c_j - sum_i c_B(i) * a_ij,
-    # and minus the objective value in the last place.
+    # and minus the objective value in the last place, with each row a_i
+    # divided by its basic coefficient.
     cost = c + [ZERO] * (cols - n + 1)
     for row, b in zip(tableau, basis):
         if b < n and c[b]:
-            cb = c[b]
+            cb = c[b] / row[b]
             for j, v in enumerate(row):
                 if v:
                     cost[j] -= cb * v
-    tableau.append(cost)
+    tableau.append(_integer_row(cost))
     if _simplex(tableau, basis) == "unbounded":
         return LPResult("unbounded")
     x = [ZERO] * n
     for row, b in zip(tableau, basis):
         if b < n:
-            x[b] = row[-1]
+            x[b] = Fraction(row[-1], row[b])
     value = sum(ci * xi for ci, xi in zip(c, x))
     return LPResult("optimal", value if maximize else -value, x)
+
+
+def _integer_row(row):
+    """The coprime ints that are a positive multiple of a rational row."""
+    # Unpack a list, not a generator: CPython resizes a tuple built from a
+    # generator, and its tuple free lists then keep one extra block per call.
+    den = lcm(*[v.denominator for v in row])
+    ints = [v.numerator * (den // v.denominator) for v in row]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def _evict_artificials(tableau, basis, n_real):
@@ -163,6 +190,9 @@ def _evict_artificials(tableau, basis, n_real):
                 del tableau[i]
                 del basis[i]
                 continue
+            if row[pivot_col] < 0:
+                # The rhs is 0, so the negated row keeps the invariant.
+                tableau[i] = [-v for v in row]
             _pivot(tableau, basis, i, pivot_col)
         i += 1
 
@@ -170,13 +200,13 @@ def _evict_artificials(tableau, basis, n_real):
 def _simplex(tableau, basis):
     """Maximize from a basic feasible tableau whose last row holds the
     reduced costs (and minus the objective value)."""
-    cost = tableau[-1]
-    cols = len(cost) - 1
+    cols = len(tableau[-1]) - 1
     degenerate = 0
     while True:
+        cost = tableau[-1]
         entering = None
         if degenerate < DEGENERATE_RUN:
-            best = ZERO
+            best = 0
             for j in range(cols):
                 if cost[j] > best:
                     best = cost[j]
@@ -186,32 +216,32 @@ def _simplex(tableau, basis):
         if entering is None:
             return "optimal"
         leaving = None
-        best = None
         for i in range(len(basis)):
-            a = tableau[i][entering]
+            row = tableau[i]
+            a = row[entering]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
+                # rhs/a < best_rhs/best_a, with both a positive
+                if leaving is None:
+                    best_rhs, best_a, leaving = row[-1], a, i
+                    continue
+                diff = row[-1] * best_a - best_rhs * a
+                if diff < 0 or (diff == 0 and basis[i] < basis[leaving]):
+                    best_rhs, best_a, leaving = row[-1], a, i
         if leaving is None:
             return "unbounded"
-        degenerate = degenerate + 1 if best == 0 else 0
+        degenerate = degenerate + 1 if best_rhs == 0 else 0
         _pivot(tableau, basis, leaving, entering)
 
 
 def _pivot(tableau, basis, row, col):
+    """Pivot on tableau[row][col] > 0. Rows are replaced, never changed in
+    place, so tableaux that start from one Region may share rows."""
     pr = tableau[row]
-    nz = [j for j, v in enumerate(pr) if v]
-    if pr[col] != 1:
-        inv = ONE / pr[col]
-        for j in nz:
-            pr[j] *= inv
+    p = pr[col]
     for i, r in enumerate(tableau):
         f = r[col]
         if f and i != row:
-            for j in nz:
-                r[j] -= f * pr[j]
+            r = [p * a - f * b for a, b in zip(r, pr)]
+            g = gcd(*r)
+            tableau[i] = [v // g for v in r] if g > 1 else r
     basis[row] = col

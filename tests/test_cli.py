@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import probarg
 from probarg.cli import main
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
 DATA = HERE / "data"
+CORPUS = Path(probarg.__file__).parent / "corpus_data"
 
 
 def run_cli(*argv):
@@ -67,6 +69,17 @@ class TestExitCodes:
         assert code == 0
         assert "coherent" in out
 
+    @pytest.mark.parametrize("formula", ["C B", "not(C))", "C $"])
+    def test_counterfactual_bad_formula_is_1(self, formula):
+        # trailing input after the formula, and a character no token starts with
+        code, out, err = run_cli(
+            "counterfactual", "--c", formula, "--b", "B", "--a", "not(B)", "--p", "1/2"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: --c {formula!r}: 1:")
+        assert "Traceback" not in err
+
     def test_check_reports_incoherence_without_failing(self):
         # check is diagnostic: it prints the verdict and exits 0
         code, out, _ = run_cli("check", str(DATA / "incoherent.arg"))
@@ -107,6 +120,11 @@ class TestGolden:
         assert out == (GOLDEN / "corpus.json").read_text()
         parsed = json.loads(out)
         assert parsed["match_counts"]["conditional_event"] == 8
+
+    def test_check_witness(self):
+        # the witness is the vertex the simplex reaches, so this pins its path
+        _, out, _ = run_cli("check", str(CORPUS / "mp.arg"))
+        assert out == "MP: coherent; witness masses (0, 0, 1/10, 9/10)\n"
 
     def test_counterfactual_text(self):
         _, out, _ = run_cli(

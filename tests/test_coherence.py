@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -140,7 +141,6 @@ class TestPropagate:
         prem = Assessment((entry(ConditionalObject(Not(A)), 1),))
         b = propagate(prem, ConditionalObject(C, A), ["A", "C"])
         assert (b.lo, b.hi) == (0, 1)
-        assert b.attained_lo and b.attained_hi
 
     def test_zero_layer_constraint_survives(self):
         # p(not A) = 1 and p(C|A) = 9/10: the conditional premise lives at
@@ -241,6 +241,58 @@ class TestVertexOracle:
         assume(isinstance(check_coherence(prem, ["A", "C"]), Coherent))
         got = propagate(prem, q, ["A", "C"])
         assert (got.lo, got.hi) == vertex_bounds(prem.entries, worlds, q)
+
+
+def chain(n, theta):
+    """p(A0) >= theta, p(A_{i+1}|A_i) >= theta, and the query (A_{n-1}|A0)."""
+    atoms = [f"A{i}" for i in range(n)]
+    a = [Atom(x) for x in atoms]
+    entries = [entry(ConditionalObject(a[0]), theta, 1)] + [
+        entry(ConditionalObject(a[i + 1], a[i]), theta, 1) for i in range(n - 1)
+    ]
+    return Assessment(tuple(entries)), ConditionalObject(a[-1], a[0]), atoms
+
+
+class TestSolveCounts:
+    """One n = 6 chain: the pivots and solves it takes, and one phase 1 on
+    its level-0 system."""
+
+    def test_pivots_and_solves(self, monkeypatch):
+        from probarg import coherence, linprog
+
+        calls = {"pivot": 0, "solve": 0}
+        pivot, solve = linprog._pivot, coherence.solve_lp
+
+        def counted_pivot(*args):
+            calls["pivot"] += 1
+            pivot(*args)
+
+        def counted_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linprog, "_pivot", counted_pivot)
+        monkeypatch.setattr(coherence, "solve_lp", counted_solve)
+        b = propagate(*chain(6, F(9, 10)))
+        assert (b.lo, b.hi) == (F(497051, 900000), 1)
+        assert calls == {"pivot": 31, "solve": 5}
+
+    def test_level0_phase1_runs_once(self, monkeypatch):
+        from probarg import coherence, linprog
+
+        started = []
+
+        class CountedRegion(linprog.Region):
+            @cached_property
+            def _start(self):
+                started.append(self._rows)
+                return linprog.Region._start.func(self)
+
+        monkeypatch.setattr(coherence, "Region", CountedRegion)
+        a, q, atoms = chain(6, F(9, 10))
+        propagate(a, q, atoms)
+        level0 = coherence._Layer(list(a.entries), constituents(atoms)).region()
+        assert started.count(level0._rows) == 1
 
 
 class TestMonotonicity:

@@ -13,6 +13,7 @@ from probarg.dsl import (
     format_spec,
     lower,
     parse,
+    parse_formula,
 )
 from probarg.events import (
     Atom,
@@ -126,6 +127,20 @@ def test_malformed_inputs_rejected_with_position(text):
         parse(text)
     assert exc.value.line >= 1
     assert exc.value.col >= 1
+
+
+class TestParseFormula:
+    def test_every_identifier_is_an_atom(self):
+        text = "implies(not(task), and(B, C_1))"
+        (spec,) = parse(f"task T {{ atoms: task, B, C_1 conclusion: {text} }}")
+        assert parse_formula(text) == spec.conclusion.formula
+
+    @pytest.mark.parametrize("text", ["A B", "not(A))", "and(A, B", "A $", ""])
+    def test_malformed_rejected_with_position(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text)
+        assert exc.value.line == 1
+        assert exc.value.col >= 1
 
 
 CORPUS_TEXTS = {

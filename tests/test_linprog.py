@@ -93,8 +93,14 @@ def test_beale_cycling_example_terminates(monkeypatch):
     assert res.value == F(5, 4)
 
 
-COEFF = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, F(1, 2), F(-1, 3)])
-RHS = st.sampled_from([0, 0, 1, -1, 2, -2, F(1, 2), F(-3, 4)])
+# Large coprime denominators and big numerators make the integer tableau
+# scale rows by big lcms and divide pivoted rows by nontrivial gcds.
+COEFF = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, -2, 3, F(1, 2), F(-1, 3), F(1, 997), F(-7, 1024), F(10**12, 3)]
+)
+RHS = st.sampled_from(
+    [0, 0, 1, -1, 2, -2, F(1, 2), F(-3, 4), F(1, 997), F(-10**12, 7), F(10**12, 3)]
+)
 
 
 @st.composite
