@@ -16,6 +16,7 @@ from .coherence import (
     ClassificationConfig,
     Coherent,
     IncoherentPremises,
+    as_fraction,
     check_coherence,
     classify,
     propagate,
@@ -36,7 +37,7 @@ INTERP_NAMES = {i.value: i for i in Interpretation}
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({err})")
 

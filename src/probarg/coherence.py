@@ -35,13 +35,19 @@ def as_fraction(value) -> Fraction:
     """Exact conversion; accepts Fraction, int, or strings like '9/10', '0.9'."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r} on the exact decision path")
     return Fraction(value)
+
+
+def unit_interval(obj, what):
+    """Make obj.lo and obj.hi of a frozen dataclass exact fractions, and
+    raise ValueError("invalid <what> [lo, hi]") unless 0 <= lo <= hi <= 1."""
+    lo, hi = as_fraction(obj.lo), as_fraction(obj.hi)
+    if not (ZERO <= lo <= hi <= ONE):
+        raise ValueError(f"invalid {what} [{lo}, {hi}]")
+    object.__setattr__(obj, "lo", lo)
+    object.__setattr__(obj, "hi", hi)
 
 
 @dataclass(frozen=True)
@@ -51,10 +57,7 @@ class AssessmentEntry:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if not (ZERO <= self.lo <= self.hi <= ONE):
-            raise ValueError(f"invalid probability interval [{self.lo}, {self.hi}]")
+        unit_interval(self, "probability interval")
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,7 @@ class Bounds:
     hi: Fraction
 
     def __post_init__(self):
-        if not (ZERO <= self.lo <= self.hi <= ONE):
-            raise ValueError(f"invalid bounds [{self.lo}, {self.hi}]")
+        unit_interval(self, "bounds")
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -180,23 +182,23 @@ class _Layer:
     def region(self, *extra_rows) -> Region:
         """The layer's masses summing to 1 under its rows, plus extra_rows."""
         n = len(self.worlds)
-        rows = [([ONE] * n, EQ, ONE)] + self.homogeneous + list(extra_rows)
+        rows = [([1] * n, EQ, 1)] + self.homogeneous + list(extra_rows)
         return Region(rows, n)
 
     def antecedent_mass(self, indices):
         """Objective: the summed antecedent mass of the given entries."""
-        objective = [ZERO] * len(self.worlds)
+        objective = [0] * len(self.worlds)
         for i in indices:
             for j in self.m_idx[i]:
-                objective[j] += ONE
+                objective[j] += 1
         return objective
 
 
 def _mass_row(obj, world_list):
-    row = [ZERO] * len(world_list)
+    row = [0] * len(world_list)
     for j, v in enumerate(world_list):
         if eval_classical(obj.antecedent, v):
-            row[j] = ONE
+            row[j] = 1
     return row
 
 
@@ -223,7 +225,7 @@ def _forced_zero(layer, region, res=None):
         candidates = [
             i
             for i in candidates
-            if sum(res.solution[j] for j in layer.m_idx[i]) == 0
+            if not any(res.solution[j] for j in layer.m_idx[i])
         ]
         res = None
     return []
@@ -305,11 +307,11 @@ def _fractional_bounds(layer, q, m_row):
     their optima are attained by genuine mass vectors.
     """
     world_list = layer.worlds
-    region = Region(layer.homogeneous + [(m_row, EQ, ONE)], len(world_list))
-    e_row = [ZERO] * len(world_list)
+    region = Region(layer.homogeneous + [(m_row, EQ, 1)], len(world_list))
+    e_row = [0] * len(world_list)
     for j, v in enumerate(world_list):
         if m_row[j] and eval_classical(q.consequent, v):
-            e_row[j] = ONE
+            e_row[j] = 1
     lo = solve_lp(e_row, region, maximize=False)
     hi = solve_lp(e_row, region, maximize=True)
     if lo.status != "optimal" or hi.status != "optimal":
@@ -352,7 +354,7 @@ def _propagate_layer(layer, region, q) -> Bounds:
             return Bounds(lo, hi)
         # m_q = 0 stays feasible: values settled only at the deeper layer
         # where q's antecedent turns positive remain coherent too.
-        forced = _forced_zero(layer, layer.region((m_row, EQ, ZERO)))
+        forced = _forced_zero(layer, layer.region((m_row, EQ, 0)))
         deeper = _descend(layer, forced, q)
         return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
     forced = _forced_zero(layer, region)

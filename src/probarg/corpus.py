@@ -179,15 +179,24 @@ def evaluate_task(
     task: TaskRecord,
     interpretation: Interpretation,
     cfg: ClassificationConfig = ClassificationConfig(),
+    cache: dict | None = None,
 ) -> Prediction:
-    """Lower, propagate and classify one task under one interpretation."""
+    """Lower, propagate and classify one task under one interpretation.
+
+    cache, when given, maps a lowered (assessment, query, atoms) to its
+    bounds; a problem found there is not solved again.
+    """
     assessment, query = lower(task.spec, interpretation, cfg)
-    try:
-        bounds = propagate(assessment, query, task.spec.atoms)
-    except Exception as err:
-        raise RuntimeError(
-            f"task {task.abbrev} under {interpretation.value}: {err}"
-        ) from err
+    cache = {} if cache is None else cache
+    key = (assessment, query, task.spec.atoms)
+    if key not in cache:
+        try:
+            cache[key] = propagate(assessment, query, task.spec.atoms)
+        except Exception as err:
+            raise RuntimeError(
+                f"task {task.abbrev} under {interpretation.value}: {err}"
+            ) from err
+    bounds = cache[key]
     return Prediction(task.abbrev, interpretation, bounds, classify(bounds, cfg))
 
 
@@ -203,13 +212,14 @@ def agreement_report(cfg: ClassificationConfig = ClassificationConfig()) -> Agre
     category predicted under the conditional-event reading.
     """
     tasks = builtin_tasks()
+    cache = {}
     rows = []
     match_counts = {i: 0 for i in Interpretation}
     ce_shares = []
     for task in tasks:
         modal, ties = task.modal_observed()
         for interp in Interpretation:
-            pred = evaluate_task(task, interp, cfg)
+            pred = evaluate_task(task, interp, cfg, cache)
             match = (not ties) and pred.category == modal
             if match:
                 match_counts[interp] += 1
@@ -234,7 +244,7 @@ def agreement_report(cfg: ClassificationConfig = ClassificationConfig()) -> Agre
         for task in tasks:
             modal, ties = task.modal_observed()
             for interp in Interpretation:
-                pred = evaluate_task(task, interp, theta_cfg)
+                pred = evaluate_task(task, interp, theta_cfg, cache)
                 if (not ties) and pred.category == modal:
                     counts[interp] += 1
         sensitivity[theta] = counts

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coherence import Assessment, AssessmentEntry, ClassificationConfig, as_fraction
+from .coherence import Assessment, AssessmentEntry, ClassificationConfig, unit_interval
 from .events import (
     And,
     Atom,
@@ -66,10 +66,7 @@ class Numeric:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if not (0 <= self.lo <= self.hi <= 1):
-            raise ValueError(f"invalid premise interval [{self.lo}, {self.hi}]")
+        unit_interval(self, "premise interval")
 
 
 @dataclass(frozen=True)
@@ -98,6 +95,13 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+# Words that open a formula or a statement, so no atom may be named by one.
+KEYWORDS = frozenset({"not", "and", "or", "implies", "if", "not_if", "every"})
+
+# Connectives a formula may nest; deeper input is a ParseError, not a
+# RecursionError.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,10 @@ class _Parser:
         tok = self.next()
         if tok.kind != "num":
             self.fail("expected number", tok)
-        return Fraction(tok.text)
+        try:
+            return Fraction(tok.text)
+        except ZeroDivisionError:
+            self.fail("zero denominator", tok)
 
     # file := task+
     def parse_file(self):
@@ -188,10 +195,10 @@ class _Parser:
         self.expect("{")
         self.expect("atoms")
         self.expect(":")
-        atoms = [self.ident("atom name").text]
+        atoms = [self.atom_declaration()]
         while self.peek().text == ",":
             self.next()
-            atoms.append(self.ident("atom name").text)
+            atoms.append(self.atom_declaration())
         if len(set(atoms)) != len(atoms):
             self.fail(f"duplicate atom in task {name!r}")
         declared = set(atoms)
@@ -203,6 +210,12 @@ class _Parser:
         conclusion = self.parse_stmt(declared)
         self.expect("}")
         return ArgumentSpec(name, tuple(atoms), tuple(premises), conclusion)
+
+    def atom_declaration(self) -> str:
+        tok = self.ident("atom name")
+        if tok.text in KEYWORDS:
+            self.fail(f"keyword {tok.text!r} cannot name an atom", tok)
+        return tok.text
 
     def parse_premise(self, declared) -> PremiseSpec:
         self.expect("premise")
@@ -258,22 +271,24 @@ class _Parser:
             self.fail(f"undeclared atom {tok.text}", tok)
         return tok.text
 
-    def parse_form(self, declared) -> Formula:
+    def parse_form(self, declared, depth=0) -> Formula:
         """A formula over the atoms in declared, or over any atom when
-        declared is None."""
+        declared is None; depth counts the connectives around it."""
         tok = self.next()
         if tok.kind != "ident":
             self.fail("expected formula", tok)
+        if tok.text in ("not", "and", "or", "implies") and depth == MAX_NESTING:
+            self.fail(f"formula nested more than {MAX_NESTING} deep", tok)
         if tok.text == "not":
             self.expect("(")
-            inner = self.parse_form(declared)
+            inner = self.parse_form(declared, depth + 1)
             self.expect(")")
             return Not(inner)
         if tok.text in ("and", "or", "implies"):
             self.expect("(")
-            left = self.parse_form(declared)
+            left = self.parse_form(declared, depth + 1)
             self.expect(",")
-            right = self.parse_form(declared)
+            right = self.parse_form(declared, depth + 1)
             self.expect(")")
             cls = {"and": And, "or": Or, "implies": MaterialImp}[tok.text]
             return cls(left, right)

@@ -1,15 +1,24 @@
 """Exact linear programming over rationals.
 
-One two-phase simplex. Rows come in as rationals (fractions.Fraction) and
-the tableau keeps them as rows of Python ints.
+One two-phase simplex. Rows and objectives come in as ints, Fractions or
+anything Fraction() takes (such as "9/10"). A value is converted once: a
+Region keeps ints and Fractions as they are and converts any other value
+with Fraction(v), and solve_lp does the same for its objective. From the
+moment a Region holds its rows, all arithmetic is on Python ints; Fractions
+appear again only in the result, as the basic values x_b = rhs/d and the
+objective value.
 
 - Rows are normalised so each slack can start basic: a row with rhs < 0,
   and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
   rows with rhs > 0 get an artificial column.
-- Each tableau row, and each reduced-cost row, is scaled once to coprime
-  ints. A pivot on entry p of the pivot row replaces every other row r
-  whose entry f in the pivot column is nonzero by p*r - f*(pivot row),
-  divided by the gcd of its entries; the pivot row itself and the rows
+- Each tableau row is scaled once to coprime ints (the lcm of its
+  denominators, skipped when all its entries are ints, then its gcd). The
+  reduced-cost row of an objective, phase 1's included, is summed in ints:
+  each basic row a_i with basic coefficient d_i enters scaled by L/d_i,
+  with L the lcm of those d_i, and the sum is then made coprime.
+- A pivot on entry p of the pivot row replaces every other row r whose
+  entry f in the pivot column is nonzero by p*r - f*(pivot row), divided
+  by the gcd of its entries; the pivot row itself and the rows
   with f = 0 stay as they are. This is integer-preserving elimination
   (Edmonds 1967, Bareiss 1968) with a per-row gcd in place of Bareiss's
   global divisor, so a pivot touches only the rows it changes.
@@ -38,7 +47,6 @@ from functools import cached_property
 from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 LE = "<="
 GE = ">="
@@ -67,8 +75,9 @@ class Region:
         self.n = n
         self._rows = []
         for coeffs, rel, rhs in rows:
-            coeffs = [Fraction(v) for v in coeffs]
-            rhs = Fraction(rhs)
+            coeffs = _exact(coeffs)
+            if not isinstance(rhs, (int, Fraction)):
+                rhs = Fraction(rhs)
             if len(coeffs) != n:
                 raise ValueError("constraint arity mismatch")
             if rhs < 0 or (rhs == 0 and rel == GE):
@@ -93,29 +102,21 @@ class Region:
         basis = []
         si, ai = n, n_real
         for coeffs, rel, rhs in self._rows:
-            row = coeffs + [ZERO] * (cols - n) + [rhs]
+            row = coeffs + [0] * (cols - n) + [rhs]
             if rel != EQ:
-                row[si] = ONE if rel == LE else -ONE
+                row[si] = 1 if rel == LE else -1
                 si += 1
             if rel == LE:
                 basis.append(si - 1)
             else:
-                row[ai] = ONE
+                row[ai] = 1
                 basis.append(ai)
                 ai += 1
             tableau.append(_integer_row(row))
         if n_art:
-            # Phase 1 maximizes minus the sum of the artificials; its
-            # reduced costs start as the sum of the rows they are basic in,
-            # each divided by its basic coefficient.
-            cost = [ZERO] * (cols + 1)
-            for row, b in zip(tableau, basis):
-                if b >= n_real:
-                    d = row[b]
-                    for j in range(n_real):
-                        cost[j] += Fraction(row[j], d)
-                    cost[-1] += Fraction(row[-1], d)
-            tableau.append(_integer_row(cost))
+            # Phase 1 maximizes minus the sum of the artificials.
+            phase1 = [0] * n_real + [-1] * n_art + [0]
+            tableau.append(_reduced_costs(tableau, basis, phase1))
             if _simplex(tableau, basis) != "optimal":
                 raise RuntimeError("phase 1 unexpectedly unbounded")
             if tableau.pop()[-1] != 0:
@@ -137,9 +138,7 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
         rows = Region(rows, n)
     elif rows.n != n:
         raise ValueError("objective arity mismatch")
-    c = [Fraction(v) for v in objective]
-    if not maximize:
-        c = [-v for v in c]
+    c = _exact(objective)
     start = rows._start
     if start is None:
         return LPResult("infeasible")
@@ -147,33 +146,57 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
     tableau = base[:]
     basis = basis[:]
     cols = len(base[0]) - 1 if base else n
-    # Reduced costs of c at the starting basis: c_j - sum_i c_B(i) * a_ij,
-    # and minus the objective value in the last place, with each row a_i
-    # divided by its basic coefficient.
-    cost = c + [ZERO] * (cols - n + 1)
-    for row, b in zip(tableau, basis):
-        if b < n and c[b]:
-            cb = c[b] / row[b]
-            for j, v in enumerate(row):
-                if v:
-                    cost[j] -= cb * v
-    tableau.append(_integer_row(cost))
+    # The objective scaled to ints, negated to minimize.
+    cost = _integer_row(c + [0] * (cols - n + 1))
+    if not maximize:
+        cost = [-v for v in cost]
+    tableau.append(_reduced_costs(tableau, basis, cost))
     if _simplex(tableau, basis) == "unbounded":
         return LPResult("unbounded")
     x = [ZERO] * n
     for row, b in zip(tableau, basis):
-        if b < n:
+        if b < n and row[-1]:
             x[b] = Fraction(row[-1], row[b])
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return LPResult("optimal", value if maximize else -value, x)
+    return LPResult("optimal", sum([ci * xi for ci, xi in zip(c, x)], ZERO), x)
+
+
+def _reduced_costs(tableau, basis, c):
+    """The reduced-cost row of objective c (ints, one per tableau column,
+    then 0) at the tableau's basis, as coprime ints.
+
+    The rational row is c_j - sum_i c_B(i) * a_ij / d_i, with minus the
+    objective value in the last place and d_i the basic coefficient of row
+    a_i. Scaled by the lcm L of the d_i of the rows with c_B(i) != 0, that
+    is L*c - sum_i c_B(i) * (L/d_i) * a_i, all in ints.
+    """
+    priced = [(row, b) for row, b in zip(tableau, basis) if c[b]]
+    if priced:
+        big = lcm(*[row[b] for row, b in priced])
+        priced = [(row, big // row[b] * c[b]) for row, b in priced]
+        c = [big * v for v in c]
+        for row, k in priced:
+            for j, v in enumerate(row):
+                if v:
+                    c[j] -= k * v
+    return _integer_row(c)
+
+
+def _exact(values):
+    """The values as a list: ints and Fractions as they are, any other
+    value converted once with Fraction(v)."""
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
 
 
 def _integer_row(row):
     """The coprime ints that are a positive multiple of a rational row."""
-    # Unpack a list, not a generator: CPython resizes a tuple built from a
-    # generator, and its tuple free lists then keep one extra block per call.
-    den = lcm(*[v.denominator for v in row])
-    ints = [v.numerator * (den // v.denominator) for v in row]
+    if all(type(v) is int for v in row):
+        ints = row
+    else:
+        # Unpack a list, not a generator: CPython resizes a tuple built from
+        # a generator, and its tuple free lists then keep one extra block
+        # per call.
+        den = lcm(*[v.denominator for v in row])
+        ints = [v.numerator * (den // v.denominator) for v in row]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 

@@ -57,6 +57,15 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "theta, reason",
+        [("abc", "Invalid literal for Fraction: 'abc'"), ("1/0", "Fraction(1, 0)")],
+    )
+    def test_unparsable_theta_is_1(self, theta, reason):
+        code, _, err = run_cli("eval", str(DATA / "paradox.arg"), "--theta", theta)
+        assert code == 1
+        assert f"argument --theta: not a rational: {theta!r} ({reason})" in err
+
     def test_counterfactual_compatible_antecedents_is_1(self):
         code, _, err = run_cli(
             "counterfactual", "--c", "C", "--b", "B", "--a", "B", "--p", "1/2"

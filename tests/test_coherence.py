@@ -18,6 +18,7 @@ from probarg.coherence import (
     propagate,
     structural_bounds,
 )
+from probarg.dsl import Numeric
 from probarg.events import TOP, And, Atom, ConditionalObject, Not, Or, constituents
 
 from oracles import (
@@ -47,6 +48,23 @@ class TestAssessment:
     def test_floats_refused(self):
         with pytest.raises(TypeError):
             AssessmentEntry(ConditionalObject(A), 0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (Numeric, "invalid premise interval"),
+            (lambda lo, hi: AssessmentEntry(ConditionalObject(A), lo, hi), "invalid probability interval"),
+            (Bounds, "invalid bounds"),
+        ],
+    )
+    def test_one_interval_check(self, make, message):
+        # One check serves all three; each keeps its own message.
+        for lo, hi in [(F(3, 4), F(1, 2)), (F(-1, 2), F(1, 2)), (0, F(3, 2))]:
+            with pytest.raises(ValueError, match=rf"^{message} \[{lo}, {hi}\]$"):
+                make(lo, hi)
+        got = make("1/4", 1)
+        assert (got.lo, got.hi) == (F(1, 4), 1)
+        assert type(got.lo) is type(got.hi) is F
 
 
 class TestCheckCoherence:
@@ -276,6 +294,34 @@ class TestSolveCounts:
         b = propagate(*chain(6, F(9, 10)))
         assert (b.lo, b.hi) == (F(497051, 900000), 1)
         assert calls == {"pivot": 31, "solve": 5}
+
+    def test_corpus_grid_pivots_and_solves(self, monkeypatch):
+        """Every corpus task x interpretation x THETA_GRID propagated: the
+        pivots and solves the rational tableau's path takes."""
+        from probarg import coherence, linprog
+        from probarg.corpus import THETA_GRID, builtin_tasks
+        from probarg.dsl import lower
+        from probarg.events import Interpretation
+
+        calls = {"pivot": 0, "solve": 0}
+        pivot, solve = linprog._pivot, coherence.solve_lp
+
+        def counted_pivot(*args):
+            calls["pivot"] += 1
+            pivot(*args)
+
+        def counted_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(linprog, "_pivot", counted_pivot)
+        monkeypatch.setattr(coherence, "solve_lp", counted_solve)
+        for task in builtin_tasks():
+            for interp in Interpretation:
+                for theta in THETA_GRID:
+                    a, q = lower(task.spec, interp, ClassificationConfig(theta=theta))
+                    propagate(a, q, task.spec.atoms)
+        assert calls == {"pivot": 684, "solve": 572}
 
     def test_level0_phase1_runs_once(self, monkeypatch):
         from probarg import coherence, linprog

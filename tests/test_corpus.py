@@ -150,6 +150,34 @@ class TestAgreementReport:
         assert report.mean_coherent_share == sum(shares) / 8
 
 
+class TestSolveOnce:
+    """agreement_report solves each distinct lowered problem once."""
+
+    def test_72_propagate_calls(self, monkeypatch):
+        from probarg import corpus
+
+        calls = []
+        propagate = corpus.propagate
+
+        def counted(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(corpus, "propagate", counted)
+        agreement_report()
+        assert len(calls) == 72
+        assert len(set(calls)) == 72
+
+    def test_equals_report_without_cache(self, report, monkeypatch):
+        from probarg import corpus
+
+        evaluate = corpus.evaluate_task
+        monkeypatch.setattr(
+            corpus, "evaluate_task", lambda task, interp, cfg, cache: evaluate(task, interp, cfg)
+        )
+        assert agreement_report() == report
+
+
 class TestRendering:
     def test_structured_schema(self):
         data = report_structured(agreement_report())

@@ -1,9 +1,12 @@
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from probarg.coherence import ClassificationConfig
 from probarg.dsl import (
+    MAX_NESTING,
     ArgumentSpec,
     Certain,
     Numeric,
@@ -16,13 +19,16 @@ from probarg.dsl import (
     parse_formula,
 )
 from probarg.events import (
+    And,
     Atom,
     ConditionalObject,
     Every,
     If,
     Interpretation,
+    MaterialImp,
     NegIf,
     Not,
+    Or,
     Plain,
     TOP,
 )
@@ -118,6 +124,11 @@ MALFORMED = [
     "task T { atoms: A conclusion: if(A A) }",  # missing comma
     "task T { atoms: A conclusion: every(A, B) }",  # undeclared predicate
     "task T { atoms: A conclusion: A } trailing",  # junk after last task
+    "task T { atoms: A premise: P(A) in [1/0, 1] conclusion: A }",  # zero denominator
+    "task T { atoms: A, not conclusion: A }",  # connective as atom name
+    "task T { atoms: if conclusion: if }",  # statement keyword as atom name
+    "task T { atoms: A conclusion: "  # nested too deep
+    + "not(" * (MAX_NESTING + 1) + "A" + ")" * (MAX_NESTING + 1) + " }",
 ]
 
 
@@ -169,6 +180,82 @@ class TestRoundTrip:
         )
         (reparsed,) = parse(format_spec(spec))
         assert reparsed == spec
+
+
+IDENT = st.builds(str.__add__, st.sampled_from("AbZ_"), st.text("a1Z_9", max_size=3))
+# Keywords that open a formula or statement cannot name an atom; every
+# other identifier can, words of the task syntax included.
+ATOMS = ("A", "B_2", "c", "task", "premise", "P", "in", "top")
+FORMULA = st.recursive(
+    st.sampled_from(ATOMS).map(Atom),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(MaterialImp, sub, sub),
+    ),
+    max_leaves=6,
+)
+STATEMENT = st.one_of(
+    st.builds(Plain, FORMULA),
+    st.builds(If, FORMULA, FORMULA),
+    st.builds(NegIf, FORMULA, FORMULA),
+    st.builds(Every, st.sampled_from(ATOMS), st.sampled_from(ATOMS)),
+)
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+STRENGTH = st.one_of(
+    st.just(QuiteSure()),
+    st.just(Certain()),
+    st.lists(UNIT, min_size=2, max_size=2).map(lambda b: Numeric(min(b), max(b))),
+)
+SPEC = st.builds(
+    ArgumentSpec,
+    IDENT,
+    st.permutations(ATOMS).map(tuple),
+    st.lists(st.builds(PremiseSpec, STATEMENT, STRENGTH), max_size=3).map(tuple),
+    STATEMENT,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SPEC)
+def test_format_spec_round_trips(spec):
+    assert parse(format_spec(spec)) == [spec]
+
+
+# Replacements for a number, a word and a mark of valid text, among them a
+# zero denominator and keywords where an atom is declared.
+PIECES = (
+    ("0", "1", "2", "1/2", "0.5", "1/0", "0/0"),
+    ("task", "T", "atoms", "premise", "conclusion", "quite_sure", "certain", "P",
+     "in", "if", "not_if", "every", "not", "and", "or", "implies", "A"),
+    ("{", "}", ":", ",", "[", "]", "(", ")", "#", "@", "\n", ""),
+)
+
+
+@st.composite
+def fuzz_texts(draw):
+    """Valid task text with one or two numbers, words or marks replaced, or
+    any text at all. The kind to replace is drawn first, so the few numbers
+    of a text are hit as often as its many words."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=60))
+    tokens = re.findall(r"(\d[\d./]*)|(\w+)|(\S)", format_spec(draw(SPEC)))
+    tokens = [next((kind, t) for kind, t in enumerate(groups) if t) for groups in tokens]
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(sorted({kind for kind, _ in tokens})))
+        i = draw(st.sampled_from([i for i, (k, _) in enumerate(tokens) if k == kind]))
+        tokens[i] = kind, draw(st.sampled_from(PIECES[kind]))
+    return " ".join(t for _, t in tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_texts())
+def test_parse_raises_only_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
 
 
 class TestLower:

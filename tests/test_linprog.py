@@ -157,6 +157,46 @@ def test_region_reuse_equals_fresh_solves(system, data):
             )
 
 
+def test_ints_fractions_and_strings_agree():
+    # One system given three ways: the result, solution included, is equal.
+    rows = [([2, 1, 0], LE, 4), ([1, 3, 1], GE, 3), ([1, 1, 1], EQ, 3), ([0, -1, 2], LE, -1)]
+    objective = [3, -1, 2]
+    as_fractions = [([F(v) for v in c], rel, F(b)) for c, rel, b in rows]
+    as_strings = [([f"{v}.0" for v in c], rel, f"{b}.0") for c, rel, b in rows]
+    for maximize in (True, False):
+        got = [
+            solve_lp(objective, rows, maximize),
+            solve_lp([F(v) for v in objective], as_fractions, maximize),
+            solve_lp([f"{v}.0" for v in objective], as_strings, maximize),
+        ]
+        assert got[0].status == "optimal"
+        assert got[0] == got[1] == got[2]
+        assert all(type(v) is F for v in got[0].solution + [got[0].value])
+
+
+INT = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 7, -12, 10**12])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data(), st.booleans())
+def test_all_int_systems_match_bland_reference(n, data, maximize):
+    rows = data.draw(
+        st.lists(
+            st.tuples(
+                st.lists(INT, min_size=n, max_size=n), st.sampled_from([LE, GE, EQ]), INT
+            ),
+            max_size=5,
+        )
+    )
+    objective = data.draw(st.lists(INT, min_size=n, max_size=n))
+    got = solve_lp(objective, rows, maximize)
+    ref = bland_reference.solve_lp(objective, rows, maximize)
+    assert got.status == ref.status
+    if got.status == "optimal":
+        assert got.value == ref.value
+        assert satisfies(rows, got.solution)
+
+
 def test_region_arity_checked():
     region = Region([([1, 1], LE, 1)], 2)
     with pytest.raises(ValueError, match="arity"):
