@@ -7,8 +7,6 @@ Exit codes: 0 success, 1 input error, 2 incoherent premises (eval only).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from fractions import Fraction
 
@@ -28,9 +26,11 @@ from .corpus import (
     report_text,
 )
 from .dsl import ParseError, lower, parse, parse_formula
-from .events import Interpretation, atoms_of
-from .prevision import crq_of, nested_prevision
-from .stats import ContingencyTable, fisher_exact_2x2, holm_bonferroni, monte_carlo_rxc
+from .events import Interpretation, atoms_of, constituents
+
+# The subcommands import json, csv, .stats and .prevision themselves, so that
+# a start-up loads only what its subcommand needs (.prevision is loaded anyway
+# by the package's __init__, for the public API).
 
 INTERP_NAMES = {i.value: i for i in Interpretation}
 
@@ -99,7 +99,7 @@ def _parse_file(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SystemExit1(f"cannot read {path}: {err}")
     try:
         return parse(text)
@@ -150,6 +150,8 @@ def _cmd_eval(args) -> int:
                 }
             )
     if args.json:
+        import json
+
         print(json.dumps(results, indent=2, sort_keys=True))
     else:
         for r in results:
@@ -182,6 +184,8 @@ def _cmd_corpus(args) -> int:
     cfg = ClassificationConfig(theta=args.theta)
     report = agreement_report(cfg)
     if args.json:
+        import json
+
         print(json.dumps(report_structured(report), indent=2, sort_keys=True))
     else:
         sys.stdout.write(report_text(report))
@@ -189,6 +193,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_counterfactual(args) -> int:
+    from .prevision import crq_of, nested_prevision
+
     c = _formula_arg("--c", args.c)
     b = _formula_arg("--b", args.b)
     a = _formula_arg("--a", args.a)
@@ -197,23 +203,22 @@ def _cmd_counterfactual(args) -> int:
         raise SystemExit1(f"--p must be in [0, 1], got {args.p}")
     try:
         quantity = crq_of(c, b, args.p, atoms)
-    except ValueError as err:
-        raise SystemExit1(str(err))
-    print(f"quantity ({c} | {b}) with void value {args.p} over atoms {', '.join(atoms)}:")
-    from .events import constituents
-
-    for v, val in zip(constituents(atoms), quantity.values):
-        bits = " ".join(f"{k}={'T' if v[k] else 'F'}" for k in atoms)
-        print(f"  {bits}: {val}")
-    try:
         value = nested_prevision(c, b, a, args.p, atoms)
     except ValueError as err:
         raise SystemExit1(str(err))
+    print(f"quantity ({c} | {b}) with void value {args.p} over atoms {', '.join(atoms)}:")
+    for v, val in zip(constituents(atoms), quantity.values):
+        bits = " ".join(f"{k}={'T' if v[k] else 'F'}" for k in atoms)
+        print(f"  {bits}: {val}")
     print(f"prevision of (({c} | {b}) | {a}) = {value}")
     return 0
 
 
-def _read_table(path: str) -> ContingencyTable:
+def _read_table(path: str):
+    import csv
+
+    from .stats import ContingencyTable
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [
@@ -221,7 +226,7 @@ def _read_table(path: str) -> ContingencyTable:
                 for row in csv.reader(fh)
                 if row
             ]
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SystemExit1(f"cannot read {path}: {err}")
     except ValueError as err:
         raise SystemExit1(f"{path}: malformed integer table: {err}")
@@ -232,6 +237,8 @@ def _read_table(path: str) -> ContingencyTable:
 
 
 def _cmd_stats(args) -> int:
+    from .stats import fisher_exact_2x2, holm_bonferroni, monte_carlo_rxc
+
     if args.stats_command == "fisher":
         table = _read_table(args.table)
         try:

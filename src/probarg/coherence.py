@@ -17,9 +17,9 @@ yes/no question, not a tolerance question.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, _set
 from .events import (
     ConditionalObject,
     constituents,
@@ -40,37 +40,35 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def unit_interval(obj, what):
-    """Make obj.lo and obj.hi of a frozen dataclass exact fractions, and
-    raise ValueError("invalid <what> [lo, hi]") unless 0 <= lo <= hi <= 1."""
-    lo, hi = as_fraction(obj.lo), as_fraction(obj.hi)
+def unit_interval(lo, hi, what):
+    """(lo, hi) as exact fractions; ValueError("invalid <what> [lo, hi]")
+    unless 0 <= lo <= hi <= 1."""
+    lo, hi = as_fraction(lo), as_fraction(hi)
     if not (ZERO <= lo <= hi <= ONE):
         raise ValueError(f"invalid {what} [{lo}, {hi}]")
-    object.__setattr__(obj, "lo", lo)
-    object.__setattr__(obj, "hi", hi)
+    return lo, hi
 
 
-@dataclass(frozen=True)
-class AssessmentEntry:
-    obj: ConditionalObject
-    lo: Fraction
-    hi: Fraction
+class AssessmentEntry(Value):
+    __slots__ = ("obj", "lo", "hi")
 
-    def __post_init__(self):
-        unit_interval(self, "probability interval")
+    def __init__(self, obj: ConditionalObject, lo: Fraction, hi: Fraction):
+        lo, hi = unit_interval(lo, hi, "probability interval")
+        _set(self, "obj", obj)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
-@dataclass(frozen=True)
-class Assessment:
-    entries: tuple = ()
+class Assessment(Value):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(
+    def __init__(self, entries: tuple = ()):
+        _set(
             self,
             "entries",
             tuple(
                 e if isinstance(e, AssessmentEntry) else AssessmentEntry(*e)
-                for e in self.entries
+                for e in entries
             ),
         )
 
@@ -84,28 +82,34 @@ class Assessment:
         return Assessment(self.entries + (AssessmentEntry(obj, lo, hi),))
 
 
-@dataclass(frozen=True)
-class Bounds:
-    lo: Fraction
-    hi: Fraction
+class Bounds(Value):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        unit_interval(self, "bounds")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        lo, hi = unit_interval(lo, hi, "bounds")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class Coherent:
-    witness: tuple  # level-0 masses, indexed like constituents(atomset)
-    atomset: tuple
+class Coherent(Value):
+    """witness: the level-0 masses, indexed like constituents(atomset)."""
+
+    __slots__ = ("witness", "atomset")
+
+    def __init__(self, witness: tuple, atomset: tuple):
+        _set(self, "witness", witness)
+        _set(self, "atomset", atomset)
 
 
-@dataclass(frozen=True)
-class Incoherent:
-    level: int
-    description: str
+class Incoherent(Value):
+    __slots__ = ("level", "description")
+
+    def __init__(self, level: int, description: str):
+        _set(self, "level", level)
+        _set(self, "description", description)
 
 
 class IncoherentPremises(ValueError):
@@ -121,26 +125,31 @@ class ResponseCategory(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class ClassificationConfig:
+class ClassificationConfig(Value):
     """Numeric reading of the verbal layer.
 
     theta is the value of "quite sure"; tau_high / tau_low are the decision
     thresholds the conclusion interval is compared against.
     """
 
-    theta: Fraction = Fraction(9, 10)
-    tau_high: Fraction = Fraction(1, 2)
-    tau_low: Fraction = Fraction(1, 2)
+    __slots__ = ("theta", "tau_high", "tau_low")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", as_fraction(self.theta))
-        object.__setattr__(self, "tau_high", as_fraction(self.tau_high))
-        object.__setattr__(self, "tau_low", as_fraction(self.tau_low))
-        if not (Fraction(1, 2) < self.theta <= ONE):
+    def __init__(
+        self,
+        theta: Fraction = Fraction(9, 10),
+        tau_high: Fraction = Fraction(1, 2),
+        tau_low: Fraction = Fraction(1, 2),
+    ):
+        theta = as_fraction(theta)
+        tau_high = as_fraction(tau_high)
+        tau_low = as_fraction(tau_low)
+        if not (Fraction(1, 2) < theta <= ONE):
             raise ValueError("theta must be in (1/2, 1]")
-        if not (ZERO <= self.tau_low <= self.tau_high <= ONE):
+        if not (ZERO <= tau_low <= tau_high <= ONE):
             raise ValueError("need 0 <= tau_low <= tau_high <= 1")
+        _set(self, "theta", theta)
+        _set(self, "tau_high", tau_high)
+        _set(self, "tau_low", tau_low)
 
 
 # --- layer systems -----------------------------------------------------------

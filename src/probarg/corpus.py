@@ -9,10 +9,9 @@ orders) and stored as exact decimals so report output is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
+from ._value import Value, _set
 from .coherence import (
     Bounds,
     ClassificationConfig,
@@ -106,13 +105,22 @@ CATEGORY_LABELS = {
 THETA_GRID = (Fraction(7, 10), Fraction(4, 5), Fraction(9, 10), Fraction(19, 20))
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    abbrev: str
-    spec: ArgumentSpec
-    expected: dict
-    observed: tuple  # (holds_pct, notholds_pct, noninf_pct)
-    confidence: tuple  # (mean, sd)
+class TaskRecord(Value):
+    __slots__ = ("abbrev", "spec", "expected", "observed", "confidence")
+
+    def __init__(
+        self,
+        abbrev: str,
+        spec: ArgumentSpec,
+        expected: dict,
+        observed: tuple,  # (holds_pct, notholds_pct, noninf_pct)
+        confidence: tuple,  # (mean, sd)
+    ):
+        _set(self, "abbrev", abbrev)
+        _set(self, "spec", spec)
+        _set(self, "expected", expected)
+        _set(self, "observed", observed)
+        _set(self, "confidence", confidence)
 
     def modal_observed(self):
         """Category with the largest observed share, plus any ties."""
@@ -122,37 +130,79 @@ class TaskRecord:
         return winners[0], tuple(winners[1:])
 
 
-@dataclass(frozen=True)
-class Prediction:
-    task: str
-    interpretation: Interpretation
-    bounds: Bounds
-    category: ResponseCategory
+class Prediction(Value):
+    __slots__ = ("task", "interpretation", "bounds", "category")
+
+    def __init__(
+        self,
+        task: str,
+        interpretation: Interpretation,
+        bounds: Bounds,
+        category: ResponseCategory,
+    ):
+        _set(self, "task", task)
+        _set(self, "interpretation", interpretation)
+        _set(self, "bounds", bounds)
+        _set(self, "category", category)
 
 
-@dataclass(frozen=True)
-class AgreementRow:
-    task: str
-    interpretation: Interpretation
-    bounds: Bounds
-    category: ResponseCategory
-    modal_observed: ResponseCategory
-    modal_ties: tuple
-    match: bool
-    observed_share_of_predicted: Fraction
+class AgreementRow(Value):
+    __slots__ = (
+        "task",
+        "interpretation",
+        "bounds",
+        "category",
+        "modal_observed",
+        "modal_ties",
+        "match",
+        "observed_share_of_predicted",
+    )
+
+    def __init__(
+        self,
+        task: str,
+        interpretation: Interpretation,
+        bounds: Bounds,
+        category: ResponseCategory,
+        modal_observed: ResponseCategory,
+        modal_ties: tuple,
+        match: bool,
+        observed_share_of_predicted: Fraction,
+    ):
+        _set(self, "task", task)
+        _set(self, "interpretation", interpretation)
+        _set(self, "bounds", bounds)
+        _set(self, "category", category)
+        _set(self, "modal_observed", modal_observed)
+        _set(self, "modal_ties", modal_ties)
+        _set(self, "match", match)
+        _set(self, "observed_share_of_predicted", observed_share_of_predicted)
 
 
-@dataclass(frozen=True)
-class AgreementReport:
-    theta: Fraction
-    rows: tuple  # AgreementRow per task x interpretation
-    match_counts: dict  # Interpretation -> int
-    mean_coherent_share: Fraction  # mean observed share of the CE prediction
-    theta_sensitivity: dict  # theta -> {Interpretation -> match count}
+class AgreementReport(Value):
+    __slots__ = ("theta", "rows", "match_counts", "mean_coherent_share", "theta_sensitivity")
+
+    def __init__(
+        self,
+        theta: Fraction,
+        rows: tuple,  # AgreementRow per task x interpretation
+        match_counts: dict,  # Interpretation -> int
+        mean_coherent_share: Fraction,  # mean observed share of the CE prediction
+        theta_sensitivity: dict,  # theta -> {Interpretation -> match count}
+    ):
+        _set(self, "theta", theta)
+        _set(self, "rows", rows)
+        _set(self, "match_counts", match_counts)
+        _set(self, "mean_coherent_share", mean_coherent_share)
+        _set(self, "theta_sensitivity", theta_sensitivity)
 
 
 def builtin_tasks():
     """The eight shipped tasks with embedded observed data."""
+    # Imported here: it loads pathlib, zipfile and typing, which no other
+    # subcommand needs.
+    from importlib import resources
+
     records = []
     for abbrev in TASK_ORDER:
         text = (
@@ -189,14 +239,15 @@ def evaluate_task(
     assessment, query = lower(task.spec, interpretation, cfg)
     cache = {} if cache is None else cache
     key = (assessment, query, task.spec.atoms)
-    if key not in cache:
+    bounds = cache.get(key)
+    if bounds is None:
         try:
-            cache[key] = propagate(assessment, query, task.spec.atoms)
+            bounds = propagate(assessment, query, task.spec.atoms)
         except Exception as err:
             raise RuntimeError(
                 f"task {task.abbrev} under {interpretation.value}: {err}"
             ) from err
-    bounds = cache[key]
+        cache[key] = bounds
     return Prediction(task.abbrev, interpretation, bounds, classify(bounds, cfg))
 
 

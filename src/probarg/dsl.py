@@ -15,9 +15,10 @@ into an assessment and a query object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from ._value import Value, _set
 from .coherence import Assessment, AssessmentEntry, ClassificationConfig, unit_interval
 from .events import (
     And,
@@ -50,37 +51,39 @@ class ParseError(ValueError):
 # --- premise strengths -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuiteSure:
-    pass
+class QuiteSure(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Certain:
-    pass
+class Certain(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Numeric:
-    lo: Fraction
-    hi: Fraction
+class Numeric(Value):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        unit_interval(self, "premise interval")
-
-
-@dataclass(frozen=True)
-class PremiseSpec:
-    statement: SurfaceStatement
-    strength: object  # QuiteSure | Certain | Numeric
+    def __init__(self, lo: Fraction, hi: Fraction):
+        lo, hi = unit_interval(lo, hi, "premise interval")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
-@dataclass(frozen=True)
-class ArgumentSpec:
-    name: str
-    atoms: tuple
-    premises: tuple
-    conclusion: SurfaceStatement
+class PremiseSpec(Value):
+    __slots__ = ("statement", "strength")
+
+    def __init__(self, statement: SurfaceStatement, strength: QuiteSure | Certain | Numeric):
+        _set(self, "statement", statement)
+        _set(self, "strength", strength)
+
+
+class ArgumentSpec(Value):
+    __slots__ = ("name", "atoms", "premises", "conclusion")
+
+    def __init__(self, name: str, atoms: tuple, premises: tuple, conclusion: SurfaceStatement):
+        _set(self, "name", name)
+        _set(self, "atoms", atoms)
+        _set(self, "premises", premises)
+        _set(self, "conclusion", conclusion)
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -104,12 +107,8 @@ KEYWORDS = frozenset({"not", "and", "or", "implies", "if", "not_if", "every"})
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "ident" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+# kind is "num", "ident", "punct" or "eof".
+Token = namedtuple("Token", "kind text line col")
 
 
 def _tokenize(text):

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
+
+from ._value import Value, _set
 
 MAX_ATOMS = 16
 
 
-class Formula:
+class Formula(Value):
     """Base class for event formulas. Instances are immutable values."""
+
+    __slots__ = ()
 
     def __invert__(self) -> "Formula":
         return Not(self)
@@ -29,61 +32,66 @@ class Formula:
         return Or(self, other)
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str):
+        if not name:
             raise ValueError("atom name must be nonempty")
+        _set(self, "name", name)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
 
     def __str__(self):
         return f"not({self.operand})"
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """A connective over two formulas; subclasses name it in _word."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self):
-        return f"and({self.left}, {self.right})"
+        return f"{self._word}({self.left}, {self.right})"
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def __str__(self):
-        return f"or({self.left}, {self.right})"
+class And(_Binary):
+    __slots__ = ()
+    _word = "and"
 
 
-@dataclass(frozen=True)
-class MaterialImp(Formula):
-    left: Formula
-    right: Formula
-
-    def __str__(self):
-        return f"implies({self.left}, {self.right})"
+class Or(_Binary):
+    __slots__ = ()
+    _word = "or"
 
 
-@dataclass(frozen=True)
+class MaterialImp(_Binary):
+    __slots__ = ()
+    _word = "implies"
+
+
 class Top(Formula):
+    __slots__ = ()
+
     def __str__(self):
         return "top"
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
+    __slots__ = ()
+
     def __str__(self):
         return "bottom"
 
@@ -102,7 +110,7 @@ def atoms_of(f: Formula) -> frozenset:
         return frozenset([f.name])
     if isinstance(f, Not):
         return atoms_of(f.operand)
-    if isinstance(f, (And, Or, MaterialImp)):
+    if isinstance(f, _Binary):
         return atoms_of(f.left) | atoms_of(f.right)
     return frozenset()
 
@@ -167,20 +175,20 @@ class TruthValue3(enum.Enum):
     VOID = "void"
 
 
-@dataclass(frozen=True)
-class ConditionalObject:
+class ConditionalObject(Value):
     """A conditional event: three-valued, void when the antecedent is false.
 
     Antecedent Top encodes an unconditional event. Bottom-equivalent
     antecedents are rejected at construction.
     """
 
-    consequent: Formula
-    antecedent: Formula = TOP
+    __slots__ = ("consequent", "antecedent")
 
-    def __post_init__(self):
-        if not is_satisfiable(self.antecedent):
-            raise ValueError(f"antecedent is unsatisfiable: {self.antecedent}")
+    def __init__(self, consequent: Formula, antecedent: Formula = TOP):
+        if not is_satisfiable(antecedent):
+            raise ValueError(f"antecedent is unsatisfiable: {antecedent}")
+        _set(self, "consequent", consequent)
+        _set(self, "antecedent", antecedent)
 
     def atoms(self) -> frozenset:
         return atoms_of(self.consequent) | atoms_of(self.antecedent)
@@ -203,33 +211,43 @@ def eval3(obj: ConditionalObject, v: Valuation) -> TruthValue3:
 # --- surface statements and their interpretation-dependent expansion ---
 
 
-class SurfaceStatement:
+class SurfaceStatement(Value):
     """Base for uninterpreted statements as they appear in an argument."""
 
-
-@dataclass(frozen=True)
-class If(SurfaceStatement):
-    antecedent: Formula
-    consequent: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NegIf(SurfaceStatement):
+class _Conditional(SurfaceStatement):
+    __slots__ = ("antecedent", "consequent")
+
+    def __init__(self, antecedent: Formula, consequent: Formula):
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
+
+
+class If(_Conditional):
+    __slots__ = ()
+
+
+class NegIf(_Conditional):
     """A negated conditional; negation scope is fixed only by expansion."""
 
-    antecedent: Formula
-    consequent: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Every(SurfaceStatement):
-    subject: str
-    predicate: str
+    __slots__ = ("subject", "predicate")
+
+    def __init__(self, subject: str, predicate: str):
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
 
 
-@dataclass(frozen=True)
 class Plain(SurfaceStatement):
-    formula: Formula
+    __slots__ = ("formula",)
+
+    def __init__(self, formula: Formula):
+        _set(self, "formula", formula)
 
 
 class Interpretation(enum.Enum):

@@ -41,10 +41,11 @@ objective value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+
+from ._value import Value
 
 ZERO = Fraction(0)
 
@@ -56,11 +57,19 @@ EQ = "=="
 DEGENERATE_RUN = 8
 
 
-@dataclass
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None = None
-    solution: list | None = None
+class LPResult(Value):
+    """A solve's outcome; unlike the other value classes it can be changed,
+    and so has no hash."""
+
+    __slots__ = ("status", "value", "solution")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, status: str, value: Fraction | None = None, solution: list | None = None):
+        self.status = status  # "optimal" | "infeasible" | "unbounded"
+        self.value = value
+        self.solution = solution
 
 
 class Region:

@@ -10,9 +10,9 @@ that average instead of echoing the input back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, _set
 from .coherence import as_fraction
 from .events import (
     And,
@@ -26,17 +26,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ConditionalRandomQuantity:
+class ConditionalRandomQuantity(Value):
     """Numeric rendering of a conditional event: 1 where antecedent and
     consequent hold, 0 where the antecedent holds but the consequent fails,
     mu on the antecedent's complement."""
 
-    atomset: tuple
-    values: tuple  # aligned with constituents(atomset)
-    consequent: Formula
-    antecedent: Formula
-    mu: Fraction
+    __slots__ = ("atomset", "values", "consequent", "antecedent", "mu")
+
+    def __init__(
+        self,
+        atomset: tuple,
+        values: tuple,  # aligned with constituents(atomset)
+        consequent: Formula,
+        antecedent: Formula,
+        mu: Fraction,
+    ):
+        _set(self, "atomset", atomset)
+        _set(self, "values", values)
+        _set(self, "consequent", consequent)
+        _set(self, "antecedent", antecedent)
+        _set(self, "mu", mu)
 
     def value_at(self, valuation) -> Fraction:
         for bits, val in zip(constituents(self.atomset), self.values):

@@ -10,19 +10,19 @@ inverse-CDF steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import Value, _set
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    counts: tuple  # tuple of row tuples, nonnegative ints
+class ContingencyTable(Value):
+    __slots__ = ("counts",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.counts)
-        object.__setattr__(self, "counts", rows)
+    def __init__(self, counts: tuple):
+        """counts: row tuples of nonnegative ints."""
+        rows = tuple(tuple(int(x) for x in row) for row in counts)
         if len(rows) < 2 or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("table must be rectangular with at least 2 rows")
         if len(rows[0]) < 2:
@@ -31,6 +31,7 @@ class ContingencyTable:
             raise ValueError("counts must be nonnegative")
         if all(x == 0 for r in rows for x in r):
             raise ValueError("table must have at least one positive count")
+        _set(self, "counts", rows)
 
     @property
     def row_sums(self):
@@ -129,12 +130,14 @@ def _sample_margin_fixed(row_sums, col_sums, rng: SplitMix64):
     return table
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    p_estimate: float
-    halfwidth_99: float
-    iters: int
-    seed: int
+class MonteCarloResult(Value):
+    __slots__ = ("p_estimate", "halfwidth_99", "iters", "seed")
+
+    def __init__(self, p_estimate: float, halfwidth_99: float, iters: int, seed: int):
+        _set(self, "p_estimate", p_estimate)
+        _set(self, "halfwidth_99", halfwidth_99)
+        _set(self, "iters", iters)
+        _set(self, "seed", seed)
 
 
 def monte_carlo_rxc(t: ContingencyTable, iters: int, seed: int) -> MonteCarloResult:

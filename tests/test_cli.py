@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +12,7 @@ import probarg
 from probarg.cli import main
 
 HERE = Path(__file__).parent
+SRC = HERE.parent / "src"
 GOLDEN = HERE / "golden"
 DATA = HERE / "data"
 CORPUS = Path(probarg.__file__).parent / "corpus_data"
@@ -67,11 +69,30 @@ class TestExitCodes:
         assert f"argument --theta: not a rational: {theta!r} ({reason})" in err
 
     def test_counterfactual_compatible_antecedents_is_1(self):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             "counterfactual", "--c", "C", "--b", "B", "--a", "B", "--p", "1/2"
         )
         assert code == 1
+        assert out == ""
         assert "incompatibility" in err
+
+    @pytest.mark.parametrize(
+        "argv, name, content",
+        [
+            (("eval",), "bad.arg", b"t\x9bask"),
+            (("check",), "bad.arg", b"t\x9bask"),
+            (("stats", "fisher"), "bad.csv", b"1,\x9b\n2,3\n"),
+        ],
+        ids=["eval", "check", "stats-fisher"],
+    )
+    def test_undecodable_file_names_its_path(self, tmp_path, argv, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        code, out, err = run_cli(*argv, str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0x9b")
+        assert "Traceback" not in err
 
     def test_check_ok(self):
         code, out, _ = run_cli("check", str(DATA / "paradox.arg"))
@@ -190,3 +211,26 @@ class TestSubprocessEntryPoints:
             pytest.skip("console script not on PATH")
         assert res.returncode == 0
         assert "keep" in res.stdout
+
+
+def _python(*args):
+    """Run the interpreter on args with this checkout's src/ on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+
+
+class TestStartup:
+    def test_import_loads_no_heavy_modules(self):
+        # -S: this environment's site preloads typing through certifi
+        res = _python("-S", "-c", "import probarg.cli, sys; print(*sys.modules)")
+        loaded = set(res.stdout.decode().split())
+        assert "probarg.cli" in loaded
+        heavy = {"dataclasses", "inspect", "typing", "json", "csv", "probarg.stats"}
+        assert loaded & heavy == set()
+
+    @pytest.mark.parametrize("args, golden", [((), "corpus.txt"), (("--json",), "corpus.json")])
+    def test_corpus_under_optimisation_matches_golden(self, args, golden):
+        # -O strips asserts, so none may sit on the decision path
+        res = _python("-O", "-m", "probarg", "corpus", *args)
+        assert res.stdout == (GOLDEN / golden).read_bytes()
