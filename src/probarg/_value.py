@@ -4,7 +4,9 @@ A subclass names its fields in __slots__ and sets them in its own __init__
 with _set(self, name, value). Value gives it what a frozen dataclass had:
 == and hash over the fields in order, the same repr text
 (Atom(name='A')), copy and pickle support, __match_args__, and an
-assignment guard that raises AttributeError.
+assignment guard that raises AttributeError. A slot whose name starts
+with "_" is private state, not a field: it takes no part in ==, hash,
+repr or copying.
 """
 
 from operator import attrgetter
@@ -18,7 +20,8 @@ class Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(s for s in slots if s[0] != "_")
         cls.__match_args__ = cls._fields
         # The key leads with the class name, so that classes with equal
         # fields (And, Or) hash apart, and it is a tuple, whose items are

@@ -9,6 +9,18 @@ shrinks the active constituent set (a constituent satisfying no surviving
 antecedent would carry positive mass into a forced-zero conditioning event),
 so the recursion terminates.
 
+The solver path takes as few solves as the answer allows:
+- A layer's feasibility is read from its region's phase-1 vertex.
+- An entry is forced to zero when its antecedent has zero mass at every
+  feasible point. Positive mass at any one feasible point (a probe: the
+  phase-1 vertex, the witness, the min-m solution) proves it is not, so
+  only the entries no probe clears go to the max-sum fixpoint of
+  _forced_zero. The forced set is a property of the polytope, so probes
+  change no level and no verdict.
+- The Charnes-Cooper program for a bound starts from the optimal tableau
+  of maximizing the query's antecedent mass (Region.charnes_cooper),
+  which propagate solves anyway, so it runs no phase 1.
+
 Everything on the decision path is exact rational arithmetic: whether a
 conclusion interval equals [0, 1] (probabilistic non-informativeness) is a
 yes/no question, not a tolerance question.
@@ -211,33 +223,49 @@ def _mass_row(obj, world_list):
     return row
 
 
-def _forced_zero(layer, region, res=None):
-    """Indices of entries whose conditioning event has zero mass in every
-    solution of the layer system (region). res, when given, is the first
-    round's solve: the summed antecedent mass of all entries, maximized.
+def _forced_zero(layer, region, probes=(), res=None):
+    """Indices of entries whose conditioning event has zero mass at every
+    point of the layer system (region). probes: points of region already
+    at hand. res, when given, is a solve already made of the first round:
+    the summed antecedent mass of all entries, maximized over region.
 
-    Iterative fixpoint: maximize the summed antecedent mass over the current
-    candidate set; a maximum of zero proves every candidate forced (the
-    masses are nonnegative), otherwise drop the candidates that came out
-    positive and retry. A single max-sum solve would not do: a vertex
+    An iterative fixpoint: maximize the summed antecedent mass over the
+    current candidate set; a maximum of zero proves every candidate forced
+    (the masses are nonnegative), otherwise drop the candidates that came
+    out positive and retry. A single max-sum solve would not do: a vertex
     optimum can park an individual antecedent at zero even though another
-    solution gives it positive mass.
+    solution gives it positive mass. Positive antecedent mass at any one
+    feasible point proves an entry is not forced, so before any solve the
+    entries positive at a probe, then at region's phase-1 vertex, are
+    dropped. The forced set is a property of the polytope, so the probes
+    change only how many solves find it.
     """
     candidates = list(range(len(layer.m_idx)))
-    while candidates:
-        if res is None:
-            res = solve_lp(layer.antecedent_mass(candidates), region, maximize=True)
-        if res.status != "optimal":
-            raise RuntimeError(f"layer system unexpectedly {res.status}")
+    if res is not None:
         if res.value == 0:
             return candidates
-        candidates = [
-            i
-            for i in candidates
-            if not any(res.solution[j] for j in layer.m_idx[i])
-        ]
-        res = None
-    return []
+        probes = [*probes, res.solution]
+    for x in probes:
+        candidates = _zero_at(layer, candidates, x)
+    if candidates:
+        candidates = _zero_at(layer, candidates, region.vertex())
+    while candidates:
+        res = _optimal(solve_lp(layer.antecedent_mass(candidates), region))
+        if res.value == 0:
+            return candidates
+        candidates = _zero_at(layer, candidates, res.solution)
+    return candidates
+
+
+def _zero_at(layer, candidates, x):
+    """The candidate entries whose antecedent has zero mass at the point x."""
+    return [i for i in candidates if not any(x[j] for j in layer.m_idx[i])]
+
+
+def _optimal(res):
+    if res.status != "optimal":
+        raise RuntimeError(f"layer system unexpectedly {res.status}")
+    return res
 
 
 def _restrict_worlds(world_list, antecedents):
@@ -252,43 +280,52 @@ def check_coherence(a: Assessment, atomset):
     Returns Coherent with a level-0 mass witness (chosen with maximal
     antecedent support) or Incoherent with the failing layer.
     """
-    return _check(a, atomset)[0]
-
-
-def _check(a: Assessment, atomset):
-    """check_coherence's verdict, with the level-0 _Layer and its region."""
     atomset = tuple(atomset)
+    layer, region = _level0(a, atomset)
+    support = None
+    if region.vertex() is not None:
+        support = solve_lp(layer.antecedent_mass(range(len(layer.entries))), region)
+    incoherent = _zero_layers(layer, region, support)
+    return incoherent or Coherent(tuple(support.solution), atomset)
+
+
+def _level0(a: Assessment, atomset):
+    """The level-0 _Layer of an assessment over the atoms, and its region."""
     missing = a.atoms() - set(atomset)
     if missing:
         raise ValueError(f"undeclared atoms in assessment: {sorted(missing)}")
-    world_list = constituents(atomset)
-    entries = list(a.entries)
-    witness = None
+    layer = _Layer(list(a.entries), constituents(atomset))
+    return layer, layer.region()
+
+
+def _zero_layers(layer, region, support=None):
+    """The zero-layer procedure from the level-0 layer: Incoherent with the
+    failing layer, or None when the assessment is coherent. support, when
+    given, is the level-0 solve of check_coherence's witness.
+
+    Each layer's phase-1 vertex decides its feasibility, with no solve.
+    """
     level = 0
     while True:
-        layer = _Layer(entries, world_list)
-        region = layer.region()
-        if level == 0:
-            level0 = layer, region
-        res = solve_lp(layer.antecedent_mass(range(len(entries))), region)
-        if res.status == "infeasible":
+        if region.vertex() is None:
             desc = (
-                f"level-{level} system over {len(world_list)} constituents is "
+                f"level-{level} system over {len(layer.worlds)} constituents is "
                 f"unsolvable for entries: "
                 + "; ".join(
-                    f"p({e.obj}) in [{e.lo}, {e.hi}]" for e in entries
+                    f"p({e.obj}) in [{e.lo}, {e.hi}]" for e in layer.entries
                 )
             )
-            return (Incoherent(level, desc),) + level0
-        if witness is None:
-            witness = tuple(res.solution)
-        forced = _forced_zero(layer, region, res)
+            return Incoherent(level, desc)
+        forced = _forced_zero(layer, region, res=support)
         if not forced:
-            return (Coherent(witness, atomset),) + level0
-        entries = [entries[i] for i in forced]
+            return None
+        entries = [layer.entries[i] for i in forced]
         world_list = _restrict_worlds(
-            world_list, [e.obj.antecedent for e in entries]
+            layer.worlds, [e.obj.antecedent for e in entries]
         )
+        layer = _Layer(entries, world_list)
+        region = layer.region()
+        support = None
         level += 1
 
 
@@ -306,23 +343,21 @@ def structural_bounds(q: ConditionalObject):
     return None
 
 
-def _fractional_bounds(layer, q, m_row):
-    """Exact min/max of e_q / m_q over the layer region with m_q > 0.
+def _fractional_bounds(region, max_m, e_row):
+    """Exact min/max of e_q / m_q over the layer region with m_q > 0, where
+    max_m is solve_lp's maximum of m_q over region, and it is positive.
 
     Charnes-Cooper: scale masses so the antecedent of q carries total mass 1;
     the entry constraints are homogeneous so they survive the scaling, the
-    normalization row is dropped, and the objective becomes linear. The
-    objective is e_q(mu) <= m_q(mu) = 1, so both programs are bounded and
-    their optima are attained by genuine mass vectors.
+    normalization row is replaced by m_q = 1, and the objective becomes
+    linear. The objective is e_q(mu) <= m_q(mu) = 1, so both programs are
+    bounded and their optima are attained by genuine mass vectors. Their
+    region starts from max_m's optimal tableau (Region.charnes_cooper), so
+    it needs no phase 1 of its own.
     """
-    world_list = layer.worlds
-    region = Region(layer.homogeneous + [(m_row, EQ, 1)], len(world_list))
-    e_row = [0] * len(world_list)
-    for j, v in enumerate(world_list):
-        if m_row[j] and eval_classical(q.consequent, v):
-            e_row[j] = 1
-    lo = solve_lp(e_row, region, maximize=False)
-    hi = solve_lp(e_row, region, maximize=True)
+    scaled = region.charnes_cooper(max_m)
+    lo = solve_lp(e_row, scaled, maximize=False)
+    hi = solve_lp(e_row, scaled, maximize=True)
     if lo.status != "optimal" or hi.status != "optimal":
         raise RuntimeError(
             f"Charnes-Cooper programs unexpectedly {lo.status}/{hi.status}"
@@ -338,13 +373,15 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
     becomes positive is searched as well, constrained by the premises that
     are forced to zero alongside it, and the results are joined.
     """
-    verdict, layer, region = _check(a, atomset)
-    if isinstance(verdict, Incoherent):
-        raise IncoherentPremises(verdict)
+    atomset = tuple(atomset)
+    layer, region = _level0(a, atomset)
+    incoherent = _zero_layers(layer, region)
+    if incoherent:
+        raise IncoherentPremises(incoherent)
     sb = structural_bounds(q)
     if sb is not None:
         return sb
-    missing = q.atoms() - set(verdict.atomset)
+    missing = q.atoms() - set(atomset)
     if missing:
         raise ValueError(f"undeclared atoms in query: {sorted(missing)}")
     return _propagate_layer(layer, region, q)
@@ -353,21 +390,24 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
 def _propagate_layer(layer, region, q) -> Bounds:
     """Bounds on p(q) over one layer; region is layer.region()."""
     m_row = _mass_row(q, layer.worlds)
-    max_m = solve_lp(m_row, region, maximize=True)
-    if max_m.status != "optimal":
-        raise RuntimeError(f"layer system unexpectedly {max_m.status}")
-    if max_m.value > 0:
-        lo, hi = _fractional_bounds(layer, q, m_row)
-        min_m = solve_lp(m_row, region, maximize=False)
-        if min_m.value > 0:
-            return Bounds(lo, hi)
-        # m_q = 0 stays feasible: values settled only at the deeper layer
-        # where q's antecedent turns positive remain coherent too.
-        forced = _forced_zero(layer, layer.region((m_row, EQ, 0)))
-        deeper = _descend(layer, forced, q)
-        return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
-    forced = _forced_zero(layer, region)
-    return _descend(layer, forced, q)
+    max_m = _optimal(solve_lp(m_row, region, maximize=True))
+    if max_m.value == 0:
+        forced = _forced_zero(layer, region, [max_m.solution])
+        return _descend(layer, forced, q)
+    e_row = [
+        1 if m and eval_classical(q.consequent, v) else 0
+        for m, v in zip(m_row, layer.worlds)
+    ]
+    lo, hi = _fractional_bounds(region, max_m, e_row)
+    min_m = _optimal(solve_lp(m_row, region, maximize=False))
+    if min_m.value > 0:
+        return Bounds(lo, hi)
+    # m_q = 0 stays feasible: values settled only at the deeper layer
+    # where q's antecedent turns positive remain coherent too. min_m's
+    # solution is a point of that system.
+    forced = _forced_zero(layer, layer.region((m_row, EQ, 0)), [min_m.solution])
+    deeper = _descend(layer, forced, q)
+    return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
 
 
 def _descend(layer, forced, q) -> Bounds:

@@ -9,6 +9,7 @@ orders) and stored as exact decimals so report output is byte-stable.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 from ._value import Value, _set
@@ -199,17 +200,14 @@ class AgreementReport(Value):
 
 def builtin_tasks():
     """The eight shipped tasks with embedded observed data."""
-    # Imported here: it loads pathlib, zipfile and typing, which no other
-    # subcommand needs.
-    from importlib import resources
-
+    # The files are read through this module's own loader, which reads
+    # package data as importlib.resources would (from a directory or a zip)
+    # without importing it, and with it pathlib, zipfile, tempfile and
+    # typing. probarg.corpus_data is a namespace package, with no loader.
+    data = os.path.join(os.path.dirname(__file__), "corpus_data")
     records = []
     for abbrev in TASK_ORDER:
-        text = (
-            resources.files("probarg.corpus_data")
-            .joinpath(_CORPUS_FILES[abbrev])
-            .read_text()
-        )
+        text = __loader__.get_data(os.path.join(data, _CORPUS_FILES[abbrev])).decode()
         (spec,) = parse(text)
         if spec.name != abbrev:
             raise RuntimeError(f"corpus file for {abbrev} defines task {spec.name}")

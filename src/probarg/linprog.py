@@ -31,7 +31,13 @@ objective value.
 - A Region holds one system of rows and runs phase 1 on it once, on its
   first solve. Every solve_lp over the region starts from that basic
   feasible tableau and runs phase 2 only. A row list passed to solve_lp
-  becomes a one-use region.
+  becomes a one-use region. Region.vertex() is the point phase 1 ended at
+  (None when the rows are infeasible): a feasible point, or a proof of
+  infeasibility, without a solve.
+- Region.charnes_cooper(optimum) derives, from the optimal tableau of
+  maximizing c over {sum(x) == 1, H x <= 0}, a started region for
+  {c . y == 1, H y <= 0}: one rank-one update of the rows in ints, on the
+  same basis, with no phase 1 (see its docstring for the derivation).
 - The reduced-cost row lives in the tableau and is updated by each pivot.
   The entering column is the one with the largest reduced cost (Dantzig).
   After a run of degenerate pivots the choice falls back to Bland's rule
@@ -59,9 +65,11 @@ DEGENERATE_RUN = 8
 
 class LPResult(Value):
     """A solve's outcome; unlike the other value classes it can be changed,
-    and so has no hash."""
+    and so has no hash. An optimal solve_lp result also keeps its final
+    tableau (private, not a field), from which Region.charnes_cooper
+    starts."""
 
-    __slots__ = ("status", "value", "solution")
+    __slots__ = ("status", "value", "solution", "_optimum")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
@@ -70,6 +78,8 @@ class LPResult(Value):
         self.status = status  # "optimal" | "infeasible" | "unbounded"
         self.value = value
         self.solution = solution
+        # (region, objective, maximize, tableau with its cost row, basis)
+        self._optimum = None
 
 
 class Region:
@@ -97,6 +107,65 @@ class Region:
 
     def __len__(self):
         return len(self._rows)
+
+    def vertex(self):
+        """The basic feasible point phase 1 ended at, or None when the rows
+        are infeasible."""
+        start = self._start
+        return None if start is None else _point(*start, self.n)
+
+    def charnes_cooper(self, optimum) -> "Region":
+        """The region {c . y == 1, this region's other rows}, started from
+        optimum, the solve_lp result of maximizing c over this region, with
+        no phase 1.
+
+        This region must have the rows {sum(x) == 1, H x <= 0} (the first
+        row, then homogeneous ones), and the maximum must be positive.
+        Charnes and Cooper (1962) turn the ratio e.x / c.x over it into the
+        linear objective e.y over the derived region.
+
+        Rationally, with T the optimal tableau, t its rhs, r the reduced
+        costs and M the maximum: T = t*a0 + (H rows), as the rhs vector is
+        (1, 0, ..., 0), and c = r + M*a0 + (H rows), as r = c - c_B T. So
+        every row T_i + (t_i/M) r lies in the span of c and the H rows, with
+        c-coefficient t_i/M, and it keeps T_i's unit on the basic columns
+        (r is 0 there). Those rows, with rhs t_i/M, are a tableau of the
+        derived region at the same basis, and it is feasible: t_i/M >= 0.
+        On the integer tableau, with r[-1] = -K the cost row's last entry
+        and M = P/Q, row i becomes P*K*row_i + P*rhs_i*r on the columns,
+        with rhs rhs_i*K*Q, made coprime. A row with rhs 0 stays as it is.
+        """
+        start = optimum._optimum
+        if start is None or start[0] is not self or not start[2]:
+            raise ValueError("optimum is not a solve_lp maximum over this region")
+        if optimum.value <= 0:
+            raise ValueError("the Charnes-Cooper start needs a positive maximum")
+        first, rel, rhs = self._rows[0]
+        if rel != EQ or rhs != 1 or any(v != 1 for v in first):
+            raise ValueError("the first row must be sum(x) == 1")
+        if any(rhs != 0 for _, _, rhs in self._rows[1:]):
+            raise ValueError("the rows after the first must be homogeneous")
+        _, c, _, final, basis = start
+        cost = final[-1]
+        k = -cost[-1]
+        p, q = optimum.value.numerator, optimum.value.denominator
+        pk = p * k
+        tableau = []
+        for row, b in zip(final[:-1], basis):
+            rhs = row[-1]
+            if rhs:
+                prhs = p * rhs
+                row = _integer_row(
+                    [pk * a + prhs * r for a, r in zip(row[:-1], cost)] + [rhs * k * q]
+                )
+            if row[b] <= 0 or row[-1] < 0:
+                raise RuntimeError("Charnes-Cooper start broke the tableau invariant")
+            tableau.append(row)
+        derived = Region.__new__(Region)
+        derived.n = self.n
+        derived._rows = [(c, EQ, 1)] + self._rows[1:]
+        derived._start = tableau, basis
+        return derived
 
     @cached_property
     def _start(self):
@@ -162,11 +231,21 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
     tableau.append(_reduced_costs(tableau, basis, cost))
     if _simplex(tableau, basis) == "unbounded":
         return LPResult("unbounded")
+    x = _point(tableau, basis, n)
+    # Only basic variables can be nonzero.
+    value = sum([c[b] * x[b] for b in basis if b < n], ZERO)
+    res = LPResult("optimal", value, x)
+    res._optimum = rows, c, maximize, tableau, basis
+    return res
+
+
+def _point(tableau, basis, n):
+    """The basic solution of a tableau: x_b = rhs/d for each basic b < n."""
     x = [ZERO] * n
     for row, b in zip(tableau, basis):
         if b < n and row[-1]:
             x[b] = Fraction(row[-1], row[b])
-    return LPResult("optimal", sum([ci * xi for ci, xi in zip(c, x)], ZERO), x)
+    return x
 
 
 def _reduced_costs(tableau, basis, c):

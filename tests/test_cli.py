@@ -229,6 +229,18 @@ class TestStartup:
         heavy = {"dataclasses", "inspect", "typing", "json", "csv", "probarg.stats"}
         assert loaded & heavy == set()
 
+    def test_corpus_reads_its_files_without_importlib_resources(self):
+        # importlib.resources would load these four, at 36-50 ms under -S
+        code = (
+            "import sys; from probarg.cli import main; main(['corpus']); "
+            "print(*sys.modules, file=sys.stderr)"
+        )
+        res = _python("-S", "-c", code)
+        assert res.stdout == (GOLDEN / "corpus.txt").read_bytes()
+        loaded = set(res.stderr.decode().split())
+        assert "probarg.corpus" in loaded
+        assert loaded & {"pathlib", "zipfile", "tempfile", "typing"} == set()
+
     @pytest.mark.parametrize("args, golden", [((), "corpus.txt"), (("--json",), "corpus.json")])
     def test_corpus_under_optimisation_matches_golden(self, args, golden):
         # -O strips asserts, so none may sit on the decision path

@@ -271,6 +271,26 @@ def chain(n, theta):
     return Assessment(tuple(entries)), ConditionalObject(a[-1], a[0]), atoms
 
 
+def _count_calls(monkeypatch):
+    """Counts of simplex pivots and of coherence's solve_lp calls, live."""
+    from probarg import coherence, linprog
+
+    calls = {"pivot": 0, "solve": 0}
+    pivot, solve = linprog._pivot, coherence.solve_lp
+
+    def counted_pivot(*args):
+        calls["pivot"] += 1
+        pivot(*args)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "_pivot", counted_pivot)
+    monkeypatch.setattr(coherence, "solve_lp", counted_solve)
+    return calls
+
+
 class TestSolveCounts:
     """One n = 6 chain: the pivots and solves it takes, and one phase 1 on
     its level-0 system."""
@@ -293,7 +313,7 @@ class TestSolveCounts:
         monkeypatch.setattr(coherence, "solve_lp", counted_solve)
         b = propagate(*chain(6, F(9, 10)))
         assert (b.lo, b.hi) == (F(497051, 900000), 1)
-        assert calls == {"pivot": 31, "solve": 5}
+        assert calls == {"pivot": 14, "solve": 4}
 
     def test_corpus_grid_pivots_and_solves(self, monkeypatch):
         """Every corpus task x interpretation x THETA_GRID propagated: the
@@ -321,7 +341,16 @@ class TestSolveCounts:
                 for theta in THETA_GRID:
                     a, q = lower(task.spec, interp, ClassificationConfig(theta=theta))
                     propagate(a, q, task.spec.atoms)
-        assert calls == {"pivot": 684, "solve": 572}
+        assert calls == {"pivot": 472, "solve": 472}
+
+    def test_chain8_pivots_and_solves(self, monkeypatch):
+        """A point further along the scale curve: n = 8 took 54 pivots and
+        5 solves before the Charnes-Cooper program started from the max-m
+        optimum."""
+        calls = _count_calls(monkeypatch)
+        b = propagate(*chain(8, F(9, 10)))
+        assert (b.lo, b.hi) == (F(38361131, 90000000), 1)
+        assert calls == {"pivot": 43, "solve": 4}
 
     def test_level0_phase1_runs_once(self, monkeypatch):
         from probarg import coherence, linprog
@@ -339,6 +368,29 @@ class TestSolveCounts:
         propagate(a, q, atoms)
         level0 = coherence._Layer(list(a.entries), constituents(atoms)).region()
         assert started.count(level0._rows) == 1
+
+
+class TestNonOptimalSolves:
+    """A layer solve that does not come back optimal raises RuntimeError,
+    whichever solve it is."""
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_mass_solves(self, monkeypatch, maximize):
+        from probarg import coherence
+        from probarg.linprog import LPResult
+
+        a, q, atoms = chain(3, F(9, 10))
+        m_row = coherence._mass_row(q, constituents(atoms))
+        solve, broken = coherence.solve_lp, maximize
+
+        def failing(objective, rows, maximize=True):
+            if list(objective) == m_row and maximize == broken:
+                return LPResult("unbounded")
+            return solve(objective, rows, maximize)
+
+        monkeypatch.setattr(coherence, "solve_lp", failing)
+        with pytest.raises(RuntimeError, match="layer system unexpectedly unbounded"):
+            propagate(a, q, atoms)
 
 
 class TestMonotonicity:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bland_reference
-from probarg.linprog import EQ, GE, LE, Region, solve_lp
+from probarg.linprog import EQ, GE, LE, LPResult, Region, solve_lp
 
 
 def test_simple_max():
@@ -201,3 +201,68 @@ def test_region_arity_checked():
     region = Region([([1, 1], LE, 1)], 2)
     with pytest.raises(ValueError, match="arity"):
         solve_lp([1, 1, 1], region)
+
+
+@st.composite
+def normalized_systems(draw):
+    """{sum(x) == 1, homogeneous rows} over 1..5 variables: the shape of a
+    zero-layer region, with rows of every relation."""
+    n = draw(st.integers(1, 5))
+    row = st.tuples(st.lists(COEFF, min_size=n, max_size=n), st.sampled_from([LE, GE, EQ]))
+    rows = [(coeffs, rel, 0) for coeffs, rel in draw(st.lists(row, max_size=6))]
+    return n, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(normalized_systems(), st.data())
+def test_charnes_cooper_start_equals_rebuilt_region(system, data):
+    n, homogeneous = system
+    region = Region([([1] * n, EQ, 1)] + homogeneous, n)
+    c = data.draw(st.lists(COEFF, min_size=n, max_size=n))
+    best = solve_lp(c, region)
+    if best.status != "optimal" or best.value <= 0:
+        return
+    derived = region.charnes_cooper(best)
+    rebuilt = Region(homogeneous + [(c, EQ, 1)], n)
+    assert isinstance(derived, Region)
+    assert (len(derived), derived.n) == (len(rebuilt), rebuilt.n)
+    # The start is feasible for the rebuilt rows: it is their phase-1 point.
+    assert satisfies(homogeneous + [(c, EQ, 1)], derived.vertex())
+    for e in data.draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)):
+        for maximize in (True, False):
+            got = solve_lp(e, derived, maximize)
+            ref = solve_lp(e, rebuilt, maximize)
+            assert (got.status, got.value) == (ref.status, ref.value)
+            if got.status == "optimal":
+                assert satisfies(homogeneous + [(c, EQ, 1)], got.solution)
+
+
+def test_charnes_cooper_needs_a_positive_maximum_over_the_region():
+    rows = [([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)]
+    region = Region(rows, 3)
+    c = [0, 1, 1]
+    with pytest.raises(ValueError, match="maximum over this region"):
+        region.charnes_cooper(solve_lp(c, region, maximize=False))
+    with pytest.raises(ValueError, match="maximum over this region"):
+        region.charnes_cooper(solve_lp(c, Region(rows, 3)))
+    with pytest.raises(ValueError, match="maximum over this region"):
+        region.charnes_cooper(LPResult("optimal", F(1), [F(0), F(1), F(0)]))
+    with pytest.raises(ValueError, match="positive maximum"):
+        region.charnes_cooper(solve_lp([-1, 0, 0], region))
+    for bad in ([([1, 2, 1], EQ, 1)], [([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 1)]):
+        other = Region(bad, 3)
+        with pytest.raises(ValueError, match="first row|homogeneous"):
+            other.charnes_cooper(solve_lp(c, other))
+    best = solve_lp(c, region)
+    assert best.value == 1
+    assert "_optimum" not in repr(best)
+    assert best == LPResult("optimal", best.value, best.solution)
+
+
+def test_vertex_is_the_phase1_point():
+    rows = [([2, 1, 0], LE, 4), ([1, 3, 1], GE, 3), ([1, 1, 1], EQ, 3)]
+    region = Region(rows, 3)
+    x = region.vertex()
+    assert satisfies(rows, x)
+    assert x == solve_lp([0, 0, 0], region).solution
+    assert Region([([1, 1], LE, 1), ([1, 1], GE, 2)], 2).vertex() is None
