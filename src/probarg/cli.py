@@ -260,6 +260,8 @@ def _cmd_stats(args) -> int:
         return 0
     try:
         pvals = [float(x) for x in args.pvals.split(",") if x.strip()]
+        if not pvals:
+            raise SystemExit1("no p-values given")
         decisions = holm_bonferroni(pvals, args.alpha)
     except ValueError as err:
         raise SystemExit1(str(err))

@@ -10,10 +10,14 @@ antecedent would carry positive mass into a forced-zero conditioning event),
 so the recursion terminates.
 
 The solver path takes as few solves as the answer allows:
-- A layer's feasibility is read from its region's phase-1 vertex.
+- A layer's region starts in one pivot, with no phase 1, when all the
+  mass can sit on one constituent: at it each entry is void, true with
+  hi = 1, or false with lo = 0 (for "quite sure" premises, every
+  conditional true or void). Its feasibility is read from the start
+  vertex.
 - An entry is forced to zero when its antecedent has zero mass at every
   feasible point. Positive mass at any one feasible point (a probe: the
-  phase-1 vertex, the witness, the min-m solution) proves it is not, so
+  start vertex, the witness, the min-m solution) proves it is not, so
   only the entries no probe clears go to the max-sum fixpoint of
   _forced_zero. The forced set is a property of the polytope, so probes
   change no level and no verdict.
@@ -236,7 +240,7 @@ def _forced_zero(layer, region, probes=(), res=None):
     optimum can park an individual antecedent at zero even though another
     solution gives it positive mass. Positive antecedent mass at any one
     feasible point proves an entry is not forced, so before any solve the
-    entries positive at a probe, then at region's phase-1 vertex, are
+    entries positive at a probe, then at region's start vertex, are
     dropped. The forced set is a property of the polytope, so the probes
     change only how many solves find it.
     """
@@ -303,7 +307,7 @@ def _zero_layers(layer, region, support=None):
     failing layer, or None when the assessment is coherent. support, when
     given, is the level-0 solve of check_coherence's witness.
 
-    Each layer's phase-1 vertex decides its feasibility, with no solve.
+    Each layer's start vertex decides its feasibility, with no solve.
     """
     level = 0
     while True:

@@ -11,6 +11,9 @@ objective value.
 - Rows are normalised so each slack can start basic: a row with rhs < 0,
   and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
   rows with rhs > 0 get an artificial column.
+- With exactly one artificial row, the start is one pivot, with no phase
+  1, when some column is positive in that row and <= 0 in every other row
+  (a crash basis; Bixby 1992; see _crash). Otherwise phase 1 runs.
 - Each tableau row is scaled once to coprime ints (the lcm of its
   denominators, skipped when all its entries are ints, then its gcd). The
   reduced-cost row of an objective, phase 1's included, is summed in ints:
@@ -28,11 +31,11 @@ objective value.
   rhs/d; the reduced-cost row is a positive multiple of the rational one.
   The ratio test compares rhs_i*a_k with rhs_k*a_i. Every entering and
   leaving choice is therefore the one the rational tableau makes.
-- A Region holds one system of rows and runs phase 1 on it once, on its
+- A Region holds one system of rows and makes its start once, on its
   first solve. Every solve_lp over the region starts from that basic
   feasible tableau and runs phase 2 only. A row list passed to solve_lp
-  becomes a one-use region. Region.vertex() is the point phase 1 ended at
-  (None when the rows are infeasible): a feasible point, or a proof of
+  becomes a one-use region. Region.vertex() is the start vertex (None
+  when the rows are infeasible): a feasible point, or a proof of
   infeasibility, without a solve.
 - Region.charnes_cooper(optimum) derives, from the optimal tableau of
   maximizing c over {sum(x) == 1, H x <= 0}, a started region for
@@ -83,7 +86,7 @@ class LPResult(Value):
 
 
 class Region:
-    """The polyhedron {x >= 0 : rows} over n variables, phase 1 done once.
+    """The polyhedron {x >= 0 : rows} over n variables, started once.
 
     rows: list of (coeffs, relation, rhs) with relation in {"<=", ">=", "=="}.
     len() is the number of rows. A region is never changed by a solve, so
@@ -109,8 +112,8 @@ class Region:
         return len(self._rows)
 
     def vertex(self):
-        """The basic feasible point phase 1 ended at, or None when the rows
-        are infeasible."""
+        """The start vertex: the basic feasible point every solve starts
+        from, or None when the rows are infeasible."""
         start = self._start
         return None if start is None else _point(*start, self.n)
 
@@ -192,14 +195,15 @@ class Region:
                 ai += 1
             tableau.append(_integer_row(row))
         if n_art:
-            # Phase 1 maximizes minus the sum of the artificials.
-            phase1 = [0] * n_real + [-1] * n_art + [0]
-            tableau.append(_reduced_costs(tableau, basis, phase1))
-            if _simplex(tableau, basis) != "optimal":
-                raise RuntimeError("phase 1 unexpectedly unbounded")
-            if tableau.pop()[-1] != 0:
-                return None
-            _evict_artificials(tableau, basis, n_real)
+            if n_art > 1 or not _crash(tableau, basis, n, n_real):
+                # Phase 1 maximizes minus the sum of the artificials.
+                phase1 = [0] * n_real + [-1] * n_art + [0]
+                tableau.append(_reduced_costs(tableau, basis, phase1))
+                if _simplex(tableau, basis) != "optimal":
+                    raise RuntimeError("phase 1 unexpectedly unbounded")
+                if tableau.pop()[-1] != 0:
+                    return None
+                _evict_artificials(tableau, basis, n_real)
             tableau = [row[:n_real] + row[-1:] for row in tableau]
         return tableau, basis
 
@@ -287,6 +291,31 @@ def _integer_row(row):
         ints = [v.numerator * (den // v.denominator) for v in row]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
+
+
+def _crash(tableau, basis, n, n_real):
+    """Start a tableau whose one artificial sits in row i in one pivot, when
+    a column allows it: pivot row i on the smallest column j < n that is
+    positive in row i and <= 0 in every other row. Returns whether it did.
+
+    Every other row is a "<=" row with rhs >= 0 and its slack basic, so the
+    pivot leaves it the rhs p*rhs_r - r_j*rhs_i >= 0 (p: row i's entry at j)
+    and a positive slack coefficient: the start is basic feasible, and the
+    artificial, now nonbasic, can be dropped. No slack column is positive
+    in row i, so j < n loses no candidate.
+    """
+    i = next(k for k, b in enumerate(basis) if b >= n_real)
+    art = tableau[i]
+    columns = [j for j in range(n) if art[j] > 0]
+    for k, row in enumerate(tableau):
+        if k != i:
+            columns = [j for j in columns if row[j] <= 0]
+    if not columns:
+        return False
+    _pivot(tableau, basis, i, columns[0])
+    if any(row[b] <= 0 or row[-1] < 0 for row, b in zip(tableau, basis)):
+        raise RuntimeError("crash start broke the tableau invariant")
+    return True
 
 
 def _evict_artificials(tableau, basis, n_real):

@@ -154,7 +154,7 @@ class TestGolden:
     def test_check_witness(self):
         # the witness is the vertex the simplex reaches, so this pins its path
         _, out, _ = run_cli("check", str(CORPUS / "mp.arg"))
-        assert out == "MP: coherent; witness masses (0, 0, 1/10, 9/10)\n"
+        assert out == "MP: coherent; witness masses (0, 0, 0, 1)\n"
 
     def test_counterfactual_text(self):
         _, out, _ = run_cli(
@@ -185,6 +185,10 @@ class TestStatsCommands:
             "p = 0.04: keep",
             "p = 0.03: keep",
         ]
+
+    @pytest.mark.parametrize("pvals", [",", "", " , "])
+    def test_holm_without_p_values(self, pvals):
+        assert run_cli("stats", "holm", pvals) == (1, "", "error: no p-values given\n")
 
     def test_malformed_table(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from probarg import coherence
 from probarg.coherence import (
     Assessment,
     AssessmentEntry,
@@ -18,8 +20,18 @@ from probarg.coherence import (
     propagate,
     structural_bounds,
 )
-from probarg.dsl import Numeric
-from probarg.events import TOP, And, Atom, ConditionalObject, Not, Or, constituents
+from probarg.corpus import builtin_tasks
+from probarg.dsl import Numeric, lower, parse
+from probarg.events import (
+    TOP,
+    And,
+    Atom,
+    ConditionalObject,
+    Interpretation,
+    Not,
+    Or,
+    constituents,
+)
 
 from oracles import (
     assessment_polytope_rows,
@@ -112,6 +124,33 @@ class TestCheckCoherence:
         v1 = check_coherence(a, ["A", "C"])
         v2 = check_coherence(a, ["A", "C"])
         assert v1 == v2
+
+
+def _lowered_checks():
+    """(name, assessment, atoms) for every built-in task and tests/data file
+    x interpretation x theta in {9/10, 4/5, 7/10, 19/20, 1}."""
+    specs = [t.spec for t in builtin_tasks()]
+    for path in sorted((Path(__file__).parent / "data").glob("*.arg")):
+        specs += parse(path.read_text())
+    for spec in specs:
+        for interp in Interpretation:
+            for theta in (F(9, 10), F(4, 5), F(7, 10), F(19, 20), F(1)):
+                a, _ = lower(spec, interp, ClassificationConfig(theta=theta))
+                yield f"{spec.name} {interp.value} {theta}", a, spec.atoms
+
+
+class TestWitnesses:
+    def test_every_witness_satisfies_the_premises(self):
+        """Each check_coherence witness, re-checked world by world against
+        the raw level-0 constraints, with no solver."""
+        coherent = 0
+        for name, a, atoms in _lowered_checks():
+            verdict = check_coherence(a, atoms)
+            if isinstance(verdict, Coherent):
+                coherent += 1
+                assert witness_satisfies(a.entries, constituents(atoms), verdict.witness), name
+        # 8 tasks and Prdx are coherent under every reading; Bad never is.
+        assert coherent == 180
 
 
 class TestStructuralBounds:
@@ -313,7 +352,7 @@ class TestSolveCounts:
         monkeypatch.setattr(coherence, "solve_lp", counted_solve)
         b = propagate(*chain(6, F(9, 10)))
         assert (b.lo, b.hi) == (F(497051, 900000), 1)
-        assert calls == {"pivot": 14, "solve": 4}
+        assert calls == {"pivot": 8, "solve": 4}
 
     def test_corpus_grid_pivots_and_solves(self, monkeypatch):
         """Every corpus task x interpretation x THETA_GRID propagated: the
@@ -341,16 +380,52 @@ class TestSolveCounts:
                 for theta in THETA_GRID:
                     a, q = lower(task.spec, interp, ClassificationConfig(theta=theta))
                     propagate(a, q, task.spec.atoms)
-        assert calls == {"pivot": 472, "solve": 472}
+        assert calls == {"pivot": 400, "solve": 472}
 
     def test_chain8_pivots_and_solves(self, monkeypatch):
         """A point further along the scale curve: n = 8 took 54 pivots and
         5 solves before the Charnes-Cooper program started from the max-m
-        optimum."""
+        optimum, and 43 pivots before the one-pivot crash start."""
         calls = _count_calls(monkeypatch)
         b = propagate(*chain(8, F(9, 10)))
         assert (b.lo, b.hi) == (F(38361131, 90000000), 1)
-        assert calls == {"pivot": 43, "solve": 4}
+        assert calls == {"pivot": 10, "solve": 4}
+
+    def test_chain10_pivots_and_solves(self, monkeypatch):
+        """n = 10 took 242 pivots before the one-pivot crash start; the
+        chain now takes one pivot more per added atom."""
+        calls = _count_calls(monkeypatch)
+        b = propagate(*chain(10, F(9, 10)))
+        assert (b.lo, b.hi) == (F(2917251611, 9000000000), 1)
+        assert calls == {"pivot": 12, "solve": 4}
+
+    def test_chain_level0_runs_no_phase1(self, monkeypatch):
+        """The all-true world satisfies every premise row of the chain, so
+        its level-0 region starts in one pivot, with no phase-1 simplex."""
+        from probarg import linprog
+
+        a, _, atoms = chain(6, F(9, 10))
+        region = coherence._Layer(list(a.entries), constituents(atoms)).region()
+        calls = _count_calls(monkeypatch)
+        simplex, runs = linprog._simplex, []
+
+        def counted_simplex(*args):
+            runs.append(args)
+            return simplex(*args)
+
+        monkeypatch.setattr(linprog, "_simplex", counted_simplex)
+        x = region.vertex()
+        assert (calls["pivot"], runs) == (1, [])
+        assert x == [0] * 63 + [1]
+
+    def test_incoherent_layer_has_no_vertex(self):
+        """No column satisfies every row of an incoherent layer, so it falls
+        back to phase 1, which still finds the rows infeasible."""
+        a = Assessment(
+            (entry(ConditionalObject(A), F(3, 5)), entry(ConditionalObject(Not(A)), F(1, 2)))
+        )
+        assert coherence._Layer(list(a.entries), constituents(["A"])).region().vertex() is None
+        assert check_coherence(a, ["A"]).level == 0
 
     def test_level0_phase1_runs_once(self, monkeypatch):
         from probarg import coherence, linprog

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,3 +267,173 @@ def test_vertex_is_the_phase1_point():
     assert satisfies(rows, x)
     assert x == solve_lp([0, 0, 0], region).solution
     assert Region([([1, 1], LE, 1), ([1, 1], GE, 2)], 2).vertex() is None
+
+
+# --- the one-pivot crash start ----------------------------------------------
+
+POSITIVE = st.sampled_from([1, 2, 3, F(1, 2), F(1, 997), F(10**12, 3)])
+NONPOSITIVE = st.sampled_from([0, 0, -1, -2, F(-1, 3), F(-7, 1024)])
+NONNEGATIVE = st.sampled_from([0, 0, 1, 2, F(1, 2), F(1, 997), F(10**12, 3)])
+CRASH_CASES = ("one", "several", "none")
+
+
+def crash_columns(eq, le_rows):
+    """The columns the crash start may pivot on: positive in the "==" row,
+    <= 0 in every "<=" row."""
+    return [j for j, v in enumerate(eq) if v > 0 and all(r[j] <= 0 for r in le_rows)]
+
+
+def plant(draw, eq, le_rows, case):
+    """Change the columns of {eq, le_rows} in place so that exactly one,
+    two or more, or none of them can start the crash, as case says."""
+    n = len(eq)
+    k = draw(st.integers(2, n)) if case == "several" else int(case == "one")
+    chosen = set(draw(st.permutations(range(n)))[:k])
+    for j in range(n):
+        if j in chosen:
+            if eq[j] <= 0:
+                eq[j] = draw(POSITIVE)
+            for r in le_rows:
+                if r[j] > 0:
+                    r[j] = draw(NONPOSITIVE)
+        elif j in crash_columns(eq, le_rows):
+            if le_rows:
+                le_rows[draw(st.integers(0, len(le_rows) - 1))][j] = draw(POSITIVE)
+            else:
+                eq[j] = draw(NONPOSITIVE)
+
+
+@st.composite
+def one_artificial_systems(draw):
+    """One "==" row with rhs > 0, its coefficients not all 1, then "<=" rows
+    with rhs >= 0: rows with exactly one artificial, whose columns admit
+    one, several or no crash start."""
+    case = draw(st.sampled_from(CRASH_CASES))
+    n = draw(st.integers(2, 5))
+    eq = draw(st.lists(COEFF, min_size=n, max_size=n))
+    le_rows = draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), max_size=4))
+    plant(draw, eq, le_rows, case)
+    if all(v == 1 for v in eq):
+        eq[0] = 2
+    rows = [(eq, EQ, draw(POSITIVE))] + [(r, LE, draw(NONNEGATIVE)) for r in le_rows]
+    return case, n, draw(st.permutations(rows))
+
+
+def started(region):
+    """region's start, and whether it took the one-pivot crash start: one
+    pivot and no simplex run."""
+    from probarg import linprog
+
+    with mock.patch.object(linprog, "_pivot", wraps=linprog._pivot) as pivot, \
+            mock.patch.object(linprog, "_simplex", wraps=linprog._simplex) as simplex:
+        start = region._start
+    return start, pivot.call_count == 1 and simplex.call_count == 0
+
+
+def assert_basic_feasible(start):
+    """Positive basic coefficients, rhs >= 0, and each basic column zero in
+    every other row."""
+    tableau, basis = start
+    assert len(set(basis)) == len(basis)
+    for i, (row, b) in enumerate(zip(tableau, basis)):
+        assert row[b] > 0 and row[-1] >= 0
+        assert all(other[b] == 0 for k, other in enumerate(tableau) if k != i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_artificial_systems(), st.data())
+def test_crash_start_matches_bland_reference(system, data):
+    case, n, rows = system
+    le_rows = [c for c, rel, _ in rows if rel == LE]
+    eq = next(c for c, rel, _ in rows if rel == EQ)
+    columns = crash_columns(eq, le_rows)
+    assert bool(columns) == (case != "none")
+    region = Region(rows, n)
+    start, crashed = started(region)
+    assert crashed == (case != "none")
+    if start is None:
+        assert case == "none"
+    else:
+        assert_basic_feasible(start)
+        x = region.vertex()
+        assert satisfies(rows, x)
+        if crashed:
+            # All the mass sits on the smallest column that allows the crash.
+            assert [j for j, v in enumerate(x) if v] == columns[:1]
+    for objective in data.draw(
+        st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)
+    ):
+        for maximize in (True, False):
+            got = solve_lp(objective, region, maximize)
+            ref = bland_reference.solve_lp(objective, rows, maximize)
+            assert (got.status, got.value) == (ref.status, ref.value)
+            if got.status == "optimal":
+                assert satisfies(rows, got.solution)
+
+
+def test_a_fair_share_take_the_crash_start():
+    taken = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(one_artificial_systems())
+    def run(system):
+        _, n, rows = system
+        taken.append(started(Region(rows, n))[1])
+
+    run()
+    assert len(taken) >= 100
+    assert sum(taken) >= len(taken) / 2
+
+
+@st.composite
+def crash_layer_systems(draw):
+    """{sum(x) == 1, H x <= 0}, the shape of a zero-layer region, with one
+    or more columns <= 0 in every H row."""
+    n = draw(st.integers(2, 5))
+    eq = [1] * n
+    h_rows = draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=5))
+    plant(draw, eq, h_rows, draw(st.sampled_from(["one", "several"])))
+    return n, [(r, LE, 0) for r in h_rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(crash_layer_systems(), st.data())
+def test_charnes_cooper_from_a_crash_start_equals_rebuilt_region(system, data):
+    n, homogeneous = system
+    region = Region([([1] * n, EQ, 1)] + homogeneous, n)
+    assert started(region)[1]
+    c = data.draw(st.lists(COEFF, min_size=n, max_size=n))
+    best = solve_lp(c, region)
+    if best.value <= 0:
+        return
+    derived = region.charnes_cooper(best)
+    rebuilt = homogeneous + [(c, EQ, 1)]
+    assert satisfies(rebuilt, derived.vertex())
+    for e in data.draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)):
+        for maximize in (True, False):
+            got = solve_lp(e, derived, maximize)
+            ref = solve_lp(e, Region(rebuilt, n), maximize)
+            assert (got.status, got.value) == (ref.status, ref.value)
+            if got.status == "optimal":
+                assert satisfies(rebuilt, got.solution)
+
+
+def test_crash_start_checks_its_invariant(monkeypatch):
+    # A pivot that left a negative basic coefficient must raise, not pass
+    # (an assert would vanish under python -O).
+    from probarg import linprog
+
+    pivot, calls = linprog._pivot, []
+
+    def broken(tableau, basis, row, col):
+        # The crash start is one pivot; a second would be phase 1 on a
+        # broken tableau.
+        assert not calls, "no crash start"
+        calls.append(row)
+        pivot(tableau, basis, row, col)
+        tableau[row] = [-v for v in tableau[row]]
+
+    monkeypatch.setattr(linprog, "_pivot", broken)
+    region = Region([([2, 1], EQ, 1), ([1, -1], LE, 0)], 2)
+    with pytest.raises(RuntimeError, match="crash start broke the tableau invariant"):
+        region.vertex()
