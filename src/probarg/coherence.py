@@ -10,6 +10,9 @@ antecedent would carry positive mass into a forced-zero conditioning event),
 so the recursion terminates.
 
 The solver path takes as few solves as the answer allows:
+- A layer builds lo*m <= e only when lo > 0 and e <= hi*m only when
+  hi < 1; x >= 0 implies the rows it skips, and skipping them changes no
+  pivot (see _Layer). For "quite sure" premises that is one row each.
 - A layer's region starts in one pivot, with no phase 1, when all the
   mass can sit on one constituent: at it each entry is void, true with
   hi = 1, or false with lo = 0 (for "quite sure" premises, every
@@ -174,8 +177,18 @@ class ClassificationConfig(Value):
 class _Layer:
     """One zero-layer system, built once: its entries and constituents, per
     entry the constituent indices where its antecedent holds (m_idx), and
-    the homogeneous rows lo*m <= e <= hi*m, two per entry (e: antecedent
-    and consequent hold)."""
+    the homogeneous rows lo*m <= e when lo > 0 and e <= hi*m when hi < 1
+    (m: antecedent mass, e: mass where antecedent and consequent hold).
+
+    The rows skipped, e >= 0 for lo = 0 and m - e >= 0 for hi = 1, are ">="
+    rows with rhs 0 and no negative coefficient, so x >= 0 implies them
+    (the first rule of LP presolve). Skipping one changes no pivot: its
+    slack equals a nonnegative combination of masses, so whenever its ratio
+    is the smallest, a basic mass in that combination has the same ratio
+    and, with the smaller column index, wins the tie; the slack never
+    leaves the basis, so it never enters, and every other row, reduced
+    cost, crash column and tie-break is the same without it. The entry
+    keeps its m_idx, so forced-zero sets and deeper layers do not change."""
 
     def __init__(self, entries, world_list):
         n = len(world_list)
@@ -192,17 +205,20 @@ class _Layer:
             e_idx = [
                 j for j in m_idx if eval_classical(entry.obj.consequent, world_list[j])
             ]
-            lo_row = [ZERO] * n
-            hi_row = [ZERO] * n
-            for j in m_idx:
-                lo_row[j] -= entry.lo
-                hi_row[j] += entry.hi
-            for j in e_idx:
-                lo_row[j] += ONE
-                hi_row[j] -= ONE
             self.m_idx.append(m_idx)
-            self.homogeneous.append((lo_row, GE, ZERO))
-            self.homogeneous.append((hi_row, GE, ZERO))
+            # (coefficient on m, on e) of each row built
+            cuts = []
+            if entry.lo:
+                cuts.append((-entry.lo, ONE))
+            if entry.hi < ONE:
+                cuts.append((entry.hi, -ONE))
+            for on_m, on_e in cuts:
+                row = [ZERO] * n
+                for j in m_idx:
+                    row[j] = on_m
+                for j in e_idx:
+                    row[j] += on_e
+                self.homogeneous.append((row, GE, ZERO))
 
     def region(self, *extra_rows) -> Region:
         """The layer's masses summing to 1 under its rows, plus extra_rows."""

@@ -83,12 +83,18 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection; unbiased."""
+        """Uniform integer in [0, n) by rejection; unbiased. One draw is k
+        outputs, the first most significant: k = 1 for n <= 2^64, else
+        ceil(n.bit_length() / 64)."""
         if n <= 0:
             raise ValueError("n must be positive")
-        limit = (1 << 64) - ((1 << 64) % n)
+        k = 1 if n <= 1 << 64 else -(-n.bit_length() // 64)
+        span = 1 << (64 * k)
+        limit = span - span % n
         while True:
-            u = self.next_u64()
+            u = 0
+            for _ in range(k):
+                u = (u << 64) | self.next_u64()
             if u < limit:
                 return u % n
 

@@ -8,16 +8,19 @@ rebuilt from its rows (phase 1 and all), a forced-zero fixpoint that starts
 from the max-sum solve, and feasibility decided by a solve. Inputs are
 random assessments over 2-4 declared atoms, some of them unused, with
 zero-probability premises (zero-layer descents) and incoherent premise sets.
+A layer that builds both premise rows of every entry, implied or not, is the
+reference for the rows a layer skips.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import conditional_value, vertex_bounds
-from probarg import coherence
+from probarg import coherence, linprog
 from probarg.coherence import (
     Assessment,
     AssessmentEntry,
@@ -256,3 +259,207 @@ def test_solver_path_matches_plain_procedure_seeded():
             reached[key] += 1
         reached["padded"] += len(a.atoms() | q.atoms()) < len(atoms)
     assert min(reached.values()) >= 20, reached
+
+
+# --- implied premise rows ----------------------------------------------------
+#
+# A layer builds lo*m <= e only when lo > 0 and e <= hi*m only when hi < 1;
+# x >= 0 implies the rows it skips. Here it is checked against a layer that
+# builds both rows for every entry, on assessments full of implied rows.
+
+
+class FullLayer(coherence._Layer):
+    """The layer with both rows lo*m <= e <= hi*m for every entry, implied
+    or not."""
+
+    def __init__(self, entries, world_list):
+        super().__init__(entries, world_list)
+        n = len(world_list)
+        self.homogeneous = []
+        for entry, m_idx in zip(entries, self.m_idx):
+            lo_row, hi_row = [F(0)] * n, [F(0)] * n
+            for j in m_idx:
+                lo_row[j] -= entry.lo
+                hi_row[j] += entry.hi
+                if eval_classical(entry.obj.consequent, world_list[j]):
+                    lo_row[j] += 1
+                    hi_row[j] -= 1
+            self.homogeneous += [(lo_row, ">=", 0), (hi_row, ">=", 0)]
+
+
+INTERVAL_KINDS = ("zero", "one", "free", "lo 0", "hi 1", "any")
+CONSEQUENT_KINDS = ("antecedent", "top", "contradicts", "any")
+
+
+def kinded_problem(rng):
+    """(assessment, query, declared atoms) over 2-4 declared atoms, one or
+    two of them unused a third of the time. Each entry's interval is [0, 0],
+    [1, 1], [0, 1], [0, hi], [lo, 1] or any, and its consequent is its
+    antecedent, TOP, the antecedent's negation or any formula. In 2 of 5
+    sets an event Z gets p(Z) = 0 and half the entries are conditioned on
+    it, which sends them to a deeper layer."""
+    declared = NAMES[: rng.randint(2, 4)]
+    pad = rng.randint(1, min(2, len(declared) - 1)) if rng.random() < 1 / 3 else 0
+    used = sorted(rng.sample(declared, len(declared) - pad))
+    entries = []
+    zero = _conditional(rng, used).consequent if rng.random() < 0.4 else None
+    if zero is not None and is_satisfiable(zero):
+        entries.append(AssessmentEntry(ConditionalObject(zero), F(0), F(0)))
+    else:
+        zero = None
+    for _ in range(rng.randint(1, 4)):
+        obj = _conditional(rng, used)
+        ante = zero if zero is not None and rng.random() < 0.5 else obj.antecedent
+        cons = {
+            "antecedent": ante,
+            "top": TOP,
+            "contradicts": Not(ante),
+            "any": obj.consequent,
+        }[rng.choice(CONSEQUENT_KINDS)]
+        lo, hi = sorted(rng.choice(TENTHS) for _ in range(2))
+        lo, hi = {
+            "zero": (F(0), F(0)),
+            "one": (F(1), F(1)),
+            "free": (F(0), F(1)),
+            "lo 0": (F(0), hi),
+            "hi 1": (lo, F(1)),
+            "any": (lo, hi),
+        }[rng.choice(INTERVAL_KINDS)]
+        entries.append(AssessmentEntry(ConditionalObject(cons, ante), lo, hi))
+    query = _conditional(rng, used)
+    if rng.random() < 0.5:
+        query = ConditionalObject(query.consequent, rng.choice(entries).obj.antecedent)
+    return Assessment(tuple(entries)), query, declared
+
+
+@contextmanager
+def patched(module, name, value):
+    """module.name is value while in use."""
+    saved = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, saved)
+
+
+def traced(fn):
+    """fn() with its pivot count: (pivots, result or raised exception)."""
+    count = 0
+    pivot = linprog._pivot
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return pivot(*args)
+
+    with patched(linprog, "_pivot", counted):
+        try:
+            out = fn()
+        except IncoherentPremises as err:
+            out = ("incoherent", err.certificate)
+    return count, out
+
+
+def outcome(res):
+    return res.status, res.value, res.solution
+
+
+def level0_solves(kind, a, q, atoms):
+    """The row count of the kind-built level-0 region, and (pivots, outcome)
+    of its start and of its max-sum, max-m, min-m and Charnes-Cooper solves."""
+    worlds = constituents(atoms)
+    layer = kind(list(a.entries), worlds)
+    region = layer.region()
+    steps = [traced(region.vertex)]
+    if region.vertex() is None:
+        return len(region), steps
+    m_row = coherence._mass_row(q, worlds)
+    solves = [
+        (layer.antecedent_mass(range(len(layer.entries))), region, True),
+        (m_row, region, True),
+        (m_row, region, False),
+    ]
+    max_m = solve_lp(m_row, region)
+    if max_m.value > 0:
+        e_row = [
+            1 if m and eval_classical(q.consequent, v) else 0
+            for m, v in zip(m_row, worlds)
+        ]
+        scaled = region.charnes_cooper(max_m)
+        solves += [(e_row, scaled, False), (e_row, scaled, True)]
+    for objective, rows, maximize in solves:
+        steps.append(traced(lambda: outcome(solve_lp(objective, rows, maximize))))
+    return len(region), steps
+
+
+def compare_layers(a, q, atoms):
+    """The level-0 solves and the end-to-end answers of the two layers: the
+    same points, values and pivots, and never more rows. Returns whether
+    the layer skipped a row."""
+    rows, steps = level0_solves(coherence._Layer, a, q, atoms)
+    full_rows, full_steps = level0_solves(FullLayer, a, q, atoms)
+    assert steps == full_steps
+    assert rows <= full_rows
+    for fn in (lambda: check_coherence(a, atoms), lambda: propagate(a, q, atoms)):
+        with patched(coherence, "_Layer", FullLayer):
+            full = traced(fn)
+        assert traced(fn) == full
+    return rows < full_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_implied_rows_change_no_pivot(rng):
+    compare_layers(*kinded_problem(rng))
+
+
+def test_implied_rows_change_no_pivot_seeded():
+    """300 seeded problems: most skip a row, both verdicts occur, and some
+    descend a zero layer."""
+    rng = random.Random("implied-rows")
+    skipped = coherent = descents = 0
+    for _ in range(300):
+        a, q, atoms = kinded_problem(rng)
+        skipped += compare_layers(a, q, atoms)
+        coherent += isinstance(check_coherence(a, atoms), Coherent)
+        descents += len(layers_by_fixpoint(a, atoms)[0]) > 1
+    counts = skipped, coherent, descents
+    assert skipped >= 200 and 50 <= coherent <= 250 and descents >= 20, counts
+
+
+def test_chain_level0_has_seven_rows():
+    """p(A0) >= 9/10 and p(A_{i+1} | A_i) >= 9/10 over 6 atoms: one lower row
+    per entry and the row sum(x) == 1; no upper row, as hi = 1."""
+    names = [f"A{i}" for i in range(6)]
+    entries = [AssessmentEntry(ConditionalObject(Atom("A0")), F(9, 10), F(1))] + [
+        AssessmentEntry(ConditionalObject(Atom(b), Atom(a)), F(9, 10), F(1))
+        for a, b in zip(names, names[1:])
+    ]
+    layer, region = coherence._level0(Assessment(tuple(entries)), names)
+    assert len(layer.homogeneous) == 6
+    assert len(region) == 7
+    assert len(FullLayer(layer.entries, layer.worlds).region()) == 13
+
+
+def test_free_entry_adds_no_row_but_descends():
+    """p(A) = 0 and p(B | A) in [0, 1]: the second entry builds no row at
+    level 0, and its antecedent, forced to zero there, carries it into the
+    level-1 layer."""
+    zero = AssessmentEntry(ConditionalObject(Atom("A")), F(0), F(0))
+    free = AssessmentEntry(ConditionalObject(Atom("B"), Atom("A")), F(0), F(1))
+    layers = []
+
+    class Recorded(coherence._Layer):
+        def __init__(self, entries, world_list):
+            super().__init__(entries, world_list)
+            layers.append(self)
+
+    with patched(coherence, "_Layer", Recorded):
+        verdict = check_coherence(Assessment((zero, free)), ("A", "B"))
+    assert isinstance(verdict, Coherent)
+    level0, level1 = layers
+    assert len(level0.homogeneous) == 1
+    assert level0.m_idx[1] and len(level0.region()) == 2
+    assert level1.entries == [free]
+    assert level1.homogeneous == [] and len(level1.worlds) == 2

@@ -1,5 +1,10 @@
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +20,8 @@ from probarg.stats import (
 )
 
 from oracles import fisher_2x2_enumeration
+
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 class TestContingencyTable:
@@ -87,6 +94,73 @@ class TestSplitMix64:
         xs = [a.randbelow(7) for _ in range(200)]
         assert xs == [b.randbelow(7) for _ in range(200)]
         assert set(xs) <= set(range(7))
+
+
+class BoundedSplitMix64(SplitMix64):
+    """Fails, where a randbelow that accepts no draw would loop forever."""
+
+    outputs = 0
+
+    def next_u64(self):
+        self.outputs += 1
+        assert self.outputs <= 10_000, "randbelow accepted no draw"
+        return super().next_u64()
+
+
+class TestWideRandbelow:
+    """randbelow(n) for n > 2^64 concatenates ceil(n.bit_length() / 64)
+    outputs; n <= 2^64 keeps the single 64-bit draw."""
+
+    @pytest.mark.parametrize("n", [2**64 + 1, math.comb(70, 35)])
+    def test_terminates_in_range_and_deterministic(self, n):
+        a, b = BoundedSplitMix64(5), BoundedSplitMix64(5)
+        xs = [a.randbelow(n) for _ in range(200)]
+        assert xs == [b.randbelow(n) for _ in range(200)]
+        assert all(0 <= x < n for x in xs)
+        assert len(set(xs)) == 200
+        assert xs != [SplitMix64(6).randbelow(n) for _ in range(200)]
+
+    def test_wide_draw_is_most_significant_first(self):
+        n = 2**64 + 1
+        rng, raw = BoundedSplitMix64(11), SplitMix64(11)
+        for _ in range(50):
+            x = rng.randbelow(n)
+            while True:
+                u = (raw.next_u64() << 64) | raw.next_u64()
+                if u < 2**128 - 2**128 % n:
+                    break
+            assert x == u % n
+
+    def test_up_to_2_64_one_output_per_draw(self):
+        for n in (7, 2**63 + 5, 2**64):
+            rng, raw = SplitMix64(3), SplitMix64(3)
+            for _ in range(50):
+                x = rng.randbelow(n)
+                u = raw.next_u64()
+                while u >= 2**64 - 2**64 % n:
+                    u = raw.next_u64()
+                assert x == u % n
+
+    def test_cli_mc_on_a_table_past_2_64(self, tmp_path):
+        """A 2x2 table totalling 70 draws below comb(70, 35) > 2^64."""
+        table = tmp_path / "t70.csv"
+        table.write_text("20,15\n17,18\n")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+        )
+        res = subprocess.run(
+            [sys.executable, "-m", "probarg", "stats", "mc", str(table), "--seed", "42"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        match = re.match(r"p ~= (\S+) \+/- (\S+) ", res.stdout)
+        estimate, halfwidth = map(float, match.groups())
+        exact = float(fisher_exact_2x2(ContingencyTable(((20, 15), (17, 18)))))
+        assert 0 < halfwidth and abs(estimate - exact) <= 3 * halfwidth
 
 
 class TestHypergeometric:
