@@ -9,6 +9,14 @@ shrinks the active constituent set (a constituent satisfying no surviving
 antecedent would carry positive mass into a forced-zero conditioning event),
 so the recursion terminates.
 
+The systems are built from truth tables (events.truth_table), not from
+valuations. Each entry's tables, m where its antecedent holds and e where
+antecedent and consequent hold, are computed once over the level-0 worlds
+0 .. 2^n - 1 (constituents() order). A layer's worlds are level-0 world
+indices, and its rows, objectives and deeper worlds are read off the bits
+of the tables. Its entry rows reach linprog as "<=" rows with rhs 0 in
+coprime ints, so Region has nothing to convert or negate.
+
 The solver path takes as few solves as the answer allows:
 - A layer builds lo*m <= e only when lo > 0 and e <= hi*m only when
   hi < 1; x >= 0 implies the rows it skips, and skipping them changes no
@@ -39,12 +47,8 @@ import enum
 from fractions import Fraction
 
 from ._value import Value, _set
-from .events import (
-    ConditionalObject,
-    constituents,
-    eval_classical,
-)
-from .linprog import EQ, GE, Region, solve_lp
+from .events import ConditionalObject, declared, truth_table
+from .linprog import EQ, LE, Region, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -175,50 +179,65 @@ class ClassificationConfig(Value):
 
 
 class _Layer:
-    """One zero-layer system, built once: its entries and constituents, per
-    entry the constituent indices where its antecedent holds (m_idx), and
-    the homogeneous rows lo*m <= e when lo > 0 and e <= hi*m when hi < 1
-    (m: antecedent mass, e: mass where antecedent and consequent hold).
+    """One zero-layer system, built once.
 
-    The rows skipped, e >= 0 for lo = 0 and m - e >= 0 for hi = 1, are ">="
-    rows with rhs 0 and no negative coefficient, so x >= 0 implies them
-    (the first rule of LP presolve). Skipping one changes no pivot: its
-    slack equals a nonnegative combination of masses, so whenever its ratio
-    is the smallest, a basic mass in that combination has the same ratio
-    and, with the smaller column index, wins the tie; the slack never
-    leaves the basis, so it never enters, and every other row, reduced
-    cost, crash column and tie-break is the same without it. The entry
-    keeps its m_idx, so forced-zero sets and deeper layers do not change."""
+    worlds: the layer's constituents, as ascending level-0 world indices,
+    the bits of the truth tables. entries: its assessment entries, and
+    tables: per entry the level-0 tables (m, e) of its antecedent and of
+    antecedent and consequent (see _tables). m_idx: per entry, the
+    positions in worlds where m holds. homogeneous: the entry rows, each a
+    "<=" row with rhs 0 in coprime ints, 0 where m fails:
 
-    def __init__(self, entries, world_list):
-        n = len(world_list)
+    - lo*m <= e, for lo = a/b: a - b where e holds, a where m holds and e
+      fails, slack coefficient b;
+    - e <= hi*m, for hi = c/d: d - c where e holds, -c where m holds and e
+      fails, slack coefficient d.
+
+    Each is its rational row with a unit slack (lo - 1 and lo, 1 - hi and
+    -hi) scaled by its denominator, which is the tableau row Region made of
+    it, so the tableau and every pivot are those of the rational rows. A
+    unit slack on the int row would change the slack's unit and, through
+    Dantzig's rule, some pivots.
+
+    lo*m <= e is built only when lo > 0, and e <= hi*m only when hi < 1.
+    A row skipped, lo = 0 or hi = 1, has no positive coefficient, so x >= 0
+    implies it (the first rule of LP presolve). Skipping one changes no
+    pivot: its slack equals a nonnegative combination of masses, so
+    whenever its ratio is the smallest, a basic mass in that combination
+    has the same ratio and, with the smaller column index, wins the tie;
+    the slack never leaves the basis, so it never enters, and every other
+    row, reduced cost, crash column and tie-break is the same without it.
+    The entry keeps its m_idx, so forced-zero sets and deeper layers do
+    not change."""
+
+    def __init__(self, entries, tables, worlds):
+        n = len(worlds)
         self.entries = entries
-        self.worlds = world_list
+        self.tables = tables
+        self.worlds = worlds
         self.m_idx = []
         self.homogeneous = []
-        for entry in entries:
-            m_idx = [
-                j
-                for j, v in enumerate(world_list)
-                if eval_classical(entry.obj.antecedent, v)
-            ]
-            e_idx = [
-                j for j in m_idx if eval_classical(entry.obj.consequent, world_list[j])
-            ]
+        for entry, (m, e) in zip(entries, tables):
+            m_idx = _holds(m, worlds)
             self.m_idx.append(m_idx)
-            # (coefficient on m, on e) of each row built
+            # (coefficient where m holds and e fails, where e holds, slack
+            # coefficient) of each row built
             cuts = []
             if entry.lo:
-                cuts.append((-entry.lo, ONE))
+                a, b = entry.lo.numerator, entry.lo.denominator
+                cuts.append((a, a - b, b))
             if entry.hi < ONE:
-                cuts.append((entry.hi, -ONE))
-            for on_m, on_e in cuts:
-                row = [ZERO] * n
+                c, d = entry.hi.numerator, entry.hi.denominator
+                cuts.append((-c, d - c, d))
+            if cuts:
+                e_idx = _holds(e, worlds)
+            for off_e, on_e, k in cuts:
+                row = [0] * n
                 for j in m_idx:
-                    row[j] = on_m
+                    row[j] = off_e
                 for j in e_idx:
-                    row[j] += on_e
-                self.homogeneous.append((row, GE, ZERO))
+                    row[j] = on_e
+                self.homogeneous.append((row, LE, 0, k))
 
     def region(self, *extra_rows) -> Region:
         """The layer's masses summing to 1 under its rows, plus extra_rows."""
@@ -234,12 +253,37 @@ class _Layer:
                 objective[j] += 1
         return objective
 
+    def deeper(self, forced, *antecedents):
+        """The layer of the entries forced to zero, over the worlds where
+        one of their antecedents, or of the extra antecedent tables, holds."""
+        tables = [self.tables[i] for i in forced]
+        worlds = _restrict_worlds(
+            self.worlds, [*antecedents, *(m for m, _ in tables)]
+        )
+        return _Layer([self.entries[i] for i in forced], tables, worlds)
 
-def _mass_row(obj, world_list):
-    row = [0] * len(world_list)
-    for j, v in enumerate(world_list):
-        if eval_classical(obj.antecedent, v):
-            row[j] = 1
+
+def _tables(obj, names):
+    """The level-0 truth tables (m, e) of a conditional object over the
+    declared atom names: m where its antecedent holds, e where antecedent
+    and consequent both hold."""
+    m = truth_table(obj.antecedent, names)
+    return m, m & truth_table(obj.consequent, names)
+
+
+def _holds(table, worlds):
+    """The positions in worlds (level-0 world indices) where table holds."""
+    bits = bin(table)[:1:-1]  # bit j is bits[j], for j < len(bits)
+    top = len(bits)
+    return [k for k, w in enumerate(worlds) if w < top and bits[w] == "1"]
+
+
+def _mass_row(table, worlds):
+    """1 where table holds on the worlds, 0 elsewhere: the mass of an event
+    as an objective."""
+    row = [0] * len(worlds)
+    for k in _holds(table, worlds):
+        row[k] = 1
     return row
 
 
@@ -288,10 +332,12 @@ def _optimal(res):
     return res
 
 
-def _restrict_worlds(world_list, antecedents):
-    return [
-        v for v in world_list if any(eval_classical(a, v) for a in antecedents)
-    ]
+def _restrict_worlds(worlds, antecedents):
+    """The worlds where at least one of the antecedent tables holds."""
+    union = 0
+    for m in antecedents:
+        union |= m
+    return [worlds[k] for k in _holds(union, worlds)]
 
 
 def check_coherence(a: Assessment, atomset):
@@ -314,7 +360,10 @@ def _level0(a: Assessment, atomset):
     missing = a.atoms() - set(atomset)
     if missing:
         raise ValueError(f"undeclared atoms in assessment: {sorted(missing)}")
-    layer = _Layer(list(a.entries), constituents(atomset))
+    names = declared(atomset)
+    entries = list(a.entries)
+    tables = [_tables(e.obj, names) for e in entries]
+    layer = _Layer(entries, tables, range(1 << len(names)))
     return layer, layer.region()
 
 
@@ -339,11 +388,7 @@ def _zero_layers(layer, region, support=None):
         forced = _forced_zero(layer, region, res=support)
         if not forced:
             return None
-        entries = [layer.entries[i] for i in forced]
-        world_list = _restrict_worlds(
-            layer.worlds, [e.obj.antecedent for e in entries]
-        )
-        layer = _Layer(entries, world_list)
+        layer = layer.deeper(forced)
         region = layer.region()
         support = None
         level += 1
@@ -351,14 +396,11 @@ def _zero_layers(layer, region, support=None):
 
 def structural_bounds(q: ConditionalObject):
     """[0,0] / [1,1] fast path for logically settled conditionals, else None."""
-    names = sorted(q.atoms())
-    worlds = constituents(names) if names else [{}]
-    m_worlds = [v for v in worlds if eval_classical(q.antecedent, v)]
-    # antecedent is satisfiable by construction, so m_worlds is nonempty
-    truths = [eval_classical(q.consequent, v) for v in m_worlds]
-    if not any(truths):
+    # the antecedent is satisfiable by construction, so m is not 0
+    m, e = _tables(q, sorted(q.atoms()))
+    if not e:
         return Bounds(ZERO, ZERO)
-    if all(truths):
+    if e == m:
         return Bounds(ONE, ONE)
     return None
 
@@ -404,20 +446,18 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
     missing = q.atoms() - set(atomset)
     if missing:
         raise ValueError(f"undeclared atoms in query: {sorted(missing)}")
-    return _propagate_layer(layer, region, q)
+    return _propagate_layer(layer, region, _tables(q, atomset))
 
 
 def _propagate_layer(layer, region, q) -> Bounds:
-    """Bounds on p(q) over one layer; region is layer.region()."""
-    m_row = _mass_row(q, layer.worlds)
+    """Bounds on p(q) over one layer; q is the query's (m, e) tables and
+    region is layer.region()."""
+    m_row = _mass_row(q[0], layer.worlds)
     max_m = _optimal(solve_lp(m_row, region, maximize=True))
     if max_m.value == 0:
         forced = _forced_zero(layer, region, [max_m.solution])
         return _descend(layer, forced, q)
-    e_row = [
-        1 if m and eval_classical(q.consequent, v) else 0
-        for m, v in zip(m_row, layer.worlds)
-    ]
+    e_row = _mass_row(q[1], layer.worlds)
     lo, hi = _fractional_bounds(region, max_m, e_row)
     min_m = _optimal(solve_lp(m_row, region, maximize=False))
     if min_m.value > 0:
@@ -431,14 +471,10 @@ def _propagate_layer(layer, region, q) -> Bounds:
 
 
 def _descend(layer, forced, q) -> Bounds:
-    sub_entries = [layer.entries[i] for i in forced]
-    sub_worlds = _restrict_worlds(
-        layer.worlds, [q.antecedent] + [e.obj.antecedent for e in sub_entries]
-    )
     # q's antecedent is satisfiable, so the restriction is nonempty; it is
     # also strictly smaller than the layer's worlds (otherwise the pinned
     # masses could not sum to one), which bounds the recursion depth.
-    sub = _Layer(sub_entries, sub_worlds)
+    sub = layer.deeper(forced, q[0])
     return _propagate_layer(sub, sub.region(), q)
 
 

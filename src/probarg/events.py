@@ -4,6 +4,13 @@ Formulas are immutable trees over named atoms. A ConditionalObject pairs a
 consequent with an antecedent; with antecedent Top it degenerates to an
 unconditional event. Conditionals evaluate to a third value (VOID) whenever
 their antecedent is false, matching the conditional-event truth conditions.
+
+The worlds over n declared atoms are the 2^n constituents, indexed 0 ..
+2^n - 1 in constituents() order. truth_table(f, names) gives a formula the
+int whose bit j is its value at world j: an atom's table is a block
+pattern, and the connectives are bit operations on their operands' tables.
+The solver works on these tables only; eval_classical, which evaluates a
+formula at one valuation, serves the rest of the package.
 """
 
 from __future__ import annotations
@@ -134,13 +141,10 @@ def eval_classical(f: Formula, v: Valuation) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def constituents(atomset) -> list:
-    """All 2^n valuations of the declared atoms, in lexicographic order.
-
-    The first atom is the most significant position and False sorts before
-    True, so for (A, C) the order is FF, FT, TF, TT. The order is part of
-    the contract: mass vectors and witnesses are indexed by it.
-    """
+def declared(atomset) -> list:
+    """The declared atom names as a list. ValueError when there are none,
+    more than MAX_ATOMS, or a name twice; constituents() and the solver
+    both check an atom set here."""
     names = list(atomset)
     if not names:
         raise ValueError("no atoms declared")
@@ -148,25 +152,71 @@ def constituents(atomset) -> list:
         raise ValueError(f"at most {MAX_ATOMS} atoms supported, got {len(names)}")
     if len(set(names)) != len(names):
         raise ValueError("duplicate atom names")
+    return names
+
+
+def constituents(atomset) -> list:
+    """All 2^n valuations of the declared atoms, in lexicographic order.
+
+    The first atom is the most significant position and False sorts before
+    True, so for (A, C) the order is FF, FT, TF, TT. The order is part of
+    the contract: mass vectors, witnesses and truth tables are indexed by it.
+    """
+    names = declared(atomset)
     return [
         dict(zip(names, bits))
         for bits in itertools.product((False, True), repeat=len(names))
     ]
 
 
+def truth_table(f: Formula, names) -> int:
+    """f over the worlds of constituents(names), as an int: bit j is f's
+    value at world j.
+
+    names: a sequence of atom names as constituents() takes them, with
+    every atom of f among them, or none: with no names there is one world,
+    and a constant's table is 0 or 1. In world j the atom at position i is
+    true when bit n-1-i of j is set (n = len(names)), so its table repeats
+    2^(n-1-i) zeros, then as many ones.
+    """
+    if names:
+        names = declared(names)
+    n = len(names)
+    shifts = {name: n - 1 - i for i, name in enumerate(names)}
+    return _table(f, shifts, (1 << (1 << n)) - 1)
+
+
+def _table(f, shifts, full):
+    """truth_table over shifts (atom name -> bit of the world index) and
+    full, the table of Top."""
+    if isinstance(f, Atom):
+        block = 1 << shifts[f.name]
+        # ones on the upper half of each 2*block run of worlds
+        return (((1 << block) - 1) << block) * (full // ((1 << 2 * block) - 1))
+    if isinstance(f, Not):
+        return full ^ _table(f.operand, shifts, full)
+    if isinstance(f, And):
+        return _table(f.left, shifts, full) & _table(f.right, shifts, full)
+    if isinstance(f, Or):
+        return _table(f.left, shifts, full) | _table(f.right, shifts, full)
+    if isinstance(f, MaterialImp):
+        return (full ^ _table(f.left, shifts, full)) | _table(f.right, shifts, full)
+    if isinstance(f, Top):
+        return full
+    if isinstance(f, Bottom):
+        return 0
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def is_satisfiable(f: Formula, atomset=None) -> bool:
     names = sorted(atoms_of(f)) if atomset is None else list(atomset)
-    if not names:
-        return eval_classical(f, {})
-    return any(eval_classical(f, v) for v in constituents(names))
+    return truth_table(f, names) != 0
 
 
 def equivalent(f: Formula, g: Formula, atomset=None) -> bool:
     """Truth-table equivalence over the union of the formulas' atoms."""
     names = sorted(atoms_of(f) | atoms_of(g)) if atomset is None else list(atomset)
-    if not names:
-        return eval_classical(f, {}) == eval_classical(g, {})
-    return all(eval_classical(f, v) == eval_classical(g, v) for v in constituents(names))
+    return truth_table(f, names) == truth_table(g, names)
 
 
 class TruthValue3(enum.Enum):

@@ -11,6 +11,11 @@ objective value.
 - Rows are normalised so each slack can start basic: a row with rhs < 0,
   and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
   rows with rhs > 0 get an artificial column.
+- A row may give the coefficient of its slack as a fourth item (1 when
+  left out). The zero-layer systems of coherence send their entry rows
+  this way: "<=" rows with rhs 0 in coprime ints, each with its bound's
+  denominator as the slack coefficient. Such a row is the tableau row
+  its rational form would give, and it is neither converted nor negated.
 - With exactly one artificial row, the start is one pivot, with no phase
   1, when some column is positive in that row and <= 0 in every other row
   (a crash basis; Bixby 1992; see _crash). Otherwise phase 1 runs.
@@ -89,6 +94,11 @@ class Region:
     """The polyhedron {x >= 0 : rows} over n variables, started once.
 
     rows: list of (coeffs, relation, rhs) with relation in {"<=", ">=", "=="}.
+    A "<=" or ">=" row may end with a fourth item k > 0, the coefficient of
+    its slack s (1 when left out): coeffs . x + k*s == rhs for "<=", and
+    coeffs . x - k*s == rhs for ">=". Scaling a row and its k together
+    changes nothing, but k sets the unit of the slack, and the entering
+    rule compares the slack's reduced cost with the others.
     len() is the number of rows. A region is never changed by a solve, so
     it can serve any number of objectives.
     """
@@ -96,7 +106,7 @@ class Region:
     def __init__(self, rows, n):
         self.n = n
         self._rows = []
-        for coeffs, rel, rhs in rows:
+        for coeffs, rel, rhs, *slack in rows:
             coeffs = _exact(coeffs)
             if not isinstance(rhs, (int, Fraction)):
                 rhs = Fraction(rhs)
@@ -106,7 +116,7 @@ class Region:
                 coeffs = [-v for v in coeffs]
                 rhs = -rhs
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            self._rows.append((coeffs, rel, rhs))
+            self._rows.append((coeffs, rel, rhs, slack[0] if slack else 1))
 
     def __len__(self):
         return len(self._rows)
@@ -143,10 +153,10 @@ class Region:
             raise ValueError("optimum is not a solve_lp maximum over this region")
         if optimum.value <= 0:
             raise ValueError("the Charnes-Cooper start needs a positive maximum")
-        first, rel, rhs = self._rows[0]
+        first, rel, rhs, _ = self._rows[0]
         if rel != EQ or rhs != 1 or any(v != 1 for v in first):
             raise ValueError("the first row must be sum(x) == 1")
-        if any(rhs != 0 for _, _, rhs in self._rows[1:]):
+        if any(rhs != 0 for _, _, rhs, _ in self._rows[1:]):
             raise ValueError("the rows after the first must be homogeneous")
         _, c, _, final, basis = start
         cost = final[-1]
@@ -166,7 +176,7 @@ class Region:
             tableau.append(row)
         derived = Region.__new__(Region)
         derived.n = self.n
-        derived._rows = [(c, EQ, 1)] + self._rows[1:]
+        derived._rows = [(c, EQ, 1, 1)] + self._rows[1:]
         derived._start = tableau, basis
         return derived
 
@@ -175,17 +185,17 @@ class Region:
         """A basic feasible (integer tableau, basis) with the artificial
         columns removed, or None when the rows are infeasible."""
         n = self.n
-        n_slack = sum(1 for _, rel, _ in self._rows if rel != EQ)
-        n_art = sum(1 for _, rel, _ in self._rows if rel != LE)
+        n_slack = sum(1 for _, rel, _, _ in self._rows if rel != EQ)
+        n_art = sum(1 for _, rel, _, _ in self._rows if rel != LE)
         n_real = n + n_slack
         cols = n_real + n_art
         tableau = []
         basis = []
         si, ai = n, n_real
-        for coeffs, rel, rhs in self._rows:
+        for coeffs, rel, rhs, k in self._rows:
             row = coeffs + [0] * (cols - n) + [rhs]
             if rel != EQ:
-                row[si] = 1 if rel == LE else -1
+                row[si] = k if rel == LE else -k
                 si += 1
             if rel == LE:
                 basis.append(si - 1)

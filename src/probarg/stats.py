@@ -152,20 +152,30 @@ def monte_carlo_rxc(t: ContingencyTable, iters: int, seed: int) -> MonteCarloRes
     Samples margin-fixed tables and counts those no more probable than the
     observed one under the margin-fixed distribution. With fixed margins the
     table probability is proportional to 1 / prod(cell!), so the comparison
-    reduces to exact integer products of factorials.
+    reduces to exact integer products of factorials. A factorial is
+    computed the first time its cell value occurs, and kept for the call.
     """
     if iters < 1000:
         raise ValueError("iters must be at least 1000")
     rng = SplitMix64(seed)
     row_sums = t.row_sums
     col_sums = t.col_sums
-    fact = [math.factorial(k) for k in range(t.total + 1)]
-    obs_prod = math.prod(fact[x] for row in t.counts for x in row)
+    fact = {}
+
+    def cell_factorials(table):
+        prod = 1
+        for row in table:
+            for x in row:
+                if x not in fact:
+                    fact[x] = math.factorial(x)
+                prod *= fact[x]
+        return prod
+
+    obs_prod = cell_factorials(t.counts)
     hits = 0
     for _ in range(iters):
         sample = _sample_margin_fixed(row_sums, col_sums, rng)
-        prod = math.prod(fact[x] for row in sample for x in row)
-        if prod >= obs_prod:  # P(sample) <= P(observed)
+        if cell_factorials(sample) >= obs_prod:  # P(sample) <= P(observed)
             hits += 1
     est = hits / iters
     half = Z_99 * math.sqrt(est * (1.0 - est) / iters)

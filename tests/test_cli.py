@@ -94,6 +94,26 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0x9b")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "check"])
+    def test_17_atoms_is_1_before_solving(self, tmp_path, monkeypatch, command):
+        from probarg import coherence
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a layer was solved before the atom set was checked")
+
+        monkeypatch.setattr(coherence, "Region", refuse)
+        monkeypatch.setattr(coherence, "solve_lp", refuse)
+        wide = tmp_path / "wide.arg"
+        atoms = ", ".join(f"X{i}" for i in range(17))
+        wide.write_text(
+            f"task W {{\n  atoms: {atoms}\n  premise: quite_sure(if(X0, X1))\n"
+            "  conclusion: X1\n}\n"
+        )
+        code, out, err = run_cli(command, str(wide))
+        assert code == 1
+        assert out == ""
+        assert err == "error: at most 16 atoms supported, got 17\n"
+
     def test_check_ok(self):
         code, out, _ = run_cli("check", str(DATA / "paradox.arg"))
         assert code == 0

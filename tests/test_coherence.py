@@ -31,6 +31,7 @@ from probarg.events import (
     Not,
     Or,
     constituents,
+    eval_classical,
 )
 
 from oracles import (
@@ -405,7 +406,7 @@ class TestSolveCounts:
         from probarg import linprog
 
         a, _, atoms = chain(6, F(9, 10))
-        region = coherence._Layer(list(a.entries), constituents(atoms)).region()
+        _, region = coherence._level0(a, atoms)
         calls = _count_calls(monkeypatch)
         simplex, runs = linprog._simplex, []
 
@@ -424,7 +425,7 @@ class TestSolveCounts:
         a = Assessment(
             (entry(ConditionalObject(A), F(3, 5)), entry(ConditionalObject(Not(A)), F(1, 2)))
         )
-        assert coherence._Layer(list(a.entries), constituents(["A"])).region().vertex() is None
+        assert coherence._level0(a, ["A"])[1].vertex() is None
         assert check_coherence(a, ["A"]).level == 0
 
     def test_level0_phase1_runs_once(self, monkeypatch):
@@ -441,8 +442,40 @@ class TestSolveCounts:
         monkeypatch.setattr(coherence, "Region", CountedRegion)
         a, q, atoms = chain(6, F(9, 10))
         propagate(a, q, atoms)
-        level0 = coherence._Layer(list(a.entries), constituents(atoms)).region()
+        _, level0 = coherence._level0(a, atoms)
         assert started.count(level0._rows) == 1
+
+
+class TestAtomSet:
+    """check_coherence and propagate reject a bad atom set before any
+    solving, with the messages constituents() gives it."""
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ([f"X{i}" for i in range(17)], "at most 16 atoms supported, got 17"),
+            (["A", "C", "A"], "duplicate atom names"),
+            ([], "no atoms declared"),
+        ],
+        ids=["17 atoms", "duplicates", "none"],
+    )
+    def test_rejected_before_solving(self, monkeypatch, atoms, message):
+        with pytest.raises(ValueError) as by_constituents:
+            constituents(atoms)
+        assert str(by_constituents.value) == message
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a layer was solved before the atom set was checked")
+
+        monkeypatch.setattr(coherence, "Region", refuse)
+        monkeypatch.setattr(coherence, "solve_lp", refuse)
+        obj = ConditionalObject(Atom(atoms[0])) if atoms else ConditionalObject(TOP)
+        a = Assessment((entry(obj, F(9, 10), 1),))
+        with pytest.raises(ValueError) as checked:
+            check_coherence(a, atoms)
+        with pytest.raises(ValueError) as propagated:
+            propagate(a, obj, atoms)
+        assert str(checked.value) == str(propagated.value) == message
 
 
 class TestNonOptimalSolves:
@@ -455,7 +488,7 @@ class TestNonOptimalSolves:
         from probarg.linprog import LPResult
 
         a, q, atoms = chain(3, F(9, 10))
-        m_row = coherence._mass_row(q, constituents(atoms))
+        m_row = [int(eval_classical(q.antecedent, v)) for v in constituents(atoms)]
         solve, broken = coherence.solve_lp, maximize
 
         def failing(objective, rows, maximize=True):

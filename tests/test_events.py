@@ -24,6 +24,7 @@ from probarg.events import (
     eval3,
     eval_classical,
     expand,
+    truth_table,
 )
 
 A = Atom("A")
@@ -216,3 +217,71 @@ def test_atoms_of_covers_evaluation(f):
     worlds = constituents(names) if names else [{}]
     for v in worlds:
         eval_classical(f, v)
+
+
+# --- truth tables ---------------------------------------------------------
+
+NAMES = ("A", "B", "C", "D", "E")
+
+
+@st.composite
+def _named_formulas(draw):
+    """(formula, names): 0-5 declared names in any order, and a formula
+    over some of them with every connective, TOP and BOTTOM."""
+    names = draw(st.permutations(NAMES))[: draw(st.integers(0, 5))]
+    leaves = st.sampled_from([Atom(x) for x in names] + [TOP, BOTTOM])
+    f = draw(
+        st.recursive(
+            leaves,
+            lambda inner: st.one_of(
+                inner.map(Not),
+                st.tuples(inner, inner).map(lambda t: And(*t)),
+                st.tuples(inner, inner).map(lambda t: Or(*t)),
+                st.tuples(inner, inner).map(lambda t: MaterialImp(*t)),
+            ),
+            max_leaves=10,
+        )
+    )
+    return f, list(names)
+
+
+class TestTruthTable:
+    @given(_named_formulas())
+    def test_matches_eval_classical_world_by_world(self, case):
+        f, names = case
+        worlds = constituents(names) if names else [{}]
+        table = truth_table(f, names)
+        assert 0 <= table < 1 << len(worlds)
+        for j, v in enumerate(worlds):
+            assert table >> j & 1 == eval_classical(f, v)
+
+    def test_atoms_are_block_patterns(self):
+        # worlds FF, FT, TF, TT: A holds on 2 and 3, C on 1 and 3
+        assert truth_table(A, ["A", "C"]) == 0b1100
+        assert truth_table(C, ["A", "C"]) == 0b1010
+        assert truth_table(C, ["A", "B", "C"]) == 0b10101010
+        assert truth_table(A, ["A", "B", "C"]) == 0b11110000
+
+    def test_constants(self):
+        assert truth_table(TOP, ["A", "C"]) == 0b1111
+        assert truth_table(BOTTOM, ["A", "C"]) == 0
+        assert (truth_table(TOP, []), truth_table(BOTTOM, [])) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ([f"x{i}" for i in range(17)], "at most 16 atoms supported, got 17"),
+            (["A", "A"], "duplicate atom names"),
+        ],
+    )
+    def test_atom_set_checked_as_constituents_checks_it(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            truth_table(A if "A" in names else TOP, names)
+        with pytest.raises(ValueError, match=message):
+            constituents(names)
+
+    def test_unsatisfiable_antecedent_rejected(self):
+        with pytest.raises(ValueError, match="antecedent is unsatisfiable"):
+            ConditionalObject(C, And(A, Not(A)))
+        with pytest.raises(ValueError, match="antecedent is unsatisfiable"):
+            ConditionalObject(C, BOTTOM)

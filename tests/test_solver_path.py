@@ -10,6 +10,10 @@ random assessments over 2-4 declared atoms, some of them unused, with
 zero-probability premises (zero-layer descents) and incoherent premise sets.
 A layer that builds both premise rows of every entry, implied or not, is the
 reference for the rows a layer skips.
+
+The references find what holds at each world with eval_classical over
+constituents(), not with the solver's truth tables, so they also check the
+tables, the worlds of each deeper layer and the objective rows.
 """
 
 import random
@@ -117,6 +121,42 @@ def random_problem(rng):
     return Assessment(tuple(entries)), query, declared
 
 
+def eval_table(f, atoms):
+    """f's truth table over constituents(atoms), world by world."""
+    return sum(1 << j for j, v in enumerate(constituents(atoms)) if eval_classical(f, v))
+
+
+def eval_tables(entries, atoms):
+    """Per entry, the (m, e) tables a layer takes, world by world."""
+    return [
+        (
+            eval_table(e.obj.antecedent, atoms),
+            eval_table(And(e.obj.antecedent, e.obj.consequent), atoms),
+        )
+        for e in entries
+    ]
+
+
+def restrict(atoms, worlds, antecedents):
+    """The worlds (level-0 indices) where some antecedent formula holds."""
+    dicts = constituents(atoms)
+    return [w for w in worlds if any(eval_classical(f, dicts[w]) for f in antecedents)]
+
+
+def event_row(f, atoms, worlds):
+    """1 on the worlds where f holds, 0 elsewhere."""
+    dicts = constituents(atoms)
+    return [1 if eval_classical(f, dicts[w]) else 0 for w in worlds]
+
+
+def q_rows(q, atoms, worlds):
+    """The m and e rows of the query over the worlds."""
+    return (
+        event_row(q.antecedent, atoms, worlds),
+        event_row(And(q.antecedent, q.consequent), atoms, worlds),
+    )
+
+
 def forced_by_fixpoint(layer, region):
     """The forced-zero set by the max-sum fixpoint alone, without probes."""
     candidates = list(range(len(layer.entries)))
@@ -135,10 +175,10 @@ def layers_by_fixpoint(a, atoms):
     """Every layer of the zero-layer procedure with its forced set, and the
     level that fails (None when coherent). A max-sum solve decides each
     layer's feasibility."""
-    entries, worlds = list(a.entries), constituents(atoms)
+    entries, worlds = list(a.entries), range(2 ** len(atoms))
     layers = []
     while True:
-        layer = coherence._Layer(entries, worlds)
+        layer = coherence._Layer(entries, eval_tables(entries, atoms), worlds)
         region = layer.region()
         if solve_lp(layer.antecedent_mass(range(len(entries))), region).status == "infeasible":
             return layers, len(layers)
@@ -147,7 +187,7 @@ def layers_by_fixpoint(a, atoms):
         if not forced:
             return layers, None
         entries = [entries[i] for i in forced]
-        worlds = coherence._restrict_worlds(worlds, [e.obj.antecedent for e in entries])
+        worlds = restrict(atoms, worlds, [e.obj.antecedent for e in entries])
 
 
 def rebuilt_bounds(layer, m_row, e_row):
@@ -159,32 +199,29 @@ def rebuilt_bounds(layer, m_row, e_row):
     return region, lo.value, hi.value
 
 
-def propagate_by_rebuilding(layer, region, q):
+def propagate_by_rebuilding(layer, region, q, atoms):
     """Bounds on p(q) over one layer, each Charnes-Cooper region rebuilt
     and each forced set found by the fixpoint alone."""
-    m_row = coherence._mass_row(q, layer.worlds)
-    e_row = [
-        1 if m and coherence.eval_classical(q.consequent, v) else 0
-        for m, v in zip(m_row, layer.worlds)
-    ]
+    m_row, e_row = q_rows(q, atoms, layer.worlds)
     max_m = solve_lp(m_row, region)
     if max_m.value == 0:
-        return descend_by_rebuilding(layer, forced_by_fixpoint(layer, region), q)
+        forced = forced_by_fixpoint(layer, region)
+        return descend_by_rebuilding(layer, forced, q, atoms)
     _, lo, hi = rebuilt_bounds(layer, m_row, e_row)
     if solve_lp(m_row, region, maximize=False).value > 0:
         return Bounds(lo, hi)
     forced = forced_by_fixpoint(layer, layer.region((m_row, EQ, 0)))
-    deeper = descend_by_rebuilding(layer, forced, q)
+    deeper = descend_by_rebuilding(layer, forced, q, atoms)
     return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
 
 
-def descend_by_rebuilding(layer, forced, q):
+def descend_by_rebuilding(layer, forced, q, atoms):
     entries = [layer.entries[i] for i in forced]
-    worlds = coherence._restrict_worlds(
-        layer.worlds, [q.antecedent] + [e.obj.antecedent for e in entries]
+    worlds = restrict(
+        atoms, layer.worlds, [q.antecedent] + [e.obj.antecedent for e in entries]
     )
-    sub = coherence._Layer(entries, worlds)
-    return propagate_by_rebuilding(sub, sub.region(), q)
+    sub = coherence._Layer(entries, eval_tables(entries, atoms), worlds)
+    return propagate_by_rebuilding(sub, sub.region(), q, atoms)
 
 
 def check_problem(a, q, atoms, rng):
@@ -221,21 +258,18 @@ def check_problem(a, q, atoms, rng):
     if structural_bounds(q) is not None:
         return reached
     layer, region, _ = layers[0]
-    assert propagate(a, q, atoms) == propagate_by_rebuilding(layer, region, q)
-    m_row = coherence._mass_row(q, layer.worlds)
+    assert propagate(a, q, atoms) == propagate_by_rebuilding(layer, region, q, atoms)
+    m_row, e_row = q_rows(q, atoms, layer.worlds)
     max_m = solve_lp(m_row, region)
     if max_m.value == 0:
         return reached
-    e_row = [
-        1 if m and coherence.eval_classical(q.consequent, v) else 0
-        for m, v in zip(m_row, layer.worlds)
-    ]
     derived = region.charnes_cooper(max_m)
     rebuilt, lo, hi = rebuilt_bounds(layer, m_row, e_row)
     assert (len(derived), derived.n) == (len(rebuilt), rebuilt.n)
     assert coherence._fractional_bounds(region, max_m, e_row) == (lo, hi)
     if len(layer.worlds) <= 4:
-        assert vertex_bounds(layer.entries, layer.worlds, q) == (lo, hi)
+        dicts = constituents(atoms)
+        assert vertex_bounds(layer.entries, [dicts[w] for w in layer.worlds], q) == (lo, hi)
         reached.add("vertex oracle")
     return reached
 
@@ -268,23 +302,33 @@ def test_solver_path_matches_plain_procedure_seeded():
 # builds both rows for every entry, on assessments full of implied rows.
 
 
-class FullLayer(coherence._Layer):
-    """The layer with both rows lo*m <= e <= hi*m for every entry, implied
-    or not."""
+def full_layer(atoms):
+    """FullLayer over the declared atoms: the layer with both rows
+    lo*m <= e <= hi*m for every entry, implied or not, as Fraction ">="
+    rows found world by world with eval_classical over constituents(atoms).
+    It takes _Layer's arguments and reads of the tables only the deeper
+    layers' worlds (_Layer.deeper)."""
+    dicts = constituents(atoms)
 
-    def __init__(self, entries, world_list):
-        super().__init__(entries, world_list)
-        n = len(world_list)
-        self.homogeneous = []
-        for entry, m_idx in zip(entries, self.m_idx):
-            lo_row, hi_row = [F(0)] * n, [F(0)] * n
-            for j in m_idx:
-                lo_row[j] -= entry.lo
-                hi_row[j] += entry.hi
-                if eval_classical(entry.obj.consequent, world_list[j]):
-                    lo_row[j] += 1
-                    hi_row[j] -= 1
-            self.homogeneous += [(lo_row, ">=", 0), (hi_row, ">=", 0)]
+    class FullLayer(coherence._Layer):
+        def __init__(self, entries, tables, worlds):
+            n = len(worlds)
+            self.entries, self.tables, self.worlds = entries, tables, worlds
+            self.m_idx, self.homogeneous = [], []
+            for entry in entries:
+                m_idx, lo_row, hi_row = [], [F(0)] * n, [F(0)] * n
+                for k, w in enumerate(worlds):
+                    if eval_classical(entry.obj.antecedent, dicts[w]):
+                        m_idx.append(k)
+                        lo_row[k] -= entry.lo
+                        hi_row[k] += entry.hi
+                        if eval_classical(entry.obj.consequent, dicts[w]):
+                            lo_row[k] += 1
+                            hi_row[k] -= 1
+                self.m_idx.append(m_idx)
+                self.homogeneous += [(lo_row, ">=", 0), (hi_row, ">=", 0)]
+
+    return FullLayer
 
 
 INTERVAL_KINDS = ("zero", "one", "free", "lo 0", "hi 1", "any")
@@ -365,16 +409,14 @@ def outcome(res):
     return res.status, res.value, res.solution
 
 
-def level0_solves(kind, a, q, atoms):
-    """The row count of the kind-built level-0 region, and (pivots, outcome)
-    of its start and of its max-sum, max-m, min-m and Charnes-Cooper solves."""
-    worlds = constituents(atoms)
-    layer = kind(list(a.entries), worlds)
+def level0_solves(layer, m_row, e_row):
+    """The row count of the level-0 layer's region, and (pivots, outcome)
+    of its start and of its max-sum, max-m, min-m and Charnes-Cooper solves;
+    m_row and e_row are the query's rows."""
     region = layer.region()
     steps = [traced(region.vertex)]
     if region.vertex() is None:
         return len(region), steps
-    m_row = coherence._mass_row(q, worlds)
     solves = [
         (layer.antecedent_mass(range(len(layer.entries))), region, True),
         (m_row, region, True),
@@ -382,10 +424,6 @@ def level0_solves(kind, a, q, atoms):
     ]
     max_m = solve_lp(m_row, region)
     if max_m.value > 0:
-        e_row = [
-            1 if m and eval_classical(q.consequent, v) else 0
-            for m, v in zip(m_row, worlds)
-        ]
         scaled = region.charnes_cooper(max_m)
         solves += [(e_row, scaled, False), (e_row, scaled, True)]
     for objective, rows, maximize in solves:
@@ -395,10 +433,18 @@ def level0_solves(kind, a, q, atoms):
 
 def compare_layers(a, q, atoms):
     """The level-0 solves and the end-to-end answers of the two layers: the
-    same points, values and pivots, and never more rows. Returns whether
-    the layer skipped a row."""
-    rows, steps = level0_solves(coherence._Layer, a, q, atoms)
-    full_rows, full_steps = level0_solves(FullLayer, a, q, atoms)
+    same points, values and pivots, and never more rows. The layer takes
+    the query's rows from truth tables, FullLayer world by world. Returns
+    whether the layer skipped a row."""
+    layer, _ = coherence._level0(a, atoms)
+    worlds = layer.worlds
+    m_q, e_q = coherence._tables(q, atoms)
+    rows, steps = level0_solves(
+        layer, coherence._mass_row(m_q, worlds), coherence._mass_row(e_q, worlds)
+    )
+    FullLayer = full_layer(atoms)
+    full = FullLayer(layer.entries, layer.tables, worlds)
+    full_rows, full_steps = level0_solves(full, *q_rows(q, atoms, worlds))
     assert steps == full_steps
     assert rows <= full_rows
     for fn in (lambda: check_coherence(a, atoms), lambda: propagate(a, q, atoms)):
@@ -428,6 +474,20 @@ def test_implied_rows_change_no_pivot_seeded():
     assert skipped >= 200 and 50 <= coherent <= 250 and descents >= 20, counts
 
 
+def test_slack_has_the_rational_rows_unit():
+    """p(C) in [3/5, 9/10] over A, B, C and the query (B and C | A). With a
+    unit slack on the int rows (3, -2) and (-9, 1), the maximum of the
+    Charnes-Cooper program takes 2 pivots to another vertex; with slack
+    coefficients 5 and 10, the rational rows' unit, it takes the same 3
+    pivots as FullLayer."""
+    C = Atom("C")
+    a = Assessment((AssessmentEntry(ConditionalObject(C), F(3, 5), F(9, 10)),))
+    q = ConditionalObject(And(Atom("B"), C), Atom("A"))
+    layer, _ = coherence._level0(a, ("A", "B", "C"))
+    assert layer.homogeneous == [([3, -2] * 4, "<=", 0, 5), ([-9, 1] * 4, "<=", 0, 10)]
+    compare_layers(a, q, ("A", "B", "C"))
+
+
 def test_chain_level0_has_seven_rows():
     """p(A0) >= 9/10 and p(A_{i+1} | A_i) >= 9/10 over 6 atoms: one lower row
     per entry and the row sum(x) == 1; no upper row, as hi = 1."""
@@ -439,7 +499,8 @@ def test_chain_level0_has_seven_rows():
     layer, region = coherence._level0(Assessment(tuple(entries)), names)
     assert len(layer.homogeneous) == 6
     assert len(region) == 7
-    assert len(FullLayer(layer.entries, layer.worlds).region()) == 13
+    full = full_layer(names)(layer.entries, layer.tables, layer.worlds)
+    assert len(full.region()) == 13
 
 
 def test_free_entry_adds_no_row_but_descends():
@@ -451,8 +512,8 @@ def test_free_entry_adds_no_row_but_descends():
     layers = []
 
     class Recorded(coherence._Layer):
-        def __init__(self, entries, world_list):
-            super().__init__(entries, world_list)
+        def __init__(self, entries, tables, worlds):
+            super().__init__(entries, tables, worlds)
             layers.append(self)
 
     with patched(coherence, "_Layer", Recorded):
@@ -462,4 +523,4 @@ def test_free_entry_adds_no_row_but_descends():
     assert len(level0.homogeneous) == 1
     assert level0.m_idx[1] and len(level0.region()) == 2
     assert level1.entries == [free]
-    assert level1.homogeneous == [] and len(level1.worlds) == 2
+    assert level1.homogeneous == [] and list(level1.worlds) == [2, 3]

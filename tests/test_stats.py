@@ -224,6 +224,55 @@ class TestMonteCarlo:
             monte_carlo_rxc(ContingencyTable(((1, 9), (11, 3))), 999, seed=0)
 
 
+def _p_with_factorial_list(t, iters, seed):
+    """monte_carlo_rxc's estimate as it was computed with a list of every
+    factorial up to the table's total, built before the first draw."""
+    rng = SplitMix64(seed)
+    fact = [math.factorial(k) for k in range(t.total + 1)]
+    obs = math.prod(fact[x] for row in t.counts for x in row)
+    hits = 0
+    for _ in range(iters):
+        sample = _sample_margin_fixed(t.row_sums, t.col_sums, rng)
+        hits += math.prod(fact[x] for row in sample for x in row) >= obs
+    return hits / iters
+
+
+class TestMonteCarloFactorials:
+    """Factorials are computed only for the cell values that occur."""
+
+    def test_same_estimate_as_factorial_list(self):
+        import random
+
+        path = Path(__file__).parent / "data" / "table_2x2.csv"
+        rows = [[int(x) for x in line.split(",")] for line in path.read_text().split()]
+        tables = [ContingencyTable(rows)]
+        rng = random.Random("rxc")
+        for _ in range(8):
+            r, c = rng.randint(2, 4), rng.randint(2, 4)
+            tables.append(
+                ContingencyTable([[rng.randint(0, 25) for _ in range(c)] for _ in range(r)])
+            )
+        for t in tables:
+            seed = rng.randrange(2**32)
+            got = monte_carlo_rxc(t, 1000, seed).p_estimate
+            assert got == _p_with_factorial_list(t, 1000, seed), t
+
+    def test_total_4000_peaks_well_under_the_list(self):
+        """The list of factorials up to 4,000 takes about 10 MB; the first row
+        keeps each draw cheap, and the cells take only a few values."""
+        import tracemalloc
+
+        t = ContingencyTable(((3, 0), (1997, 2000)))
+        tracemalloc.start()
+        try:
+            res = monte_carlo_rxc(t, 1000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < res.p_estimate < 1
+        assert peak < 1_000_000
+
+
 HOLM_FIXTURES = [
     (([0.01, 0.04, 0.03], 0.05), [True, False, False]),
     (([0.01, 0.02, 0.03], 0.05), [True, True, True]),
