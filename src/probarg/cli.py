@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 incoherent premises (eval only).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -285,7 +286,16 @@ def main(argv=None) -> int:
         "stats": _cmd_stats,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the flush
+        # at interpreter exit finds nothing to write (the recipe in the
+        # signal module's documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except SystemExit1 as err:
         sys.stderr.write(f"error: {err}\n")
         return 1

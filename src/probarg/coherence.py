@@ -15,7 +15,7 @@ antecedent and consequent hold, are computed once over the level-0 worlds
 0 .. 2^n - 1 (constituents() order). A layer's worlds are level-0 world
 indices, and its rows, objectives and deeper worlds are read off the bits
 of the tables. Its entry rows reach linprog as "<=" rows with rhs 0 in
-coprime ints, so Region has nothing to convert or negate.
+coprime ints, so Region has nothing to negate.
 
 The solver path takes as few solves as the answer allows:
 - A layer builds lo*m <= e only when lo > 0 and e <= hi*m only when
@@ -194,10 +194,9 @@ class _Layer:
       fails, slack coefficient d.
 
     Each is its rational row with a unit slack (lo - 1 and lo, 1 - hi and
-    -hi) scaled by its denominator, which is the tableau row Region made of
-    it, so the tableau and every pivot are those of the rational rows. A
-    unit slack on the int row would change the slack's unit and, through
-    Dantzig's rule, some pivots.
+    -hi) scaled by its denominator, so the tableau and every pivot are
+    those of the rational rows. A unit slack on the int row would change
+    the slack's unit and, through Dantzig's rule, some pivots.
 
     lo*m <= e is built only when lo > 0, and e <= hi*m only when hi < 1.
     A row skipped, lo = 0 or hi = 1, has no positive coefficient, so x >= 0
@@ -440,12 +439,12 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
     incoherent = _zero_layers(layer, region)
     if incoherent:
         raise IncoherentPremises(incoherent)
-    sb = structural_bounds(q)
-    if sb is not None:
-        return sb
     missing = q.atoms() - set(atomset)
     if missing:
         raise ValueError(f"undeclared atoms in query: {sorted(missing)}")
+    sb = structural_bounds(q)
+    if sb is not None:
+        return sb
     return _propagate_layer(layer, region, _tables(q, atomset))
 
 

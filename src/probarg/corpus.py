@@ -42,32 +42,28 @@ _CORPUS_FILES = {
 }
 
 
-def _pct(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # (holds, does-not-hold, non-informative) response percentages, n = 63.
 OBSERVED = {
-    "AT1": (_pct("65.08"), _pct("15.87"), _pct("19.05")),
-    "AT2": (_pct("76.19"), _pct("11.11"), _pct("12.70")),
-    "NR": (_pct("6.35"), _pct("63.49"), _pct("30.16")),
-    "EIn": (_pct("6.45"), _pct("69.35"), _pct("24.20")),
-    "EI": (_pct("88.89"), _pct("6.35"), _pct("4.76")),
-    "MP": (_pct("53.97"), _pct("3.17"), _pct("42.86")),
-    "NMP": (_pct("9.52"), _pct("52.38"), _pct("38.10")),
-    "Prdx": (_pct("0.00"), _pct("17.46"), _pct("82.54")),
+    "AT1": (Fraction("65.08"), Fraction("15.87"), Fraction("19.05")),
+    "AT2": (Fraction("76.19"), Fraction("11.11"), Fraction("12.70")),
+    "NR": (Fraction("6.35"), Fraction("63.49"), Fraction("30.16")),
+    "EIn": (Fraction("6.45"), Fraction("69.35"), Fraction("24.20")),
+    "EI": (Fraction("88.89"), Fraction("6.35"), Fraction("4.76")),
+    "MP": (Fraction("53.97"), Fraction("3.17"), Fraction("42.86")),
+    "NMP": (Fraction("9.52"), Fraction("52.38"), Fraction("38.10")),
+    "Prdx": (Fraction("0.00"), Fraction("17.46"), Fraction("82.54")),
 }
 
 # Mean and standard deviation of confidence ratings (0..10 scale).
 CONFIDENCE = {
-    "AT1": (_pct("6.77"), _pct("1.99")),
-    "AT2": (_pct("6.86"), _pct("2.06")),
-    "NR": (_pct("7.20"), _pct("2.37")),
-    "EIn": (_pct("7.71"), _pct("1.99")),
-    "EI": (_pct("8.02"), _pct("1.97")),
-    "MP": (_pct("7.18"), _pct("2.10")),
-    "NMP": (_pct("7.02"), _pct("2.08")),
-    "Prdx": (_pct("6.82"), _pct("1.93")),
+    "AT1": (Fraction("6.77"), Fraction("1.99")),
+    "AT2": (Fraction("6.86"), Fraction("2.06")),
+    "NR": (Fraction("7.20"), Fraction("2.37")),
+    "EIn": (Fraction("7.71"), Fraction("1.99")),
+    "EI": (Fraction("8.02"), Fraction("1.97")),
+    "MP": (Fraction("7.18"), Fraction("2.10")),
+    "NMP": (Fraction("7.02"), Fraction("2.08")),
+    "Prdx": (Fraction("6.82"), Fraction("1.93")),
 }
 
 H = ResponseCategory.HOLDS
@@ -309,10 +305,6 @@ def agreement_report(cfg: ClassificationConfig = ClassificationConfig()) -> Agre
 # --- rendering ---------------------------------------------------------------
 
 
-def _fmt_frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _fmt_pct(x: Fraction) -> str:
     return f"{float(x):.2f}"
 
@@ -323,8 +315,8 @@ def report_rows_structured(report: AgreementReport):
         {
             "abbrev": row.task,
             "interpretation": row.interpretation.value,
-            "lo": _fmt_frac(row.bounds.lo),
-            "hi": _fmt_frac(row.bounds.hi),
+            "lo": str(row.bounds.lo),
+            "hi": str(row.bounds.hi),
             "category": CATEGORY_LABELS[row.category],
             "modal_observed": CATEGORY_LABELS[row.modal_observed],
             "match": row.match,
@@ -335,14 +327,14 @@ def report_rows_structured(report: AgreementReport):
 
 def report_structured(report: AgreementReport):
     return {
-        "theta": _fmt_frac(report.theta),
+        "theta": str(report.theta),
         "rows": report_rows_structured(report),
         "match_counts": {
             i.value: report.match_counts[i] for i in Interpretation
         },
-        "mean_coherent_share": _fmt_frac(report.mean_coherent_share),
+        "mean_coherent_share": str(report.mean_coherent_share),
         "theta_sensitivity": {
-            _fmt_frac(theta): {i.value: c[i] for i in Interpretation}
+            str(theta): {i.value: c[i] for i in Interpretation}
             for theta, c in report.theta_sensitivity.items()
         },
     }

@@ -1,12 +1,10 @@
 """Exact linear programming over rationals.
 
-One two-phase simplex. Rows and objectives come in as ints, Fractions or
-anything Fraction() takes (such as "9/10"). A value is converted once: a
-Region keeps ints and Fractions as they are and converts any other value
-with Fraction(v), and solve_lp does the same for its objective. From the
-moment a Region holds its rows, all arithmetic is on Python ints; Fractions
-appear again only in the result, as the basic values x_b = rhs/d and the
-objective value.
+One two-phase simplex. Ints in; Fractions only in results. Every
+coefficient, rhs, slack unit and objective is a Python int, and a Region
+or solve_lp given any other value raises TypeError. All arithmetic is on
+ints; Fractions appear only in the result, as the basic values
+x_b = rhs/d and the objective value.
 
 - Rows are normalised so each slack can start basic: a row with rhs < 0,
   and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
@@ -15,12 +13,11 @@ objective value.
   left out). The zero-layer systems of coherence send their entry rows
   this way: "<=" rows with rhs 0 in coprime ints, each with its bound's
   denominator as the slack coefficient. Such a row is the tableau row
-  its rational form would give, and it is neither converted nor negated.
+  its rational form would give, and it is not negated.
 - With exactly one artificial row, the start is one pivot, with no phase
   1, when some column is positive in that row and <= 0 in every other row
   (a crash basis; Bixby 1992; see _crash). Otherwise phase 1 runs.
-- Each tableau row is scaled once to coprime ints (the lcm of its
-  denominators, skipped when all its entries are ints, then its gcd). The
+- Each tableau row is divided once by the gcd of its entries. The
   reduced-cost row of an objective, phase 1's included, is summed in ints:
   each basic row a_i with basic coefficient d_i enters scaled by L/d_i,
   with L the lcm of those d_i, and the sum is then made coprime.
@@ -93,23 +90,21 @@ class LPResult(Value):
 class Region:
     """The polyhedron {x >= 0 : rows} over n variables, started once.
 
-    rows: list of (coeffs, relation, rhs) with relation in {"<=", ">=", "=="}.
-    A "<=" or ">=" row may end with a fourth item k > 0, the coefficient of
-    its slack s (1 when left out): coeffs . x + k*s == rhs for "<=", and
-    coeffs . x - k*s == rhs for ">=". Scaling a row and its k together
-    changes nothing, but k sets the unit of the slack, and the entering
-    rule compares the slack's reduced cost with the others.
-    len() is the number of rows. A region is never changed by a solve, so
-    it can serve any number of objectives.
+    rows: list of (coeffs, relation, rhs) with relation in {"<=", ">=", "=="}
+    and ints for numbers. A "<=" or ">=" row may end with a fourth item, an
+    int k > 0, the coefficient of its slack s (1 when left out):
+    coeffs . x + k*s == rhs for "<=", and coeffs . x - k*s == rhs for ">=".
+    Scaling a row and its k together changes nothing, but k sets the unit
+    of the slack, and the entering rule compares the slack's reduced cost
+    with the others. len() is the number of rows. A region is never
+    changed by a solve, so it can serve any number of objectives.
     """
 
     def __init__(self, rows, n):
         self.n = n
         self._rows = []
         for coeffs, rel, rhs, *slack in rows:
-            coeffs = _exact(coeffs)
-            if not isinstance(rhs, (int, Fraction)):
-                rhs = Fraction(rhs)
+            gcd(*coeffs, rhs, *slack)  # TypeError on any value but an int
             if len(coeffs) != n:
                 raise ValueError("constraint arity mismatch")
             if rhs < 0 or (rhs == 0 and rel == GE):
@@ -168,7 +163,7 @@ class Region:
             rhs = row[-1]
             if rhs:
                 prhs = p * rhs
-                row = _integer_row(
+                row = _coprime(
                     [pk * a + prhs * r for a, r in zip(row[:-1], cost)] + [rhs * k * q]
                 )
             if row[b] <= 0 or row[-1] < 0:
@@ -189,11 +184,12 @@ class Region:
         n_art = sum(1 for _, rel, _, _ in self._rows if rel != LE)
         n_real = n + n_slack
         cols = n_real + n_art
+        zeros = [0] * (cols - n)
         tableau = []
         basis = []
         si, ai = n, n_real
         for coeffs, rel, rhs, k in self._rows:
-            row = coeffs + [0] * (cols - n) + [rhs]
+            row = [*coeffs, *zeros, rhs]
             if rel != EQ:
                 row[si] = k if rel == LE else -k
                 si += 1
@@ -203,7 +199,7 @@ class Region:
                 row[ai] = 1
                 basis.append(ai)
                 ai += 1
-            tableau.append(_integer_row(row))
+            tableau.append(_coprime(row))
         if n_art:
             if n_art > 1 or not _crash(tableau, basis, n, n_real):
                 # Phase 1 maximizes minus the sum of the artificials.
@@ -221,16 +217,16 @@ class Region:
 def solve_lp(objective, rows, maximize=True) -> LPResult:
     """Optimize objective . x subject to rows, x >= 0.
 
-    objective: sequence of coefficients (one per variable).
+    objective: sequence of int coefficients (one per variable).
     rows: a Region, or a list of (coeffs, relation, rhs) rows as Region
     takes them.
     """
     n = len(objective)
+    g = gcd(*objective) or 1  # TypeError on any value but an int
     if not isinstance(rows, Region):
         rows = Region(rows, n)
     elif rows.n != n:
         raise ValueError("objective arity mismatch")
-    c = _exact(objective)
     start = rows._start
     if start is None:
         return LPResult("infeasible")
@@ -238,18 +234,17 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
     tableau = base[:]
     basis = basis[:]
     cols = len(base[0]) - 1 if base else n
-    # The objective scaled to ints, negated to minimize.
-    cost = _integer_row(c + [0] * (cols - n + 1))
-    if not maximize:
-        cost = [-v for v in cost]
+    # The objective made coprime, negated to minimize.
+    cost = [v // g if maximize else -v // g for v in objective]
+    cost += [0] * (cols - n + 1)
     tableau.append(_reduced_costs(tableau, basis, cost))
     if _simplex(tableau, basis) == "unbounded":
         return LPResult("unbounded")
     x = _point(tableau, basis, n)
     # Only basic variables can be nonzero.
-    value = sum([c[b] * x[b] for b in basis if b < n], ZERO)
+    value = sum([objective[b] * x[b] for b in basis if b < n], ZERO)
     res = LPResult("optimal", value, x)
-    res._optimum = rows, c, maximize, tableau, basis
+    res._optimum = rows, objective, maximize, tableau, basis
     return res
 
 
@@ -280,27 +275,13 @@ def _reduced_costs(tableau, basis, c):
             for j, v in enumerate(row):
                 if v:
                     c[j] -= k * v
-    return _integer_row(c)
+    return _coprime(c)
 
 
-def _exact(values):
-    """The values as a list: ints and Fractions as they are, any other
-    value converted once with Fraction(v)."""
-    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-
-
-def _integer_row(row):
-    """The coprime ints that are a positive multiple of a rational row."""
-    if all(type(v) is int for v in row):
-        ints = row
-    else:
-        # Unpack a list, not a generator: CPython resizes a tuple built from
-        # a generator, and its tuple free lists then keep one extra block
-        # per call.
-        den = lcm(*[v.denominator for v in row])
-        ints = [v.numerator * (den // v.denominator) for v in row]
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+def _coprime(row):
+    """The int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def _crash(tableau, basis, n, n_real):

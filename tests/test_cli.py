@@ -236,12 +236,40 @@ class TestSubprocessEntryPoints:
         assert res.returncode == 0
         assert "keep" in res.stdout
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus"],
+            ["eval", str(DATA / "paradox.arg")],
+            ["counterfactual", "--c", "C", "--b", "A", "--a", "not(A)", "--p", "7/10"],
+        ],
+        ids=["corpus", "eval", "counterfactual"],
+    )
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        # stdout is a pipe whose read end is already closed
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "probarg", *argv],
+                env=_env(), stdout=w, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(w)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "Exception ignored" not in res.stderr
+
+
+def _env():
+    """The environment with this checkout's src/ on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
 
 def _python(*args):
     """Run the interpreter on args with this checkout's src/ on PYTHONPATH."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+    return subprocess.run([sys.executable, *args], env=_env(), capture_output=True, check=True)
 
 
 class TestStartup:

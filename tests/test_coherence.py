@@ -477,6 +477,17 @@ class TestAtomSet:
             propagate(a, obj, atoms)
         assert str(checked.value) == str(propagated.value) == message
 
+    def test_undeclared_query_atoms_rejected_on_the_structural_path(self):
+        # (B | B) is settled without a solve, (B | A) is not; both name B.
+        A, B = Atom("A"), Atom("B")
+        a = Assessment((entry(ConditionalObject(A), F(9, 10), 1),))
+        messages = []
+        for q in (ConditionalObject(B, B), ConditionalObject(B, A)):
+            with pytest.raises(ValueError) as err:
+                propagate(a, q, ("A",))
+            messages.append(str(err.value))
+        assert messages == ["undeclared atoms in query: ['B']"] * 2
+
 
 class TestNonOptimalSolves:
     """A layer solve that does not come back optimal raises RuntimeError,

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bland_reference
+from int_rows import int_objective, int_row, int_rows
 from probarg.linprog import EQ, GE, LE, LPResult, Region, solve_lp
 
 
@@ -20,7 +22,7 @@ def test_min_with_equality():
     # min x + y s.t. x + y + z == 1, x >= 1/3
     res = solve_lp(
         [1, 1, 0],
-        [([1, 1, 1], EQ, 1), ([1, 0, 0], GE, F(1, 3))],
+        int_rows([([1, 1, 1], EQ, 1), ([1, 0, 0], GE, F(1, 3))]),
         maximize=False,
     )
     assert res.status == "optimal"
@@ -51,13 +53,13 @@ def test_degenerate_redundant_equalities():
 
 
 def test_exact_rationals_survive():
-    res = solve_lp(
-        [F(1, 3), F(1, 7)],
-        [([1, 1], EQ, 1), ([1, 0], LE, F(2, 5))],
-    )
+    objective, scale = int_objective([F(1, 3), F(1, 7)])
+    assert (objective, scale) == ([7, 3], 21)
+    res = solve_lp(objective, int_rows([([1, 1], EQ, 1), ([1, 0], LE, F(2, 5))]))
     assert res.status == "optimal"
     # put 2/5 on the better coefficient, the rest on the other
-    assert res.value == F(1, 3) * F(2, 5) + F(1, 7) * F(3, 5)
+    assert res.value / scale == F(1, 3) * F(2, 5) + F(1, 7) * F(3, 5)
+    assert res.solution == [F(2, 5), F(3, 5)]
 
 
 def test_determinism():
@@ -89,9 +91,10 @@ def test_beale_cycling_example_terminates(monkeypatch):
         ([F(1, 2), -12, F(-1, 2), 3], LE, 0),
         ([0, 0, 1, 0], LE, 1),
     ]
-    res = solve_lp([F(3, 4), -20, F(1, 2), -6], rows)
+    objective, scale = int_objective([F(3, 4), -20, F(1, 2), -6])
+    res = solve_lp(objective, int_rows(rows))
     assert res.status == "optimal"
-    assert res.value == F(5, 4)
+    assert res.value / scale == F(5, 4)
 
 
 # Large coprime denominators and big numerators make the integer tableau
@@ -133,13 +136,14 @@ def satisfies(rows, x):
 def test_matches_bland_reference(system, data, maximize):
     n, rows = system
     objective = data.draw(st.lists(COEFF, min_size=n, max_size=n))
-    got = solve_lp(objective, rows, maximize)
+    ints, scale = int_objective(objective)
+    got = solve_lp(ints, int_rows(rows), maximize)
     ref = bland_reference.solve_lp(objective, rows, maximize)
     assert got.status == ref.status
     if got.status == "optimal":
-        assert got.value == ref.value
+        assert got.value / scale == ref.value
         assert satisfies(rows, got.solution)
-        assert sum(F(c) * v for c, v in zip(objective, got.solution)) == got.value
+        assert sum(F(c) * v for c, v in zip(objective, got.solution)) == got.value / scale
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,30 +153,52 @@ def test_region_reuse_equals_fresh_solves(system, data):
     objectives = data.draw(
         st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=4)
     )
+    rows = int_rows(rows)
     region = Region(rows, n)
     assert len(region) == len(rows)
     for objective in objectives + objectives[:1]:
+        objective = int_objective(objective)[0]
         for maximize in (True, False):
             assert solve_lp(objective, region, maximize) == solve_lp(
                 objective, rows, maximize
             )
 
 
-def test_ints_fractions_and_strings_agree():
-    # One system given three ways: the result, solution included, is equal.
-    rows = [([2, 1, 0], LE, 4), ([1, 3, 1], GE, 3), ([1, 1, 1], EQ, 3), ([0, -1, 2], LE, -1)]
+def test_only_ints_are_accepted():
+    # A Fraction, a str or a float raises TypeError when the region is
+    # built, as a coefficient, an rhs or a slack unit, and when solve_lp
+    # gets it in an objective.
+    rows = [([2, 1, 0], LE, 4, 1), ([1, 3, 1], GE, 3), ([1, 1, 1], EQ, 3), ([0, -1, 2], LE, -1)]
     objective = [3, -1, 2]
-    as_fractions = [([F(v) for v in c], rel, F(b)) for c, rel, b in rows]
-    as_strings = [([f"{v}.0" for v in c], rel, f"{b}.0") for c, rel, b in rows]
+    for bad in (F(1, 2), "1", 1.0):
+        for spoiled in (
+            [([2, bad, 0], LE, 4, 1)],
+            [([2, 1, 0], LE, bad, 1)],
+            [([2, 1, 0], LE, 4, bad)],
+        ):
+            with pytest.raises(TypeError):
+                Region(spoiled + rows[1:], 3)
+        region = Region(rows, 3)
+        with pytest.raises(TypeError):
+            solve_lp([3, bad, 2], region)
+        with pytest.raises(TypeError):
+            solve_lp([3, bad, 2], rows)
+    # An all-int system still gives Fraction results.
     for maximize in (True, False):
-        got = [
-            solve_lp(objective, rows, maximize),
-            solve_lp([F(v) for v in objective], as_fractions, maximize),
-            solve_lp([f"{v}.0" for v in objective], as_strings, maximize),
-        ]
-        assert got[0].status == "optimal"
-        assert got[0] == got[1] == got[2]
-        assert all(type(v) is F for v in got[0].solution + [got[0].value])
+        got = solve_lp(objective, rows, maximize)
+        assert got.status == "optimal"
+        assert all(type(v) is F for v in got.solution + [got.value])
+        assert satisfies([row[:3] for row in rows], got.solution)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(COEFF, min_size=1, max_size=4), st.sampled_from([LE, GE, EQ]), RHS)
+def test_int_row_is_the_rational_row_times_its_slack_unit(coeffs, rel, rhs):
+    ints, got_rel, int_rhs, k = int_row(coeffs, rel, rhs)
+    assert got_rel == rel and k > 0
+    assert [F(v, k) for v in ints] == [F(v) for v in coeffs]
+    assert F(int_rhs, k) == rhs
+    assert gcd(*ints, int_rhs, k) == 1
 
 
 INT = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 7, -12, 10**12])
@@ -218,18 +244,19 @@ def normalized_systems(draw):
 @given(normalized_systems(), st.data())
 def test_charnes_cooper_start_equals_rebuilt_region(system, data):
     n, homogeneous = system
-    region = Region([([1] * n, EQ, 1)] + homogeneous, n)
-    c = data.draw(st.lists(COEFF, min_size=n, max_size=n))
+    region = Region([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
+    c = int_objective(data.draw(st.lists(COEFF, min_size=n, max_size=n)))[0]
     best = solve_lp(c, region)
     if best.status != "optimal" or best.value <= 0:
         return
     derived = region.charnes_cooper(best)
-    rebuilt = Region(homogeneous + [(c, EQ, 1)], n)
+    rebuilt = Region(int_rows(homogeneous + [(c, EQ, 1)]), n)
     assert isinstance(derived, Region)
     assert (len(derived), derived.n) == (len(rebuilt), rebuilt.n)
     # The start is feasible for the rebuilt rows: it is their phase-1 point.
     assert satisfies(homogeneous + [(c, EQ, 1)], derived.vertex())
     for e in data.draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)):
+        e = int_objective(e)[0]
         for maximize in (True, False):
             got = solve_lp(e, derived, maximize)
             ref = solve_lp(e, rebuilt, maximize)
@@ -348,7 +375,7 @@ def test_crash_start_matches_bland_reference(system, data):
     eq = next(c for c, rel, _ in rows if rel == EQ)
     columns = crash_columns(eq, le_rows)
     assert bool(columns) == (case != "none")
-    region = Region(rows, n)
+    region = Region(int_rows(rows), n)
     start, crashed = started(region)
     assert crashed == (case != "none")
     if start is None:
@@ -363,11 +390,13 @@ def test_crash_start_matches_bland_reference(system, data):
     for objective in data.draw(
         st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)
     ):
+        ints, scale = int_objective(objective)
         for maximize in (True, False):
-            got = solve_lp(objective, region, maximize)
+            got = solve_lp(ints, region, maximize)
             ref = bland_reference.solve_lp(objective, rows, maximize)
-            assert (got.status, got.value) == (ref.status, ref.value)
+            assert got.status == ref.status
             if got.status == "optimal":
+                assert got.value / scale == ref.value
                 assert satisfies(rows, got.solution)
 
 
@@ -378,7 +407,7 @@ def test_a_fair_share_take_the_crash_start():
     @given(one_artificial_systems())
     def run(system):
         _, n, rows = system
-        taken.append(started(Region(rows, n))[1])
+        taken.append(started(Region(int_rows(rows), n))[1])
 
     run()
     assert len(taken) >= 100
@@ -400,9 +429,9 @@ def crash_layer_systems(draw):
 @given(crash_layer_systems(), st.data())
 def test_charnes_cooper_from_a_crash_start_equals_rebuilt_region(system, data):
     n, homogeneous = system
-    region = Region([([1] * n, EQ, 1)] + homogeneous, n)
+    region = Region([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
     assert started(region)[1]
-    c = data.draw(st.lists(COEFF, min_size=n, max_size=n))
+    c = int_objective(data.draw(st.lists(COEFF, min_size=n, max_size=n)))[0]
     best = solve_lp(c, region)
     if best.value <= 0:
         return
@@ -410,9 +439,10 @@ def test_charnes_cooper_from_a_crash_start_equals_rebuilt_region(system, data):
     rebuilt = homogeneous + [(c, EQ, 1)]
     assert satisfies(rebuilt, derived.vertex())
     for e in data.draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)):
+        e = int_objective(e)[0]
         for maximize in (True, False):
             got = solve_lp(e, derived, maximize)
-            ref = solve_lp(e, Region(rebuilt, n), maximize)
+            ref = solve_lp(e, Region(int_rows(rebuilt), n), maximize)
             assert (got.status, got.value) == (ref.status, ref.value)
             if got.status == "optimal":
                 assert satisfies(rebuilt, got.solution)

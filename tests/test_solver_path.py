@@ -23,6 +23,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from int_rows import int_row
 from oracles import conditional_value, vertex_bounds
 from probarg import coherence, linprog
 from probarg.coherence import (
@@ -304,8 +305,9 @@ def test_solver_path_matches_plain_procedure_seeded():
 
 def full_layer(atoms):
     """FullLayer over the declared atoms: the layer with both rows
-    lo*m <= e <= hi*m for every entry, implied or not, as Fraction ">="
-    rows found world by world with eval_classical over constituents(atoms).
+    lo*m <= e <= hi*m for every entry, implied or not, as ">=" rows found
+    world by world in Fractions with eval_classical over constituents(atoms),
+    then given to linprog in int form (int_row).
     It takes _Layer's arguments and reads of the tables only the deeper
     layers' worlds (_Layer.deeper)."""
     dicts = constituents(atoms)
@@ -326,7 +328,7 @@ def full_layer(atoms):
                             lo_row[k] += 1
                             hi_row[k] -= 1
                 self.m_idx.append(m_idx)
-                self.homogeneous += [(lo_row, ">=", 0), (hi_row, ">=", 0)]
+                self.homogeneous += [int_row(lo_row, ">=", 0), int_row(hi_row, ">=", 0)]
 
     return FullLayer
 
