@@ -12,15 +12,22 @@ so the recursion terminates.
 The systems are built from truth tables (events.truth_table), not from
 valuations. Each entry's tables, m where its antecedent holds and e where
 antecedent and consequent hold, are computed once over the level-0 worlds
-0 .. 2^n - 1 (constituents() order). A layer's worlds are level-0 world
-indices, and its rows, objectives and deeper worlds are read off the bits
-of the tables. Its entry rows reach linprog as "<=" rows with rhs 0 in
-coprime ints, so Region has nothing to negate.
+0 .. 2^n - 1 (constituents() order). A layer covers a domain, a mask of
+level-0 worlds, and has one column per class of the worlds there that its
+tables cannot tell apart (the entries', and on the propagate path the
+query's), represented by the class's lowest world. Twin worlds would give
+equal columns that never enter the basis, so the merged system makes the
+per-world system's pivots on fewer cells, and a witness puts each class's
+mass on its representative (see _Layer). Rows, objectives and deeper
+domains read one bit per class. The entry rows reach linprog as "<=" rows
+with rhs 0 in coprime ints, so Region has nothing to negate.
 
 The solver path takes as few solves as the answer allows:
-- A layer builds lo*m <= e only when lo > 0 and e <= hi*m only when
-  hi < 1; x >= 0 implies the rows it skips, and skipping them changes no
-  pivot (see _Layer). For "quite sure" premises that is one row each.
+- A layer builds a premise row only where it has a positive coefficient:
+  lo*m <= e when lo > 0 and e fails somewhere on m, e <= hi*m when hi < 1
+  and e holds somewhere; x >= 0 implies the rows it skips, and skipping
+  them changes no pivot (see _Layer). For "quite sure" premises that is
+  one row each.
 - A layer's region starts in one pivot, with no phase 1, when all the
   mass can sit on one constituent: at it each entry is void, true with
   hi = 1, or false with lo = 0 (for "quite sure" premises, every
@@ -181,11 +188,21 @@ class ClassificationConfig(Value):
 class _Layer:
     """One zero-layer system, built once.
 
-    worlds: the layer's constituents, as ascending level-0 world indices,
-    the bits of the truth tables. entries: its assessment entries, and
-    tables: per entry the level-0 tables (m, e) of its antecedent and of
-    antecedent and consequent (see _tables). m_idx: per entry, the
-    positions in worlds where m holds. homogeneous: the entry rows, each a
+    domain: the level-0 worlds the layer covers, as an int mask over the
+    world indices 0 .. 2^n - 1, the bits of the truth tables. entries: its
+    assessment entries, and tables: per entry the level-0 tables (m, e) of
+    its antecedent and of antecedent and consequent (see _tables). extra:
+    more tables the columns must tell apart; on the propagate path, the
+    query's (m, e).
+
+    classes: the columns, the classes of the worlds of domain that no table
+    of tables or extra tells apart: domain split by each table t into its
+    parts inside and outside t, empty parts dropped. They are int masks,
+    ordered by their lowest world, the class's representative. These are
+    the constituents generated by the family (Gilio 2002; Biazzo and Gilio
+    2000): every table holds on all of a class or on none of it, so rows,
+    objectives and deeper domains read one bit per class. m_idx: per
+    entry, the columns where m holds. homogeneous: the entry rows, each a
     "<=" row with rhs 0 in coprime ints, 0 where m fails:
 
     - lo*m <= e, for lo = a/b: a - b where e holds, a where m holds and e
@@ -198,38 +215,62 @@ class _Layer:
     those of the rational rows. A unit slack on the int row would change
     the slack's unit and, through Dantzig's rule, some pivots.
 
-    lo*m <= e is built only when lo > 0, and e <= hi*m only when hi < 1.
-    A row skipped, lo = 0 or hi = 1, has no positive coefficient, so x >= 0
-    implies it (the first rule of LP presolve). Skipping one changes no
-    pivot: its slack equals a nonnegative combination of masses, so
-    whenever its ratio is the smallest, a basic mass in that combination
-    has the same ratio and, with the smaller column index, wins the tie;
-    the slack never leaves the basis, so it never enters, and every other
-    row, reduced cost, crash column and tie-break is the same without it.
-    The entry keeps its m_idx, so forced-zero sets and deeper layers do
-    not change."""
+    One column per class makes the pivots of one column per world. Twin
+    worlds, two of one class, have equal columns in every row and
+    objective, so their tableau columns and reduced costs stay equal while
+    neither is basic. Every choice of a column takes the lowest index:
+    Dantzig's rule the first of equal maxima (a strict >), Bland's rule the
+    smallest improving index, the crash start and the eviction of
+    artificials the first column that qualifies. So only a representative
+    enters; once it is basic its twins price at 0 and never enter, and
+    every twin stays at 0. A twin repeats an entry of its row, so the row
+    gcds, and with them the whole tableau on the representatives, are
+    those of the per-world system. world_masses puts each class's mass on
+    its representative, which is the per-world solution.
 
-    def __init__(self, entries, tables, worlds):
-        n = len(worlds)
+    A row is built only when it has a positive coefficient: lo*m <= e when
+    lo > 0 and e fails on some column where m holds, e <= hi*m when hi < 1
+    and e holds on some column. A row skipped has none, so x >= 0 implies
+    it (the first rule of LP presolve). Skipping one changes no pivot: its
+    slack equals a nonnegative combination of masses, so whenever its
+    ratio is the smallest, a basic mass in that combination has the same
+    ratio and, with the smaller column index, wins the tie; the slack
+    never leaves the basis, so it never enters, and every other row,
+    reduced cost, crash column and tie-break is the same without it. The
+    entry keeps its m_idx, so forced-zero sets and deeper layers do not
+    change."""
+
+    def __init__(self, entries, tables, domain, extra=()):
         self.entries = entries
         self.tables = tables
-        self.worlds = worlds
+        self.domain = domain
+        self.extra = extra
+        classes = [domain] if domain else []
+        for pair in (*tables, extra):
+            for t in pair:
+                # c ^ (c & t) is c & ~t without a negative int, whose & is
+                # an order of magnitude slower on a 2^16-world table
+                classes = [
+                    part for c in classes for inside in (c & t,) for part in (inside, c ^ inside) if part
+                ]
+        classes.sort(key=lambda c: c & -c)
+        self.classes = classes
+        n = len(classes)
         self.m_idx = []
         self.homogeneous = []
         for entry, (m, e) in zip(entries, tables):
-            m_idx = _holds(m, worlds)
+            m_idx = _holds(m, classes)
             self.m_idx.append(m_idx)
             # (coefficient where m holds and e fails, where e holds, slack
             # coefficient) of each row built
             cuts = []
-            if entry.lo:
+            e_idx = _holds(e, classes) if entry.lo or entry.hi < ONE else ()
+            if entry.lo and len(e_idx) < len(m_idx):
                 a, b = entry.lo.numerator, entry.lo.denominator
                 cuts.append((a, a - b, b))
-            if entry.hi < ONE:
+            if entry.hi < ONE and e_idx:
                 c, d = entry.hi.numerator, entry.hi.denominator
                 cuts.append((-c, d - c, d))
-            if cuts:
-                e_idx = _holds(e, worlds)
             for off_e, on_e, k in cuts:
                 row = [0] * n
                 for j in m_idx:
@@ -240,26 +281,34 @@ class _Layer:
 
     def region(self, *extra_rows) -> Region:
         """The layer's masses summing to 1 under its rows, plus extra_rows."""
-        n = len(self.worlds)
+        n = len(self.classes)
         rows = [([1] * n, EQ, 1)] + self.homogeneous + list(extra_rows)
         return Region(rows, n)
 
     def antecedent_mass(self, indices):
         """Objective: the summed antecedent mass of the given entries."""
-        objective = [0] * len(self.worlds)
+        objective = [0] * len(self.classes)
         for i in indices:
             for j in self.m_idx[i]:
                 objective[j] += 1
         return objective
 
-    def deeper(self, forced, *antecedents):
-        """The layer of the entries forced to zero, over the worlds where
-        one of their antecedents, or of the extra antecedent tables, holds."""
+    def deeper(self, forced, extra=()):
+        """The layer of the entries forced to zero, over the worlds of this
+        layer where one of their antecedents, or extra's antecedent table,
+        holds; extra: the query's (m, e) tables, or none."""
         tables = [self.tables[i] for i in forced]
-        worlds = _restrict_worlds(
-            self.worlds, [*antecedents, *(m for m, _ in tables)]
-        )
-        return _Layer([self.entries[i] for i in forced], tables, worlds)
+        domain = _restrict_worlds(self.domain, [*extra[:1], *(m for m, _ in tables)])
+        return _Layer([self.entries[i] for i in forced], tables, domain, extra)
+
+    def world_masses(self, x):
+        """x, one mass per class, as masses of the level-0 worlds up to the
+        domain's highest: each class's mass on its representative, 0 on
+        every other world."""
+        masses = [ZERO] * self.domain.bit_length()
+        for c, v in zip(self.classes, x):
+            masses[(c & -c).bit_length() - 1] = v
+        return masses
 
 
 def _tables(obj, names):
@@ -270,20 +319,15 @@ def _tables(obj, names):
     return m, m & truth_table(obj.consequent, names)
 
 
-def _holds(table, worlds):
-    """The positions in worlds (level-0 world indices) where table holds."""
-    bits = bin(table)[:1:-1]  # bit j is bits[j], for j < len(bits)
-    top = len(bits)
-    return [k for k, w in enumerate(worlds) if w < top and bits[w] == "1"]
+def _holds(table, classes):
+    """The positions in classes (world masks) where table holds."""
+    return [k for k, c in enumerate(classes) if table & c]
 
 
-def _mass_row(table, worlds):
-    """1 where table holds on the worlds, 0 elsewhere: the mass of an event
-    as an objective."""
-    row = [0] * len(worlds)
-    for k in _holds(table, worlds):
-        row[k] = 1
-    return row
+def _mass_row(table, classes):
+    """1 on the classes where table holds, 0 elsewhere: the mass of an
+    event as an objective."""
+    return [1 if table & c else 0 for c in classes]
 
 
 def _forced_zero(layer, region, probes=(), res=None):
@@ -331,12 +375,13 @@ def _optimal(res):
     return res
 
 
-def _restrict_worlds(worlds, antecedents):
-    """The worlds where at least one of the antecedent tables holds."""
+def _restrict_worlds(domain, antecedents):
+    """The worlds of domain where at least one of the antecedent tables
+    holds, as a mask."""
     union = 0
     for m in antecedents:
         union |= m
-    return [worlds[k] for k in _holds(union, worlds)]
+    return domain & union
 
 
 def check_coherence(a: Assessment, atomset):
@@ -351,18 +396,21 @@ def check_coherence(a: Assessment, atomset):
     if region.vertex() is not None:
         support = solve_lp(layer.antecedent_mass(range(len(layer.entries))), region)
     incoherent = _zero_layers(layer, region, support)
-    return incoherent or Coherent(tuple(support.solution), atomset)
+    return incoherent or Coherent(tuple(layer.world_masses(support.solution)), atomset)
 
 
-def _level0(a: Assessment, atomset):
-    """The level-0 _Layer of an assessment over the atoms, and its region."""
+def _level0(a: Assessment, atomset, q=None):
+    """The level-0 _Layer of an assessment over the atoms, and its region.
+    With a query q, the layer's columns tell q's tables apart too, so the
+    one region serves propagate's coherence check and its bounds."""
     missing = a.atoms() - set(atomset)
     if missing:
         raise ValueError(f"undeclared atoms in assessment: {sorted(missing)}")
     names = declared(atomset)
     entries = list(a.entries)
     tables = [_tables(e.obj, names) for e in entries]
-    layer = _Layer(entries, tables, range(1 << len(names)))
+    extra = () if q is None else _tables(q, names)
+    layer = _Layer(entries, tables, (1 << (1 << len(names))) - 1, extra)
     return layer, layer.region()
 
 
@@ -377,7 +425,7 @@ def _zero_layers(layer, region, support=None):
     while True:
         if region.vertex() is None:
             desc = (
-                f"level-{level} system over {len(layer.worlds)} constituents is "
+                f"level-{level} system over {layer.domain.bit_count()} constituents is "
                 f"unsolvable for entries: "
                 + "; ".join(
                     f"p({e.obj}) in [{e.lo}, {e.hi}]" for e in layer.entries
@@ -435,28 +483,28 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
     are forced to zero alongside it, and the results are joined.
     """
     atomset = tuple(atomset)
-    layer, region = _level0(a, atomset)
+    missing = q.atoms() - set(atomset)
+    layer, region = _level0(a, atomset, None if missing else q)
     incoherent = _zero_layers(layer, region)
     if incoherent:
         raise IncoherentPremises(incoherent)
-    missing = q.atoms() - set(atomset)
     if missing:
         raise ValueError(f"undeclared atoms in query: {sorted(missing)}")
     sb = structural_bounds(q)
     if sb is not None:
         return sb
-    return _propagate_layer(layer, region, _tables(q, atomset))
+    return _propagate_layer(layer, region, layer.extra)
 
 
 def _propagate_layer(layer, region, q) -> Bounds:
     """Bounds on p(q) over one layer; q is the query's (m, e) tables and
     region is layer.region()."""
-    m_row = _mass_row(q[0], layer.worlds)
+    m_row = _mass_row(q[0], layer.classes)
     max_m = _optimal(solve_lp(m_row, region, maximize=True))
     if max_m.value == 0:
         forced = _forced_zero(layer, region, [max_m.solution])
         return _descend(layer, forced, q)
-    e_row = _mass_row(q[1], layer.worlds)
+    e_row = _mass_row(q[1], layer.classes)
     lo, hi = _fractional_bounds(region, max_m, e_row)
     min_m = _optimal(solve_lp(m_row, region, maximize=False))
     if min_m.value > 0:
@@ -471,9 +519,9 @@ def _propagate_layer(layer, region, q) -> Bounds:
 
 def _descend(layer, forced, q) -> Bounds:
     # q's antecedent is satisfiable, so the restriction is nonempty; it is
-    # also strictly smaller than the layer's worlds (otherwise the pinned
+    # also strictly smaller than the layer's domain (otherwise the pinned
     # masses could not sum to one), which bounds the recursion depth.
-    sub = layer.deeper(forced, q[0])
+    sub = layer.deeper(forced, q)
     return _propagate_layer(sub, sub.region(), q)
 
 

@@ -191,8 +191,13 @@ def _table(f, shifts, full):
     full, the table of Top."""
     if isinstance(f, Atom):
         block = 1 << shifts[f.name]
-        # ones on the upper half of each 2*block run of worlds
-        return (((1 << block) - 1) << block) * (full // ((1 << 2 * block) - 1))
+        # ones on the upper half of each 2*block run of worlds, the run
+        # doubled until it covers them all
+        table, width, size = ((1 << block) - 1) << block, 2 * block, full.bit_length()
+        while width < size:
+            table |= table << width
+            width *= 2
+        return table
     if isinstance(f, Not):
         return full ^ _table(f.operand, shifts, full)
     if isinstance(f, And):

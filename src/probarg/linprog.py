@@ -92,7 +92,8 @@ class Region:
 
     rows: list of (coeffs, relation, rhs) with relation in {"<=", ">=", "=="}
     and ints for numbers. A "<=" or ">=" row may end with a fourth item, an
-    int k > 0, the coefficient of its slack s (1 when left out):
+    int k > 0, the coefficient of its slack s (1 when left out; an "=="
+    row has no slack, and a fourth item on it raises ValueError):
     coeffs . x + k*s == rhs for "<=", and coeffs . x - k*s == rhs for ">=".
     Scaling a row and its k together changes nothing, but k sets the unit
     of the slack, and the entering rule compares the slack's reduced cost
@@ -107,6 +108,8 @@ class Region:
             gcd(*coeffs, rhs, *slack)  # TypeError on any value but an int
             if len(coeffs) != n:
                 raise ValueError("constraint arity mismatch")
+            if slack and rel == EQ:
+                raise ValueError("an '==' row has no slack")
             if rhs < 0 or (rhs == 0 and rel == GE):
                 coeffs = [-v for v in coeffs]
                 rhs = -rhs

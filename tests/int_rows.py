@@ -14,10 +14,16 @@ def int_row(coeffs, rel, rhs):
     """(coeffs, rel, rhs) as coprime ints with its slack unit k:
     (L*coeffs/g, rel, L*rhs/g, L/g), where L is the lcm of the
     denominators and g = gcd(L*coeffs, L*rhs, L). Divided by k it is the
-    rational row again, so its slack has the rational row's unit."""
+    rational row again, so its slack has the rational row's unit. An "=="
+    row has no slack, and Region refuses a unit on one: it comes as
+    (L*coeffs/g, rel, L*rhs/g) with g = gcd(L*coeffs, L*rhs), a positive
+    multiple of the rational row."""
     values = [Fraction(v) for v in [*coeffs, rhs]]
     big = lcm(*[v.denominator for v in values])
     ints = [v.numerator * (big // v.denominator) for v in values]
+    if rel == "==":
+        g = gcd(*ints) or 1
+        return [v // g for v in ints[:-1]], rel, ints[-1] // g
     g = gcd(*ints, big)
     return [v // g for v in ints[:-1]], rel, ints[-1] // g, big // g
 

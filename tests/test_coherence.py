@@ -402,11 +402,13 @@ class TestSolveCounts:
 
     def test_chain_level0_runs_no_phase1(self, monkeypatch):
         """The all-true world satisfies every premise row of the chain, so
-        its level-0 region starts in one pivot, with no phase-1 simplex."""
+        its level-0 region starts in one pivot, with no phase-1 simplex.
+        The vertex has one mass per column; world_masses puts it on the
+        worlds."""
         from probarg import linprog
 
         a, _, atoms = chain(6, F(9, 10))
-        _, region = coherence._level0(a, atoms)
+        layer, region = coherence._level0(a, atoms)
         calls = _count_calls(monkeypatch)
         simplex, runs = linprog._simplex, []
 
@@ -417,7 +419,7 @@ class TestSolveCounts:
         monkeypatch.setattr(linprog, "_simplex", counted_simplex)
         x = region.vertex()
         assert (calls["pivot"], runs) == (1, [])
-        assert x == [0] * 63 + [1]
+        assert layer.world_masses(x) == [0] * 63 + [1]
 
     def test_incoherent_layer_has_no_vertex(self):
         """No column satisfies every row of an incoherent layer, so it falls
@@ -442,7 +444,8 @@ class TestSolveCounts:
         monkeypatch.setattr(coherence, "Region", CountedRegion)
         a, q, atoms = chain(6, F(9, 10))
         propagate(a, q, atoms)
-        _, level0 = coherence._level0(a, atoms)
+        # propagate's level-0 columns tell the query's tables apart too
+        _, level0 = coherence._level0(a, atoms, q)
         assert started.count(level0._rows) == 1
 
 
@@ -499,7 +502,13 @@ class TestNonOptimalSolves:
         from probarg.linprog import LPResult
 
         a, q, atoms = chain(3, F(9, 10))
-        m_row = [int(eval_classical(q.antecedent, v)) for v in constituents(atoms)]
+        # one entry per column of the level-0 layer, read at its first world
+        layer, _ = coherence._level0(a, atoms, q)
+        worlds = constituents(atoms)
+        m_row = [
+            int(eval_classical(q.antecedent, worlds[(c & -c).bit_length() - 1]))
+            for c in layer.classes
+        ]
         solve, broken = coherence.solve_lp, maximize
 
         def failing(objective, rows, maximize=True):

@@ -262,6 +262,18 @@ class TestTruthTable:
         assert truth_table(C, ["A", "B", "C"]) == 0b10101010
         assert truth_table(A, ["A", "B", "C"]) == 0b11110000
 
+    def test_atom_tables_equal_the_division_formula(self):
+        """Every atom's table at n = 1..16 is the block pattern as a product:
+        one run (2^block - 1) << block times the all-ones table divided by
+        2^(2*block) - 1, which puts a 1 at the start of every run."""
+        for n in range(1, 17):
+            names = [f"x{i}" for i in range(n)]
+            full = (1 << (1 << n)) - 1
+            for i, name in enumerate(names):
+                block = 1 << (n - 1 - i)
+                by_division = (((1 << block) - 1) << block) * (full // ((1 << 2 * block) - 1))
+                assert truth_table(Atom(name), names) == by_division, (n, name)
+
     def test_constants(self):
         assert truth_table(TOP, ["A", "C"]) == 0b1111
         assert truth_table(BOTTOM, ["A", "C"]) == 0

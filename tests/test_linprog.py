@@ -194,11 +194,29 @@ def test_only_ints_are_accepted():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(COEFF, min_size=1, max_size=4), st.sampled_from([LE, GE, EQ]), RHS)
 def test_int_row_is_the_rational_row_times_its_slack_unit(coeffs, rel, rhs):
-    ints, got_rel, int_rhs, k = int_row(coeffs, rel, rhs)
-    assert got_rel == rel and k > 0
+    ints, got_rel, int_rhs, *unit = int_row(coeffs, rel, rhs)
+    assert got_rel == rel and len(unit) == (rel != EQ)
+    # An "==" row has no slack unit; k is then the row's scale.
+    k = unit[0] if unit else next(
+        (F(v) / F(c) for v, c in zip([*ints, int_rhs], [*coeffs, rhs]) if c), F(1)
+    )
+    assert k > 0
     assert [F(v, k) for v in ints] == [F(v) for v in coeffs]
     assert F(int_rhs, k) == rhs
-    assert gcd(*ints, int_rhs, k) == 1
+    assert gcd(*ints, int_rhs, *unit) == 1 or not any([*ints, int_rhs])
+
+
+def test_an_equality_row_takes_no_slack_unit():
+    """A slack unit on an "==" row is a caller error: Region and solve_lp
+    raise ValueError, and int_row gives an "==" row none."""
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="an '==' row has no slack"):
+            Region([([1, 1], EQ, 1, k)], 2)
+        with pytest.raises(ValueError, match="an '==' row has no slack"):
+            solve_lp([1, 0], [([1, 1], EQ, 1, k), ([1, 0], LE, 1)])
+    assert int_row([F(1, 2), F(1, 2)], EQ, F(1, 2)) == ([1, 1], EQ, 1)
+    assert int_row([2, 4], EQ, 6) == ([1, 2], EQ, 3)
+    assert int_row([F(1, 2), 0], LE, F(1, 2)) == ([1, 0], LE, 1, 2)
 
 
 INT = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 7, -12, 10**12])

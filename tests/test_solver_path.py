@@ -6,14 +6,17 @@ witness, the min-m solution) before any forced-zero solve. Here both are
 checked against the procedure without those steps: a Charnes-Cooper region
 rebuilt from its rows (phase 1 and all), a forced-zero fixpoint that starts
 from the max-sum solve, and feasibility decided by a solve. Inputs are
-random assessments over 2-4 declared atoms, some of them unused, with
-zero-probability premises (zero-layer descents) and incoherent premise sets.
+random assessments over 2-4 declared atoms (1-5 used and 0-3 unused for the
+merged columns), some of them unused, with zero-probability premises
+(zero-layer descents) and incoherent premise sets.
 A layer that builds both premise rows of every entry, implied or not, is the
-reference for the rows a layer skips.
+reference for the rows a layer skips, and a layer with one column per world
+the reference for the classes of worlds a layer merges into one column.
 
 The references find what holds at each world with eval_classical over
 constituents(), not with the solver's truth tables, so they also check the
-tables, the worlds of each deeper layer and the objective rows.
+tables, the domain of each deeper layer, the objective rows and that every
+world of a column agrees on them.
 """
 
 import random
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from int_rows import int_row
-from oracles import conditional_value, vertex_bounds
+from oracles import conditional_value, vertex_bounds, witness_satisfies
 from probarg import coherence, linprog
 from probarg.coherence import (
     Assessment,
@@ -73,16 +76,22 @@ def _conditional(rng, atoms):
 
 
 def random_problem(rng):
-    """(assessment, query, declared atoms). One or two declared atoms go
-    unused a third of the time. The intervals hold the values of a sparse
-    random mass vector; a conditional whose antecedent has no mass there
-    gets any value. Nearly half the sets pin an event to probability 0 and
-    condition premises (and often the query) on it, which sends them to a
-    deeper layer. A quarter have one interval drawn at random instead,
-    which is often incoherent."""
+    """(assessment, query, declared atoms) over 2-4 declared atoms, one or
+    two of them unused a third of the time; see problem_over."""
     declared = NAMES[: rng.randint(2, 4)]
     pad = rng.randint(1, min(2, len(declared) - 1)) if rng.random() < 1 / 3 else 0
     used = sorted(rng.sample(declared, len(declared) - pad))
+    a, query = problem_over(rng, used)
+    return a, query, declared
+
+
+def problem_over(rng, used):
+    """(assessment, query) over the atoms used. The intervals hold the
+    values of a sparse random mass vector; a conditional whose antecedent
+    has no mass there gets any value. Nearly half the sets pin an event to
+    probability 0 and condition premises (and often the query) on it, which
+    sends them to a deeper layer. A quarter have one interval drawn at
+    random instead, which is often incoherent."""
     worlds = constituents(used)
     lam = [rng.choice((0, 0, 1, 2, 3)) for _ in worlds]
     zero = None
@@ -119,7 +128,28 @@ def random_problem(rng):
         lo, hi = sorted(rng.choice(TENTHS) for _ in range(2))
         entries[i] = AssessmentEntry(entries[i].obj, lo, hi)
     rng.shuffle(entries)
-    return Assessment(tuple(entries)), query, declared
+    return Assessment(tuple(entries)), query
+
+
+def everywhere(atoms):
+    """The mask of all the worlds over the atoms: the level-0 domain."""
+    return (1 << (1 << len(atoms))) - 1
+
+
+def worlds_of(domain):
+    """The world indices in a mask, ascending."""
+    return [w for w in range(domain.bit_length()) if domain >> w & 1]
+
+
+def representatives(layer):
+    """The lowest world of each of the layer's columns."""
+    return [(c & -c).bit_length() - 1 for c in layer.classes]
+
+
+def by_world(layer, row):
+    """A row of the layer, one entry per column, as one entry per world of
+    its domain."""
+    return [v for w in worlds_of(layer.domain) for c, v in zip(layer.classes, row) if c >> w & 1]
 
 
 def eval_table(f, atoms):
@@ -127,34 +157,43 @@ def eval_table(f, atoms):
     return sum(1 << j for j, v in enumerate(constituents(atoms)) if eval_classical(f, v))
 
 
+def obj_tables(obj, atoms):
+    """A conditional object's (m, e) tables, world by world."""
+    return eval_table(obj.antecedent, atoms), eval_table(And(obj.antecedent, obj.consequent), atoms)
+
+
 def eval_tables(entries, atoms):
     """Per entry, the (m, e) tables a layer takes, world by world."""
-    return [
-        (
-            eval_table(e.obj.antecedent, atoms),
-            eval_table(And(e.obj.antecedent, e.obj.consequent), atoms),
-        )
-        for e in entries
-    ]
+    return [obj_tables(e.obj, atoms) for e in entries]
 
 
-def restrict(atoms, worlds, antecedents):
-    """The worlds (level-0 indices) where some antecedent formula holds."""
+def restrict(atoms, domain, antecedents):
+    """The worlds of domain where some antecedent formula holds, as a mask."""
     dicts = constituents(atoms)
-    return [w for w in worlds if any(eval_classical(f, dicts[w]) for f in antecedents)]
+    return sum(
+        1 << w
+        for w in worlds_of(domain)
+        if any(eval_classical(f, dicts[w]) for f in antecedents)
+    )
 
 
-def event_row(f, atoms, worlds):
-    """1 on the worlds where f holds, 0 elsewhere."""
+def event_row(f, atoms, layer):
+    """1 on the columns of the layer where f holds, 0 elsewhere; every
+    world of a column must agree."""
     dicts = constituents(atoms)
-    return [1 if eval_classical(f, dicts[w]) else 0 for w in worlds]
+    row = []
+    for c in layer.classes:
+        held = {eval_classical(f, dicts[w]) for w in worlds_of(c)}
+        assert len(held) == 1, f"a column's worlds disagree on {f}"
+        row.append(int(held.pop()))
+    return row
 
 
-def q_rows(q, atoms, worlds):
-    """The m and e rows of the query over the worlds."""
+def q_rows(q, atoms, layer):
+    """The m and e rows of the query over the layer's columns."""
     return (
-        event_row(q.antecedent, atoms, worlds),
-        event_row(And(q.antecedent, q.consequent), atoms, worlds),
+        event_row(q.antecedent, atoms, layer),
+        event_row(And(q.antecedent, q.consequent), atoms, layer),
     )
 
 
@@ -172,14 +211,16 @@ def forced_by_fixpoint(layer, region):
     return candidates
 
 
-def layers_by_fixpoint(a, atoms):
+def layers_by_fixpoint(a, atoms, q=None):
     """Every layer of the zero-layer procedure with its forced set, and the
     level that fails (None when coherent). A max-sum solve decides each
-    layer's feasibility."""
-    entries, worlds = list(a.entries), range(2 ** len(atoms))
+    layer's feasibility. With a query q, the layers' columns tell its
+    tables apart too."""
+    entries, domain = list(a.entries), everywhere(atoms)
+    extra = () if q is None else obj_tables(q, atoms)
     layers = []
     while True:
-        layer = coherence._Layer(entries, eval_tables(entries, atoms), worlds)
+        layer = coherence._Layer(entries, eval_tables(entries, atoms), domain, extra)
         region = layer.region()
         if solve_lp(layer.antecedent_mass(range(len(entries))), region).status == "infeasible":
             return layers, len(layers)
@@ -188,13 +229,13 @@ def layers_by_fixpoint(a, atoms):
         if not forced:
             return layers, None
         entries = [entries[i] for i in forced]
-        worlds = restrict(atoms, worlds, [e.obj.antecedent for e in entries])
+        domain = restrict(atoms, domain, [e.obj.antecedent for e in entries])
 
 
 def rebuilt_bounds(layer, m_row, e_row):
     """min/max of e/m over the layer: the Charnes-Cooper region rebuilt
     from its rows and run through its own phase 1."""
-    region = Region(layer.homogeneous + [(m_row, EQ, 1)], len(layer.worlds))
+    region = Region(layer.homogeneous + [(m_row, EQ, 1)], len(layer.classes))
     lo = solve_lp(e_row, region, maximize=False)
     hi = solve_lp(e_row, region, maximize=True)
     return region, lo.value, hi.value
@@ -203,7 +244,7 @@ def rebuilt_bounds(layer, m_row, e_row):
 def propagate_by_rebuilding(layer, region, q, atoms):
     """Bounds on p(q) over one layer, each Charnes-Cooper region rebuilt
     and each forced set found by the fixpoint alone."""
-    m_row, e_row = q_rows(q, atoms, layer.worlds)
+    m_row, e_row = q_rows(q, atoms, layer)
     max_m = solve_lp(m_row, region)
     if max_m.value == 0:
         forced = forced_by_fixpoint(layer, region)
@@ -218,10 +259,10 @@ def propagate_by_rebuilding(layer, region, q, atoms):
 
 def descend_by_rebuilding(layer, forced, q, atoms):
     entries = [layer.entries[i] for i in forced]
-    worlds = restrict(
-        atoms, layer.worlds, [q.antecedent] + [e.obj.antecedent for e in entries]
+    domain = restrict(
+        atoms, layer.domain, [q.antecedent] + [e.obj.antecedent for e in entries]
     )
-    sub = coherence._Layer(entries, eval_tables(entries, atoms), worlds)
+    sub = coherence._Layer(entries, eval_tables(entries, atoms), domain, obj_tables(q, atoms))
     return propagate_by_rebuilding(sub, sub.region(), q, atoms)
 
 
@@ -230,7 +271,7 @@ def check_problem(a, q, atoms, rng):
     picks extra feasible points to try first. Returns what the problem
     reached: "incoherent", "incoherent deeper", "descent", "vertex oracle"."""
     reached = set()
-    layers, failed = layers_by_fixpoint(a, atoms)
+    layers, failed = layers_by_fixpoint(a, atoms, q)
 
     # Verdicts and levels
     verdict = check_coherence(a, atoms)
@@ -245,7 +286,7 @@ def check_problem(a, q, atoms, rng):
     # Forced sets, whatever feasible points are tried first
     for layer, region, forced in layers:
         points = [
-            solve_lp([rng.randint(-2, 2) for _ in layer.worlds], region).solution
+            solve_lp([rng.randint(-2, 2) for _ in layer.classes], region).solution
             for _ in range(2)
         ]
         support = solve_lp(layer.antecedent_mass(range(len(layer.entries))), region)
@@ -260,7 +301,7 @@ def check_problem(a, q, atoms, rng):
         return reached
     layer, region, _ = layers[0]
     assert propagate(a, q, atoms) == propagate_by_rebuilding(layer, region, q, atoms)
-    m_row, e_row = q_rows(q, atoms, layer.worlds)
+    m_row, e_row = q_rows(q, atoms, layer)
     max_m = solve_lp(m_row, region)
     if max_m.value == 0:
         return reached
@@ -268,9 +309,9 @@ def check_problem(a, q, atoms, rng):
     rebuilt, lo, hi = rebuilt_bounds(layer, m_row, e_row)
     assert (len(derived), derived.n) == (len(rebuilt), rebuilt.n)
     assert coherence._fractional_bounds(region, max_m, e_row) == (lo, hi)
-    if len(layer.worlds) <= 4:
+    if len(layer.classes) <= 4:
         dicts = constituents(atoms)
-        assert vertex_bounds(layer.entries, [dicts[w] for w in layer.worlds], q) == (lo, hi)
+        assert vertex_bounds(layer.entries, [dicts[w] for w in representatives(layer)], q) == (lo, hi)
         reached.add("vertex oracle")
     return reached
 
@@ -298,24 +339,27 @@ def test_solver_path_matches_plain_procedure_seeded():
 
 # --- implied premise rows ----------------------------------------------------
 #
-# A layer builds lo*m <= e only when lo > 0 and e <= hi*m only when hi < 1;
-# x >= 0 implies the rows it skips. Here it is checked against a layer that
-# builds both rows for every entry, on assessments full of implied rows.
+# A layer builds a premise row only where it has a positive coefficient:
+# lo*m <= e when lo > 0 and e fails somewhere on m, e <= hi*m when hi < 1 and
+# e holds somewhere; x >= 0 implies the rows it skips. Here it is checked
+# against a layer that builds both rows for every entry, on assessments full
+# of implied rows.
 
 
 def full_layer(atoms):
     """FullLayer over the declared atoms: the layer with both rows
     lo*m <= e <= hi*m for every entry, implied or not, as ">=" rows found
-    world by world in Fractions with eval_classical over constituents(atoms),
-    then given to linprog in int form (int_row).
-    It takes _Layer's arguments and reads of the tables only the deeper
-    layers' worlds (_Layer.deeper)."""
+    column by column in Fractions with eval_classical at the column's
+    lowest world, then given to linprog in int form (int_row).
+    It takes _Layer's arguments and its columns (_Layer.classes), and reads
+    of the tables only the deeper layers' domains (_Layer.deeper)."""
     dicts = constituents(atoms)
 
     class FullLayer(coherence._Layer):
-        def __init__(self, entries, tables, worlds):
+        def __init__(self, entries, tables, domain, extra=()):
+            super().__init__(entries, tables, domain, extra)
+            worlds = representatives(self)
             n = len(worlds)
-            self.entries, self.tables, self.worlds = entries, tables, worlds
             self.m_idx, self.homogeneous = [], []
             for entry in entries:
                 m_idx, lo_row, hi_row = [], [F(0)] * n, [F(0)] * n
@@ -390,21 +434,25 @@ def patched(module, name, value):
 
 
 def traced(fn):
-    """fn() with its pivot count: (pivots, result or raised exception)."""
-    count = 0
-    pivot = linprog._pivot
+    """fn() with what it took: (pivots, coherence's solve_lp calls, deeper
+    levels, result or raised IncoherentPremises)."""
+    counts = {"pivots": 0, "solves": 0, "levels": 0}
 
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return pivot(*args)
+    def counting(key, f):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
 
-    with patched(linprog, "_pivot", counted):
+        return wrapper
+
+    with patched(linprog, "_pivot", counting("pivots", linprog._pivot)), patched(
+        coherence, "solve_lp", counting("solves", coherence.solve_lp)
+    ), patched(coherence, "_restrict_worlds", counting("levels", coherence._restrict_worlds)):
         try:
             out = fn()
         except IncoherentPremises as err:
             out = ("incoherent", err.certificate)
-    return count, out
+    return counts, out
 
 
 def outcome(res):
@@ -436,17 +484,16 @@ def level0_solves(layer, m_row, e_row):
 def compare_layers(a, q, atoms):
     """The level-0 solves and the end-to-end answers of the two layers: the
     same points, values and pivots, and never more rows. The layer takes
-    the query's rows from truth tables, FullLayer world by world. Returns
-    whether the layer skipped a row."""
-    layer, _ = coherence._level0(a, atoms)
-    worlds = layer.worlds
-    m_q, e_q = coherence._tables(q, atoms)
+    the query's rows from truth tables, FullLayer from eval_classical.
+    Returns whether the layer skipped a row."""
+    layer, _ = coherence._level0(a, atoms, q)
+    m_q, e_q = layer.extra
     rows, steps = level0_solves(
-        layer, coherence._mass_row(m_q, worlds), coherence._mass_row(e_q, worlds)
+        layer, coherence._mass_row(m_q, layer.classes), coherence._mass_row(e_q, layer.classes)
     )
     FullLayer = full_layer(atoms)
-    full = FullLayer(layer.entries, layer.tables, worlds)
-    full_rows, full_steps = level0_solves(full, *q_rows(q, atoms, worlds))
+    full = FullLayer(layer.entries, layer.tables, layer.domain, layer.extra)
+    full_rows, full_steps = level0_solves(full, *q_rows(q, atoms, full))
     assert steps == full_steps
     assert rows <= full_rows
     for fn in (lambda: check_coherence(a, atoms), lambda: propagate(a, q, atoms)):
@@ -486,7 +533,8 @@ def test_slack_has_the_rational_rows_unit():
     a = Assessment((AssessmentEntry(ConditionalObject(C), F(3, 5), F(9, 10)),))
     q = ConditionalObject(And(Atom("B"), C), Atom("A"))
     layer, _ = coherence._level0(a, ("A", "B", "C"))
-    assert layer.homogeneous == [([3, -2] * 4, "<=", 0, 5), ([-9, 1] * 4, "<=", 0, 10)]
+    rows = [(by_world(layer, row), rel, rhs, k) for row, rel, rhs, k in layer.homogeneous]
+    assert rows == [([3, -2] * 4, "<=", 0, 5), ([-9, 1] * 4, "<=", 0, 10)]
     compare_layers(a, q, ("A", "B", "C"))
 
 
@@ -501,7 +549,7 @@ def test_chain_level0_has_seven_rows():
     layer, region = coherence._level0(Assessment(tuple(entries)), names)
     assert len(layer.homogeneous) == 6
     assert len(region) == 7
-    full = full_layer(names)(layer.entries, layer.tables, layer.worlds)
+    full = full_layer(names)(layer.entries, layer.tables, layer.domain)
     assert len(full.region()) == 13
 
 
@@ -514,8 +562,8 @@ def test_free_entry_adds_no_row_but_descends():
     layers = []
 
     class Recorded(coherence._Layer):
-        def __init__(self, entries, tables, worlds):
-            super().__init__(entries, tables, worlds)
+        def __init__(self, entries, tables, domain, extra=()):
+            super().__init__(entries, tables, domain, extra)
             layers.append(self)
 
     with patched(coherence, "_Layer", Recorded):
@@ -525,4 +573,135 @@ def test_free_entry_adds_no_row_but_descends():
     assert len(level0.homogeneous) == 1
     assert level0.m_idx[1] and len(level0.region()) == 2
     assert level1.entries == [free]
-    assert level1.homogeneous == [] and list(level1.worlds) == [2, 3]
+    assert level1.homogeneous == [] and worlds_of(level1.domain) == [2, 3]
+
+
+# --- merged constituents -----------------------------------------------------
+#
+# A layer has one column per class of the worlds its tables cannot tell
+# apart. Here it is checked against a layer with one column per world, on
+# assessments padded with declared atoms nothing uses, so that most columns
+# hold many worlds.
+
+PADDED_NAMES = tuple("ABCDEFGH")
+
+
+def world_layer(atoms):
+    """WorldLayer over the declared atoms: the layer with one column per
+    world of its domain, in world order, and its premise rows found world by
+    world in Fractions with eval_classical over constituents(atoms), built
+    where they have a positive coefficient, as _Layer builds them, and given
+    to linprog in int form (int_row). It takes _Layer's arguments and reads
+    of the tables only the deeper layers' domains (_Layer.deeper)."""
+    dicts = constituents(atoms)
+
+    class WorldLayer(coherence._Layer):
+        def __init__(self, entries, tables, domain, extra=()):
+            worlds = worlds_of(domain)
+            n = len(worlds)
+            self.entries, self.tables, self.domain, self.extra = entries, tables, domain, extra
+            self.classes = [1 << w for w in worlds]
+            self.m_idx, self.homogeneous = [], []
+            for entry in entries:
+                m_idx, lo_row, hi_row = [], [F(0)] * n, [F(0)] * n
+                for k, w in enumerate(worlds):
+                    if eval_classical(entry.obj.antecedent, dicts[w]):
+                        m_idx.append(k)
+                        lo_row[k] += entry.lo
+                        hi_row[k] -= entry.hi
+                        if eval_classical(entry.obj.consequent, dicts[w]):
+                            lo_row[k] -= 1
+                            hi_row[k] += 1
+                self.m_idx.append(m_idx)
+                self.homogeneous += [
+                    int_row(row, "<=", 0) for row in (lo_row, hi_row) if any(v > 0 for v in row)
+                ]
+
+    return WorldLayer
+
+
+def padded_problem(rng):
+    """(assessment, query, declared atoms): problem_over 1-5 atoms, with 0-3
+    more declared atoms that nothing uses, at random places in the order."""
+    n_used, n_pad = rng.randint(1, 5), rng.randint(0, 3)
+    declared = PADDED_NAMES[: n_used + n_pad]
+    a, q = problem_over(rng, sorted(rng.sample(declared, n_used)))
+    return a, q, declared
+
+
+def compare_merged(a, q, atoms):
+    """check_coherence and propagate with merged columns and with
+    WorldLayer: the same verdicts, levels, witnesses (expanded to the
+    worlds), bounds, pivots, solves and deeper levels. Where the level-0
+    layer of propagate has at most 4 columns, its Charnes-Cooper bounds are
+    also checked by vertex enumeration over the columns' lowest worlds.
+    Returns what the problem reached."""
+    WorldLayer = world_layer(atoms)
+    outcomes = []
+    for fn in (lambda: check_coherence(a, atoms), lambda: propagate(a, q, atoms)):
+        merged = traced(fn)
+        with patched(coherence, "_Layer", WorldLayer):
+            assert traced(fn) == merged
+        outcomes.append(merged)
+    (check_counts, verdict), (eval_counts, _) = outcomes
+    layer, region = coherence._level0(a, atoms, q)
+    reached = set()
+    if len(layer.classes) < 1 << len(atoms):
+        reached.add("merged")
+    if len(a.atoms() | q.atoms()) < len(atoms):
+        reached.add("padded")
+    if isinstance(verdict, Incoherent):
+        reached.add("incoherent")
+        return reached
+    assert witness_satisfies(a.entries, constituents(atoms), verdict.witness)
+    if check_counts["levels"] or eval_counts["levels"]:
+        reached.add("descent")
+    if len(layer.classes) <= 4 and structural_bounds(q) is None:
+        m_row, e_row = (coherence._mass_row(t, layer.classes) for t in layer.extra)
+        max_m = solve_lp(m_row, region)
+        if max_m.value > 0:
+            dicts = constituents(atoms)
+            want = vertex_bounds(layer.entries, [dicts[w] for w in representatives(layer)], q)
+            assert coherence._fractional_bounds(region, max_m, e_row) == want
+            reached.add("vertex oracle")
+    return reached
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_merged_columns_take_the_per_world_path(rng):
+    compare_merged(*padded_problem(rng))
+
+
+def test_merged_columns_take_the_per_world_path_seeded():
+    """300 seeded problems, which reach every case the comparison is for."""
+    reached = dict.fromkeys(("merged", "padded", "incoherent", "descent", "vertex oracle"), 0)
+    rng = random.Random("merged-columns")
+    for _ in range(300):
+        for key in compare_merged(*padded_problem(rng)):
+            reached[key] += 1
+    assert min(reached.values()) >= 20, reached
+
+
+def test_padded_modus_ponens_has_four_columns():
+    """p(C | A) >= 9/10 and p(A) >= 9/10 over A, C and 14 atoms nothing
+    uses, query C: the level-0 layer has 4 columns (A and C, A and not C,
+    and not A split by the query's C), not 65536, and the answers are those
+    over A and C alone, the witness's mass on the first world where A and C
+    hold."""
+    A, C = Atom("A"), Atom("C")
+    names = ["A", "C"] + [f"P{i}" for i in range(14)]
+    a = Assessment(
+        (
+            AssessmentEntry(ConditionalObject(C, A), F(9, 10), F(1)),
+            AssessmentEntry(ConditionalObject(A), F(9, 10), F(1)),
+        )
+    )
+    q = ConditionalObject(C)
+    layer, _ = coherence._level0(a, names, q)
+    assert len(layer.classes) <= 4
+    assert propagate(a, q, names) == propagate(a, q, ["A", "C"]) == Bounds(F(81, 100), F(1))
+    assert check_coherence(a, ["A", "C"]).witness == (0, 0, 0, 1)
+    witness = check_coherence(a, names).witness
+    assert len(witness) == 1 << 16
+    assert [w for w, x in enumerate(witness) if x] == [3 << 14] and witness[3 << 14] == 1
