@@ -11,8 +11,9 @@ so the recursion terminates.
 
 The systems are built from truth tables (events.truth_table), not from
 valuations. Each entry's tables, m where its antecedent holds and e where
-antecedent and consequent hold, are computed once over the level-0 worlds
-0 .. 2^n - 1 (constituents() order). A layer covers a domain, a mask of
+antecedent and consequent hold, and the query's, are computed once over
+the level-0 worlds 0 .. 2^n - 1 (constituents() order), in one pass over
+one atom map (events.tabulator). A layer covers a domain, a mask of
 level-0 worlds, and has one column per class of the worlds there that its
 tables cannot tell apart (the entries', and on the propagate path the
 query's), represented by the class's lowest world. Twin worlds would give
@@ -31,21 +32,30 @@ The solver path takes as few solves as the answer allows:
 - A layer's region starts in one pivot, with no phase 1, when all the
   mass can sit on one constituent: at it each entry is void, true with
   hi = 1, or false with lo = 0 (for "quite sure" premises, every
-  conditional true or void). Its feasibility is read from the start
-  vertex.
+  conditional true or void). Its feasibility is read from its start, with
+  no solve.
 - An entry is forced to zero when its antecedent has zero mass at every
-  feasible point. Positive mass at any one feasible point (a probe: the
-  start vertex, the witness, the min-m solution) proves it is not, so
-  only the entries no probe clears go to the max-sum fixpoint of
-  _forced_zero. The forced set is a property of the polytope, so probes
-  change no level and no verdict.
+  feasible point. Positive mass at any one feasible point proves it is
+  not. The probes are supports, int masks over the columns: the start's
+  (Region.support(), which after a one-pivot start holds every column
+  that allowed it), the witness solve's, max m's or min m's. Only the
+  entries no probe clears go to the max-sum fixpoint of _forced_zero.
+  The forced set is a property of the polytope, so probes change no level
+  and no verdict.
+- Where min m = 0, the entries forced to zero with m_q = 0 are found over
+  the layer of the worlds where q's antecedent fails. As x >= 0, that is
+  the polytope with the row m_q = 0 added, whose two artificial rows
+  always needed phase 1; the smaller layer can take the one-pivot start.
 - The Charnes-Cooper program for a bound starts from the optimal tableau
   of maximizing the query's antecedent mass (Region.charnes_cooper),
   which propagate solves anyway, so it runs no phase 1.
 
 Everything on the decision path is exact rational arithmetic: whether a
 conclusion interval equals [0, 1] (probabilistic non-informativeness) is a
-yes/no question, not a tolerance question.
+yes/no question, not a tolerance question. It is int arithmetic up to the
+answer: a solve gives its value as one Fraction and its support as an int
+mask, and a point in Fractions is built only for check_coherence's
+witness. The bounds are the Charnes-Cooper values.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ import enum
 from fractions import Fraction
 
 from ._value import Value, _set
-from .events import ConditionalObject, declared, truth_table
+from .events import ConditionalObject, declared, tabulator, truth_table
 from .linprog import EQ, LE, Region, solve_lp
 
 ZERO = Fraction(0)
@@ -201,8 +211,9 @@ class _Layer:
     ordered by their lowest world, the class's representative. These are
     the constituents generated by the family (Gilio 2002; Biazzo and Gilio
     2000): every table holds on all of a class or on none of it, so rows,
-    objectives and deeper domains read one bit per class. m_idx: per
-    entry, the columns where m holds. homogeneous: the entry rows, each a
+    objectives and deeper domains read one bit per class. m_cols: per
+    entry, the columns where m holds, as an int mask (bit k for column k),
+    the mask linprog's supports use. homogeneous: the entry rows, each a
     "<=" row with rhs 0 in coprime ints, 0 where m fails:
 
     - lo*m <= e, for lo = a/b: a - b where e holds, a where m holds and e
@@ -237,7 +248,7 @@ class _Layer:
     ratio and, with the smaller column index, wins the tie; the slack
     never leaves the basis, so it never enters, and every other row,
     reduced cost, crash column and tie-break is the same without it. The
-    entry keeps its m_idx, so forced-zero sets and deeper layers do not
+    entry keeps its m_cols, so forced-zero sets and deeper layers do not
     change."""
 
     def __init__(self, entries, tables, domain, extra=()):
@@ -248,49 +259,59 @@ class _Layer:
         classes = [domain] if domain else []
         for pair in (*tables, extra):
             for t in pair:
-                # c ^ (c & t) is c & ~t without a negative int, whose & is
-                # an order of magnitude slower on a 2^16-world table
-                classes = [
-                    part for c in classes for inside in (c & t,) for part in (inside, c ^ inside) if part
-                ]
+                parts = []
+                for c in classes:
+                    inside = c & t
+                    if inside and inside != c:
+                        # c ^ inside is c & ~t without a negative int, whose
+                        # & is an order of magnitude slower on a 2^16-world
+                        # table
+                        parts += (inside, c ^ inside)
+                    else:
+                        parts.append(c)
+                classes = parts
         classes.sort(key=lambda c: c & -c)
         self.classes = classes
-        n = len(classes)
-        self.m_idx = []
+        self.m_cols = []
         self.homogeneous = []
         for entry, (m, e) in zip(entries, tables):
-            m_idx = _holds(m, classes)
-            self.m_idx.append(m_idx)
+            m_cols, bit, on_m, on_e = 0, 1, 0, 0
+            for c in classes:
+                if m & c:
+                    m_cols |= bit
+                    on_m += 1
+                    if e & c:
+                        on_e += 1
+                bit <<= 1
+            self.m_cols.append(m_cols)
+            # lo = a/b and hi = c/d; lo > 0 is a > 0, and hi < 1 is c < d
+            a, b = entry.lo.numerator, entry.lo.denominator
+            c, d = entry.hi.numerator, entry.hi.denominator
             # (coefficient where m holds and e fails, where e holds, slack
             # coefficient) of each row built
             cuts = []
-            e_idx = _holds(e, classes) if entry.lo or entry.hi < ONE else ()
-            if entry.lo and len(e_idx) < len(m_idx):
-                a, b = entry.lo.numerator, entry.lo.denominator
+            if a and on_e < on_m:
                 cuts.append((a, a - b, b))
-            if entry.hi < ONE and e_idx:
-                c, d = entry.hi.numerator, entry.hi.denominator
+            if c < d and on_e:
                 cuts.append((-c, d - c, d))
-            for off_e, on_e, k in cuts:
-                row = [0] * n
-                for j in m_idx:
-                    row[j] = off_e
-                for j in e_idx:
-                    row[j] = on_e
+            for off_e, in_e, k in cuts:
+                row = [(in_e if e & w else off_e) if m & w else 0 for w in classes]
                 self.homogeneous.append((row, LE, 0, k))
 
-    def region(self, *extra_rows) -> Region:
-        """The layer's masses summing to 1 under its rows, plus extra_rows."""
+    def region(self) -> Region:
+        """The layer's masses summing to 1 under its rows."""
         n = len(self.classes)
-        rows = [([1] * n, EQ, 1)] + self.homogeneous + list(extra_rows)
-        return Region(rows, n)
+        return Region([([1] * n, EQ, 1)] + self.homogeneous, n)
 
     def antecedent_mass(self, indices):
         """Objective: the summed antecedent mass of the given entries."""
         objective = [0] * len(self.classes)
         for i in indices:
-            for j in self.m_idx[i]:
-                objective[j] += 1
+            cols = self.m_cols[i]
+            while cols:
+                low = cols & -cols
+                objective[low.bit_length() - 1] += 1
+                cols ^= low
         return objective
 
     def deeper(self, forced, extra=()):
@@ -311,17 +332,12 @@ class _Layer:
         return masses
 
 
-def _tables(obj, names):
-    """The level-0 truth tables (m, e) of a conditional object over the
-    declared atom names: m where its antecedent holds, e where antecedent
-    and consequent both hold."""
-    m = truth_table(obj.antecedent, names)
-    return m, m & truth_table(obj.consequent, names)
-
-
-def _holds(table, classes):
-    """The positions in classes (world masks) where table holds."""
-    return [k for k, c in enumerate(classes) if table & c]
+def _tables(obj, table):
+    """The truth tables (m, e) of a conditional object, table being a
+    formula's truth table (events.tabulator): m where its antecedent holds,
+    e where antecedent and consequent both hold."""
+    m = table(obj.antecedent)
+    return m, m & table(obj.consequent)
 
 
 def _mass_row(table, classes):
@@ -332,9 +348,10 @@ def _mass_row(table, classes):
 
 def _forced_zero(layer, region, probes=(), res=None):
     """Indices of entries whose conditioning event has zero mass at every
-    point of the layer system (region). probes: points of region already
-    at hand. res, when given, is a solve already made of the first round:
-    the summed antecedent mass of all entries, maximized over region.
+    point of the layer system (region). probes: supports (int masks over
+    the columns, linprog's support()) of points of region already at hand.
+    res, when given, is a solve already made of the first round: the summed
+    antecedent mass of all entries, maximized over region.
 
     An iterative fixpoint: maximize the summed antecedent mass over the
     current candidate set; a maximum of zero proves every candidate forced
@@ -347,26 +364,27 @@ def _forced_zero(layer, region, probes=(), res=None):
     dropped. The forced set is a property of the polytope, so the probes
     change only how many solves find it.
     """
-    candidates = list(range(len(layer.m_idx)))
+    candidates = list(range(len(layer.m_cols)))
     if res is not None:
-        if res.value == 0:
+        if not res.value:
             return candidates
-        probes = [*probes, res.solution]
-    for x in probes:
-        candidates = _zero_at(layer, candidates, x)
+        probes = [*probes, res.support()]
+    for support in probes:
+        candidates = _zero_at(layer, candidates, support)
     if candidates:
-        candidates = _zero_at(layer, candidates, region.vertex())
+        candidates = _zero_at(layer, candidates, region.support())
     while candidates:
         res = _optimal(solve_lp(layer.antecedent_mass(candidates), region))
-        if res.value == 0:
+        if not res.value:
             return candidates
-        candidates = _zero_at(layer, candidates, res.solution)
+        candidates = _zero_at(layer, candidates, res.support())
     return candidates
 
 
-def _zero_at(layer, candidates, x):
-    """The candidate entries whose antecedent has zero mass at the point x."""
-    return [i for i in candidates if not any(x[j] for j in layer.m_idx[i])]
+def _zero_at(layer, candidates, support):
+    """The candidate entries whose antecedent has zero mass at a point with
+    the given support."""
+    return [i for i in candidates if not layer.m_cols[i] & support]
 
 
 def _optimal(res):
@@ -393,7 +411,7 @@ def check_coherence(a: Assessment, atomset):
     atomset = tuple(atomset)
     layer, region = _level0(a, atomset)
     support = None
-    if region.vertex() is not None:
+    if region.support() is not None:
         support = solve_lp(layer.antecedent_mass(range(len(layer.entries))), region)
     incoherent = _zero_layers(layer, region, support)
     return incoherent or Coherent(tuple(layer.world_masses(support.solution)), atomset)
@@ -401,16 +419,28 @@ def check_coherence(a: Assessment, atomset):
 
 def _level0(a: Assessment, atomset, q=None):
     """The level-0 _Layer of an assessment over the atoms, and its region.
-    With a query q, the layer's columns tell q's tables apart too, so the
-    one region serves propagate's coherence check and its bounds."""
-    missing = a.atoms() - set(atomset)
-    if missing:
-        raise ValueError(f"undeclared atoms in assessment: {sorted(missing)}")
-    names = declared(atomset)
+    With a query q, the layer's columns tell q's tables (layer.extra) apart
+    too, so the one region serves propagate's coherence check and its
+    bounds; layer.extra is () when q has an undeclared atom.
+
+    Every table comes from one atom map (events.tabulator). An undeclared
+    atom of the assessment is named before any fault of the atom set."""
     entries = list(a.entries)
-    tables = [_tables(e.obj, names) for e in entries]
-    extra = () if q is None else _tables(q, names)
-    layer = _Layer(entries, tables, (1 << (1 << len(names))) - 1, extra)
+    try:
+        table = tabulator(declared(atomset))
+        tables = [_tables(e.obj, table) for e in entries]
+    except (KeyError, ValueError):
+        missing = a.atoms() - set(atomset)
+        if missing:
+            raise ValueError(f"undeclared atoms in assessment: {sorted(missing)}") from None
+        raise
+    extra = ()
+    if q is not None:
+        try:
+            extra = _tables(q, table)
+        except KeyError:
+            pass  # propagate names the atoms once the premises are checked
+    layer = _Layer(entries, tables, (1 << (1 << len(atomset))) - 1, extra)
     return layer, layer.region()
 
 
@@ -419,11 +449,11 @@ def _zero_layers(layer, region, support=None):
     failing layer, or None when the assessment is coherent. support, when
     given, is the level-0 solve of check_coherence's witness.
 
-    Each layer's start vertex decides its feasibility, with no solve.
+    Each layer's start decides its feasibility, with no solve.
     """
     level = 0
     while True:
-        if region.vertex() is None:
+        if region.support() is None:
             desc = (
                 f"level-{level} system over {layer.domain.bit_count()} constituents is "
                 f"unsolvable for entries: "
@@ -443,8 +473,15 @@ def _zero_layers(layer, region, support=None):
 
 def structural_bounds(q: ConditionalObject):
     """[0,0] / [1,1] fast path for logically settled conditionals, else None."""
-    # the antecedent is satisfiable by construction, so m is not 0
-    m, e = _tables(q, sorted(q.atoms()))
+    names = sorted(q.atoms())
+    return _settled(*_tables(q, lambda f: truth_table(f, names)))
+
+
+def _settled(m, e):
+    """[0,0] when e never holds, [1,1] when e holds wherever m does, else
+    None: the bounds of a query with tables (m, e) over any atoms that
+    include its own. The antecedent is satisfiable by construction, so m is
+    not 0."""
     if not e:
         return Bounds(ZERO, ZERO)
     if e == m:
@@ -483,17 +520,13 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
     are forced to zero alongside it, and the results are joined.
     """
     atomset = tuple(atomset)
-    missing = q.atoms() - set(atomset)
-    layer, region = _level0(a, atomset, None if missing else q)
+    layer, region = _level0(a, atomset, q)
     incoherent = _zero_layers(layer, region)
     if incoherent:
         raise IncoherentPremises(incoherent)
-    if missing:
-        raise ValueError(f"undeclared atoms in query: {sorted(missing)}")
-    sb = structural_bounds(q)
-    if sb is not None:
-        return sb
-    return _propagate_layer(layer, region, layer.extra)
+    if not layer.extra:
+        raise ValueError(f"undeclared atoms in query: {sorted(q.atoms() - set(atomset))}")
+    return _settled(*layer.extra) or _propagate_layer(layer, region, layer.extra)
 
 
 def _propagate_layer(layer, region, q) -> Bounds:
@@ -501,20 +534,36 @@ def _propagate_layer(layer, region, q) -> Bounds:
     region is layer.region()."""
     m_row = _mass_row(q[0], layer.classes)
     max_m = _optimal(solve_lp(m_row, region, maximize=True))
-    if max_m.value == 0:
-        forced = _forced_zero(layer, region, [max_m.solution])
+    if not max_m.value:
+        forced = _forced_zero(layer, region, [max_m.support()])
         return _descend(layer, forced, q)
     e_row = _mass_row(q[1], layer.classes)
     lo, hi = _fractional_bounds(region, max_m, e_row)
     min_m = _optimal(solve_lp(m_row, region, maximize=False))
-    if min_m.value > 0:
+    if min_m.value:
         return Bounds(lo, hi)
     # m_q = 0 stays feasible: values settled only at the deeper layer
-    # where q's antecedent turns positive remain coherent too. min_m's
-    # solution is a point of that system.
-    forced = _forced_zero(layer, layer.region((m_row, EQ, 0)), [min_m.solution])
+    # where q's antecedent turns positive remain coherent too. Its forced
+    # set is that of the points with m_q = 0: as x >= 0, those of the layer
+    # over the worlds where q's antecedent fails, whose columns are this
+    # layer's columns outside m_q, in order. min_m is such a point.
+    pinned = _Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & q[0]))
+    probe = _outside(min_m.support(), layer.classes, q[0])
+    forced = _forced_zero(pinned, pinned.region(), [probe])
     deeper = _descend(layer, forced, q)
     return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
+
+
+def _outside(support, classes, m):
+    """support, a mask over classes, as a mask over the classes outside
+    the table m, taken in order."""
+    mask = k = 0
+    for j, c in enumerate(classes):
+        if not c & m:
+            if support >> j & 1:
+                mask |= 1 << k
+            k += 1
+    return mask
 
 
 def _descend(layer, forced, q) -> Bounds:

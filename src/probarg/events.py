@@ -179,11 +179,18 @@ def truth_table(f: Formula, names) -> int:
     true when bit n-1-i of j is set (n = len(names)), so its table repeats
     2^(n-1-i) zeros, then as many ones.
     """
-    if names:
-        names = declared(names)
+    return tabulator(declared(names) if names else [])(f)
+
+
+def tabulator(names):
+    """truth_table over names as a function of the formula, for many
+    formulas over one atom set: the atom map and the table of Top are made
+    once. names must have passed declared() (or be empty); a formula with an
+    atom not among them raises KeyError."""
     n = len(names)
     shifts = {name: n - 1 - i for i, name in enumerate(names)}
-    return _table(f, shifts, (1 << (1 << n)) - 1)
+    full = (1 << (1 << n)) - 1
+    return lambda f: _table(f, shifts, full)
 
 
 def _table(f, shifts, full):

@@ -3,8 +3,11 @@
 One two-phase simplex. Ints in; Fractions only in results. Every
 coefficient, rhs, slack unit and objective is a Python int, and a Region
 or solve_lp given any other value raises TypeError. All arithmetic is on
-ints; Fractions appear only in the result, as the basic values
-x_b = rhs/d and the objective value.
+ints. A result's value is summed in ints, c_b * rhs_b * (L/d_b) over the
+priced basic rows with L the lcm of their d_b, and becomes one Fraction.
+Its support() is an int mask of the variables positive at the optimum.
+Its solution, the basic values x_b = rhs/d as Fractions, is built only
+when it is read.
 
 - Rows are normalised so each slack can start basic: a row with rhs < 0,
   and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
@@ -38,7 +41,9 @@ x_b = rhs/d and the objective value.
   feasible tableau and runs phase 2 only. A row list passed to solve_lp
   becomes a one-use region. Region.vertex() is the start vertex (None
   when the rows are infeasible): a feasible point, or a proof of
-  infeasibility, without a solve.
+  infeasibility, without a solve. Region.support() is the int mask of
+  variables positive at one feasible point (None when infeasible): after
+  a crash start, every column that allowed it; else the start vertex's.
 - Region.charnes_cooper(optimum) derives, from the optimal tableau of
   maximizing c over {sum(x) == 1, H x <= 0}, a started region for
   {c . y == 1, H y <= 0}: one rank-one update of the rows in ints, on the
@@ -72,7 +77,7 @@ class LPResult(Value):
     """A solve's outcome; unlike the other value classes it can be changed,
     and so has no hash. An optimal solve_lp result also keeps its final
     tableau (private, not a field), from which Region.charnes_cooper
-    starts."""
+    starts, support() reads and solution is built on its first read."""
 
     __slots__ = ("status", "value", "solution", "_optimum")
     __setattr__ = object.__setattr__
@@ -85,6 +90,22 @@ class LPResult(Value):
         self.solution = solution
         # (region, objective, maximize, tableau with its cost row, basis)
         self._optimum = None
+
+    def __getattr__(self, name):
+        # Only an unset slot gets here: the solution of a solve_lp optimum.
+        if name != "solution" or self._optimum is None:
+            raise AttributeError(name)
+        region, _, _, tableau, basis = self._optimum
+        self.solution = _point(tableau, basis, region.n)
+        return self.solution
+
+    def support(self) -> int:
+        """The variables positive at a solve_lp optimum, as an int mask:
+        bit j is set when x_j > 0."""
+        if self._optimum is None:
+            raise ValueError("support() reads the tableau of a solve_lp optimum")
+        region, _, _, tableau, basis = self._optimum
+        return _support(tableau, basis, region.n)
 
 
 class Region:
@@ -125,6 +146,17 @@ class Region:
         start = self._start
         return None if start is None else _point(*start, self.n)
 
+    # The columns of a crash start positive at some feasible point (_crash).
+    _crash_support = 0
+
+    def support(self):
+        """Variables positive at one feasible point, as an int mask (bit j
+        for x_j), or None when the rows are infeasible: those positive at
+        the start vertex and, after a crash start, every column that allowed
+        it (see _crash)."""
+        start = self._start
+        return None if start is None else self._crash_support | _support(*start, self.n)
+
     def charnes_cooper(self, optimum) -> "Region":
         """The region {c . y == 1, this region's other rows}, started from
         optimum, the solve_lp result of maximizing c over this region, with
@@ -149,7 +181,8 @@ class Region:
         start = optimum._optimum
         if start is None or start[0] is not self or not start[2]:
             raise ValueError("optimum is not a solve_lp maximum over this region")
-        if optimum.value <= 0:
+        p, q = optimum.value.numerator, optimum.value.denominator
+        if p <= 0:
             raise ValueError("the Charnes-Cooper start needs a positive maximum")
         first, rel, rhs, _ = self._rows[0]
         if rel != EQ or rhs != 1 or any(v != 1 for v in first):
@@ -159,7 +192,6 @@ class Region:
         _, c, _, final, basis = start
         cost = final[-1]
         k = -cost[-1]
-        p, q = optimum.value.numerator, optimum.value.denominator
         pk = p * k
         tableau = []
         for row, b in zip(final[:-1], basis):
@@ -204,7 +236,10 @@ class Region:
                 ai += 1
             tableau.append(_coprime(row))
         if n_art:
-            if n_art > 1 or not _crash(tableau, basis, n, n_real):
+            crash = _crash(tableau, basis, n, n_real) if n_art == 1 else None
+            if crash is not None:
+                self._crash_support = crash
+            else:
                 # Phase 1 maximizes minus the sum of the artificials.
                 phase1 = [0] * n_real + [-1] * n_art + [0]
                 tableau.append(_reduced_costs(tableau, basis, phase1))
@@ -243,11 +278,17 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
     tableau.append(_reduced_costs(tableau, basis, cost))
     if _simplex(tableau, basis) == "unbounded":
         return LPResult("unbounded")
-    x = _point(tableau, basis, n)
-    # Only basic variables can be nonzero.
-    value = sum([objective[b] * x[b] for b in basis if b < n], ZERO)
-    res = LPResult("optimal", value, x)
+    # Only basic variables can be nonzero: the value is the sum of
+    # c_b * rhs/d over the priced basic rows, taken over the lcm of their d.
+    priced = [
+        (objective[b], row[-1], row[b])
+        for row, b in zip(tableau, basis)
+        if b < n and row[-1] and objective[b]
+    ]
+    big = lcm(*[d for _, _, d in priced])
+    res = LPResult("optimal", Fraction(sum([c * rhs * (big // d) for c, rhs, d in priced]), big))
     res._optimum = rows, objective, maximize, tableau, basis
+    del res.solution  # built from the tableau on its first read
     return res
 
 
@@ -258,6 +299,16 @@ def _point(tableau, basis, n):
         if b < n and row[-1]:
             x[b] = Fraction(row[-1], row[b])
     return x
+
+
+def _support(tableau, basis, n):
+    """The variables positive in the basic solution of a tableau, as an int
+    mask: bit b for each basic b < n with rhs > 0."""
+    mask = 0
+    for row, b in zip(tableau, basis):
+        if b < n and row[-1]:
+            mask |= 1 << b
+    return mask
 
 
 def _reduced_costs(tableau, basis, c):
@@ -290,13 +341,19 @@ def _coprime(row):
 def _crash(tableau, basis, n, n_real):
     """Start a tableau whose one artificial sits in row i in one pivot, when
     a column allows it: pivot row i on the smallest column j < n that is
-    positive in row i and <= 0 in every other row. Returns whether it did.
+    positive in row i and <= 0 in every other row. Returns None when no
+    column allows it, else the columns positive at some feasible point, as
+    an int mask: every column that allows it when row i's rhs is positive,
+    none when it is 0.
 
     Every other row is a "<=" row with rhs >= 0 and its slack basic, so the
     pivot leaves it the rhs p*rhs_r - r_j*rhs_i >= 0 (p: row i's entry at j)
     and a positive slack coefficient: the start is basic feasible, and the
     artificial, now nonbasic, can be dropped. No slack column is positive
-    in row i, so j < n loses no candidate.
+    in row i, so j < n loses no candidate. The same holds for each column
+    that allows the pivot: alone, at rhs_i/p > 0, it is a feasible point.
+    The feasible set is convex, so the mean of those points is feasible
+    too, and positive on each of their columns.
     """
     i = next(k for k, b in enumerate(basis) if b >= n_real)
     art = tableau[i]
@@ -305,11 +362,12 @@ def _crash(tableau, basis, n, n_real):
         if k != i:
             columns = [j for j in columns if row[j] <= 0]
     if not columns:
-        return False
+        return None
+    positive = sum([1 << j for j in columns]) if art[-1] else 0
     _pivot(tableau, basis, i, columns[0])
     if any(row[b] <= 0 or row[-1] < 0 for row, b in zip(tableau, basis)):
         raise RuntimeError("crash start broke the tableau invariant")
-    return True
+    return positive
 
 
 def _evict_artificials(tableau, basis, n_real):

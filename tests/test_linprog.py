@@ -10,12 +10,25 @@ from int_rows import int_objective, int_row, int_rows
 from probarg.linprog import EQ, GE, LE, LPResult, Region, solve_lp
 
 
+def positive(x):
+    """The entries of x that are positive, as an int mask: bit j for x_j."""
+    return sum(1 << j for j, v in enumerate(x) if v > 0)
+
+
+def reads_agree(objective, res):
+    """An optimal result's value and support(), read off its tableau in
+    ints, are those its solution in Fractions gives."""
+    x = res.solution
+    return res.value == sum(F(c) * v for c, v in zip(objective, x)) and res.support() == positive(x)
+
+
 def test_simple_max():
     # max x + y s.t. x + 2y <= 4, 3x + y <= 6
     res = solve_lp([1, 1], [([1, 2], LE, 4), ([3, 1], LE, 6)])
     assert res.status == "optimal"
     assert res.value == F(14, 5)
     assert res.solution == [F(8, 5), F(6, 5)]
+    assert reads_agree([1, 1], res)
 
 
 def test_min_with_equality():
@@ -27,6 +40,7 @@ def test_min_with_equality():
     )
     assert res.status == "optimal"
     assert res.value == F(1, 3)
+    assert reads_agree([1, 1, 0], res)
 
 
 def test_infeasible():
@@ -44,12 +58,14 @@ def test_negative_rhs_normalization():
     res = solve_lp([1], [([-1], LE, -2), ([1], LE, 5)])
     assert res.status == "optimal"
     assert res.value == 5
+    assert reads_agree([1], res)
 
 
 def test_degenerate_redundant_equalities():
     res = solve_lp([1, 1], [([1, 1], EQ, 1), ([2, 2], EQ, 2)])
     assert res.status == "optimal"
     assert res.value == 1
+    assert reads_agree([1, 1], res)
 
 
 def test_exact_rationals_survive():
@@ -60,6 +76,7 @@ def test_exact_rationals_survive():
     # put 2/5 on the better coefficient, the rest on the other
     assert res.value / scale == F(1, 3) * F(2, 5) + F(1, 7) * F(3, 5)
     assert res.solution == [F(2, 5), F(3, 5)]
+    assert reads_agree(objective, res)
 
 
 def test_determinism():
@@ -67,6 +84,7 @@ def test_determinism():
     a = solve_lp([3, 1, 2], rows)
     b = solve_lp([3, 1, 2], rows)
     assert a == b
+    assert reads_agree([3, 1, 2], a)
 
 
 
@@ -95,6 +113,7 @@ def test_beale_cycling_example_terminates(monkeypatch):
     res = solve_lp(objective, int_rows(rows))
     assert res.status == "optimal"
     assert res.value / scale == F(5, 4)
+    assert reads_agree(objective, res)
 
 
 # Large coprime denominators and big numerators make the integer tableau
@@ -144,6 +163,7 @@ def test_matches_bland_reference(system, data, maximize):
         assert got.value / scale == ref.value
         assert satisfies(rows, got.solution)
         assert sum(F(c) * v for c, v in zip(objective, got.solution)) == got.value / scale
+        assert reads_agree(ints, got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,6 +260,7 @@ def test_all_int_systems_match_bland_reference(n, data, maximize):
     if got.status == "optimal":
         assert got.value == ref.value
         assert satisfies(rows, got.solution)
+        assert reads_agree(objective, got)
 
 
 def test_region_arity_checked():
@@ -311,7 +332,9 @@ def test_vertex_is_the_phase1_point():
     x = region.vertex()
     assert satisfies(rows, x)
     assert x == solve_lp([0, 0, 0], region).solution
-    assert Region([([1, 1], LE, 1), ([1, 1], GE, 2)], 2).vertex() is None
+    assert region.support() == positive(x)
+    infeasible = Region([([1, 1], LE, 1), ([1, 1], GE, 2)], 2)
+    assert infeasible.vertex() is infeasible.support() is None
 
 
 # --- the one-pivot crash start ----------------------------------------------
@@ -403,8 +426,15 @@ def test_crash_start_matches_bland_reference(system, data):
         x = region.vertex()
         assert satisfies(rows, x)
         if crashed:
-            # All the mass sits on the smallest column that allows the crash.
+            # All the mass sits on the smallest column that allows the crash,
+            # and each such column alone is a feasible point.
             assert [j for j, v in enumerate(x) if v] == columns[:1]
+            assert region.support() == sum(1 << j for j in columns)
+            rhs = next(r for _, rel, r in rows if rel == EQ)
+            for j in columns:
+                assert satisfies(rows, [F(rhs) / F(eq[j]) if k == j else 0 for k in range(n)])
+        else:
+            assert region.support() == positive(x)
     for objective in data.draw(
         st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)
     ):
@@ -416,6 +446,16 @@ def test_crash_start_matches_bland_reference(system, data):
             if got.status == "optimal":
                 assert got.value / scale == ref.value
                 assert satisfies(rows, got.solution)
+
+
+def test_a_crash_start_at_rhs_0_shows_no_positive_column():
+    """x + y == 0 starts in one pivot, but only x = y = 0 is feasible, so
+    neither column that allowed the pivot is positive anywhere."""
+    region = Region([([1, 1], EQ, 0), ([-1, 0], LE, 0)], 2)
+    assert started(region)[1]
+    assert region.vertex() == [0, 0]
+    assert region.support() == 0
+    assert Region([([1, 1], EQ, 2), ([-1, 0], LE, 0)], 2).support() == 0b11
 
 
 def test_a_fair_share_take_the_crash_start():

@@ -1,11 +1,14 @@
 """The solver path against the plain procedure it shortens.
 
-propagate starts the Charnes-Cooper program from the max-m optimum, and the
-zero-layer procedure tests points it already has (the phase-1 vertex, the
-witness, the min-m solution) before any forced-zero solve. Here both are
-checked against the procedure without those steps: a Charnes-Cooper region
-rebuilt from its rows (phase 1 and all), a forced-zero fixpoint that starts
-from the max-sum solve, and feasibility decided by a solve. Inputs are
+propagate starts the Charnes-Cooper program from the max-m optimum, the
+zero-layer procedure tests the supports of points it already has (the
+start, the witness, the max-m or min-m solution) before any forced-zero
+solve, and where min m = 0 it drops the columns of q's antecedent instead
+of adding the row m_q = 0. Here all three are checked against the
+procedure without those steps: a Charnes-Cooper region rebuilt from its
+rows (phase 1 and all), a forced-zero fixpoint that starts from the max-sum
+solve and reads each solution in Fractions, the row m_q = 0, and
+feasibility decided by a solve. Inputs are
 random assessments over 2-4 declared atoms (1-5 used and 0-3 unused for the
 merged columns), some of them unused, with zero-probability premises
 (zero-layer descents) and incoherent premise sets.
@@ -197,6 +200,11 @@ def q_rows(q, atoms, layer):
     )
 
 
+def columns(mask):
+    """The column positions in a mask over a layer's columns, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 def forced_by_fixpoint(layer, region):
     """The forced-zero set by the max-sum fixpoint alone, without probes."""
     candidates = list(range(len(layer.entries)))
@@ -206,7 +214,7 @@ def forced_by_fixpoint(layer, region):
         if res.value == 0:
             return candidates
         candidates = [
-            i for i in candidates if not any(res.solution[j] for j in layer.m_idx[i])
+            i for i in candidates if not any(res.solution[j] for j in columns(layer.m_cols[i]))
         ]
     return candidates
 
@@ -252,7 +260,9 @@ def propagate_by_rebuilding(layer, region, q, atoms):
     _, lo, hi = rebuilt_bounds(layer, m_row, e_row)
     if solve_lp(m_row, region, maximize=False).value > 0:
         return Bounds(lo, hi)
-    forced = forced_by_fixpoint(layer, layer.region((m_row, EQ, 0)))
+    n = len(layer.classes)
+    pinned = Region([([1] * n, EQ, 1)] + layer.homogeneous + [(m_row, EQ, 0)], n)
+    forced = forced_by_fixpoint(layer, pinned)
     deeper = descend_by_rebuilding(layer, forced, q, atoms)
     return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
 
@@ -286,7 +296,7 @@ def check_problem(a, q, atoms, rng):
     # Forced sets, whatever feasible points are tried first
     for layer, region, forced in layers:
         points = [
-            solve_lp([rng.randint(-2, 2) for _ in layer.classes], region).solution
+            solve_lp([rng.randint(-2, 2) for _ in layer.classes], region).support()
             for _ in range(2)
         ]
         support = solve_lp(layer.antecedent_mass(range(len(layer.entries))), region)
@@ -360,18 +370,18 @@ def full_layer(atoms):
             super().__init__(entries, tables, domain, extra)
             worlds = representatives(self)
             n = len(worlds)
-            self.m_idx, self.homogeneous = [], []
+            self.m_cols, self.homogeneous = [], []
             for entry in entries:
-                m_idx, lo_row, hi_row = [], [F(0)] * n, [F(0)] * n
+                m_cols, lo_row, hi_row = 0, [F(0)] * n, [F(0)] * n
                 for k, w in enumerate(worlds):
                     if eval_classical(entry.obj.antecedent, dicts[w]):
-                        m_idx.append(k)
+                        m_cols |= 1 << k
                         lo_row[k] -= entry.lo
                         hi_row[k] += entry.hi
                         if eval_classical(entry.obj.consequent, dicts[w]):
                             lo_row[k] += 1
                             hi_row[k] -= 1
-                self.m_idx.append(m_idx)
+                self.m_cols.append(m_cols)
                 self.homogeneous += [int_row(lo_row, ">=", 0), int_row(hi_row, ">=", 0)]
 
     return FullLayer
@@ -571,7 +581,7 @@ def test_free_entry_adds_no_row_but_descends():
     assert isinstance(verdict, Coherent)
     level0, level1 = layers
     assert len(level0.homogeneous) == 1
-    assert level0.m_idx[1] and len(level0.region()) == 2
+    assert level0.m_cols[1] and len(level0.region()) == 2
     assert level1.entries == [free]
     assert level1.homogeneous == [] and worlds_of(level1.domain) == [2, 3]
 
@@ -601,18 +611,18 @@ def world_layer(atoms):
             n = len(worlds)
             self.entries, self.tables, self.domain, self.extra = entries, tables, domain, extra
             self.classes = [1 << w for w in worlds]
-            self.m_idx, self.homogeneous = [], []
+            self.m_cols, self.homogeneous = [], []
             for entry in entries:
-                m_idx, lo_row, hi_row = [], [F(0)] * n, [F(0)] * n
+                m_cols, lo_row, hi_row = 0, [F(0)] * n, [F(0)] * n
                 for k, w in enumerate(worlds):
                     if eval_classical(entry.obj.antecedent, dicts[w]):
-                        m_idx.append(k)
+                        m_cols |= 1 << k
                         lo_row[k] += entry.lo
                         hi_row[k] -= entry.hi
                         if eval_classical(entry.obj.consequent, dicts[w]):
                             lo_row[k] -= 1
                             hi_row[k] += 1
-                self.m_idx.append(m_idx)
+                self.m_cols.append(m_cols)
                 self.homogeneous += [
                     int_row(row, "<=", 0) for row in (lo_row, hi_row) if any(v > 0 for v in row)
                 ]
@@ -705,3 +715,64 @@ def test_padded_modus_ponens_has_four_columns():
     witness = check_coherence(a, names).witness
     assert len(witness) == 1 << 16
     assert [w for w, x in enumerate(witness) if x] == [3 << 14] and witness[3 << 14] == 1
+
+
+def test_level0_tables_settle_what_structural_bounds_settles():
+    """propagate reads the [0, 0] and [1, 1] cases off the level-0 query
+    tables, over every declared atom; structural_bounds(q) reads them over
+    q's own atoms. They agree with 0-3 unused atoms, on queries of which
+    about half are settled by logic, some over no atom at all."""
+    rng = random.Random("settled-queries")
+    settled = {None: 0, Bounds(F(0), F(0)): 0, Bounds(F(1), F(1)): 0}
+    for _ in range(300):
+        a, q, atoms = padded_problem(rng)
+        f, g = q.antecedent, q.consequent
+        q = rng.choice(
+            (
+                q,
+                q,
+                ConditionalObject(f, f),
+                ConditionalObject(Not(f), f),
+                ConditionalObject(Or(g, Not(g)), f),
+                ConditionalObject(And(g, Not(g)), f),
+            )
+        )
+        layer, _ = coherence._level0(a, atoms, q)
+        want = structural_bounds(q)
+        assert coherence._settled(*layer.extra) == want
+        settled[want] += 1
+    assert min(settled.values()) >= 50, settled
+
+
+def test_pinned_layer_forces_what_the_pinned_row_forces():
+    """Where min m = 0, propagate finds the entries forced to zero with m_q
+    = 0 over the layer of the worlds where q's antecedent fails, probed by
+    min m's support; the plain procedure adds the row m_q = 0 to the
+    layer's rows. The new layer's columns are the layer's columns outside
+    m_q, in order, and the forced sets are the same."""
+    rng = random.Random("pinned-layer")
+    reached = nonempty = 0
+    for _ in range(400):
+        a, q, atoms = random_problem(rng)
+        if isinstance(check_coherence(a, atoms), Incoherent):
+            continue
+        layer, region = coherence._level0(a, atoms, q)
+        m_q = layer.extra[0]
+        m_row = coherence._mass_row(m_q, layer.classes)
+        min_m = solve_lp(m_row, region, maximize=False)
+        if min_m.value:
+            continue
+        n = len(layer.classes)
+        rows = Region([([1] * n, EQ, 1)] + layer.homogeneous + [(m_row, EQ, 0)], n)
+        pinned = coherence._Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & m_q))
+        assert pinned.classes == [c for c in layer.classes if not c & m_q]
+        probe = coherence._outside(min_m.support(), layer.classes, m_q)
+        assert probe == sum(
+            1 << k for k, c in enumerate(pinned.classes) if min_m.solution[layer.classes.index(c)]
+        )
+        forced = forced_by_fixpoint(layer, rows)
+        assert coherence._forced_zero(pinned, pinned.region(), [probe]) == forced
+        assert forced_by_fixpoint(pinned, pinned.region()) == forced
+        reached += 1
+        nonempty += bool(forced)
+    assert reached >= 100 and nonempty >= 50, (reached, nonempty)
