@@ -1,12 +1,15 @@
 """Immutable value classes, without the dataclasses module.
 
-A subclass names its fields in __slots__ and sets them in its own __init__
-with _set(self, name, value). Value gives it what a frozen dataclass had:
-== and hash over the fields in order, the same repr text
-(Atom(name='A')), copy and pickle support, __match_args__, and an
-assignment guard that raises AttributeError. A slot whose name starts
-with "_" is private state, not a field: it takes no part in ==, hash,
-repr or copying.
+A subclass names its fields in __slots__, and Value.__init__ binds them:
+one value per field, in __slots__ order (a base class's fields first),
+given by position or by keyword. Every field is required; there are no
+defaults. A class writes its own __init__ only to validate or normalise
+its arguments, and then ends in Value.__init__(self, ...). Value gives
+what a frozen dataclass had: == and hash over the fields in order, the
+same repr text (Atom(name='A')), copy and pickle support,
+__match_args__, and an assignment guard that raises AttributeError. A
+slot whose name starts with "_" is private state, not a field: it takes
+no part in construction, ==, hash, repr or copying.
 """
 
 from operator import attrgetter
@@ -29,6 +32,13 @@ class Value:
         cls._name = cls.__qualname__
         cls._key = attrgetter("_name", *cls._fields)
 
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = _bind(self._name, fields, args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key(self) == other._key(other)
@@ -49,3 +59,25 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _bind(name, fields, args, kwargs):
+    """The values of fields, in order, from positional args and keywords;
+    TypeError, with the message a Python function gives, for too many
+    positional arguments, an unknown keyword, a field given twice or a
+    missing field."""
+    if len(args) > len(fields):
+        raise TypeError(
+            f"{name}() takes {len(fields)} positional arguments but {len(args)} were given"
+        )
+    bound = dict(zip(fields, args))
+    for key in kwargs:
+        if key in bound:
+            raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        if key not in fields:
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+    bound.update(kwargs)
+    missing = [f for f in fields if f not in bound]
+    if missing:
+        raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+    return [bound[f] for f in fields]

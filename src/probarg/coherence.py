@@ -63,7 +63,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from ._value import Value, _set
+from ._value import Value
 from .events import ConditionalObject, declared, tabulator, truth_table
 from .linprog import EQ, LE, Region, solve_lp
 
@@ -94,18 +94,15 @@ class AssessmentEntry(Value):
 
     def __init__(self, obj: ConditionalObject, lo: Fraction, hi: Fraction):
         lo, hi = unit_interval(lo, hi, "probability interval")
-        _set(self, "obj", obj)
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
+        Value.__init__(self, obj, lo, hi)
 
 
 class Assessment(Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple = ()):
-        _set(
+        Value.__init__(
             self,
-            "entries",
             tuple(
                 e if isinstance(e, AssessmentEntry) else AssessmentEntry(*e)
                 for e in entries
@@ -127,8 +124,7 @@ class Bounds(Value):
 
     def __init__(self, lo: Fraction, hi: Fraction):
         lo, hi = unit_interval(lo, hi, "bounds")
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
+        Value.__init__(self, lo, hi)
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -139,17 +135,9 @@ class Coherent(Value):
 
     __slots__ = ("witness", "atomset")
 
-    def __init__(self, witness: tuple, atomset: tuple):
-        _set(self, "witness", witness)
-        _set(self, "atomset", atomset)
-
 
 class Incoherent(Value):
     __slots__ = ("level", "description")
-
-    def __init__(self, level: int, description: str):
-        _set(self, "level", level)
-        _set(self, "description", description)
 
 
 class IncoherentPremises(ValueError):
@@ -187,9 +175,7 @@ class ClassificationConfig(Value):
             raise ValueError("theta must be in (1/2, 1]")
         if not (ZERO <= tau_low <= tau_high <= ONE):
             raise ValueError("need 0 <= tau_low <= tau_high <= 1")
-        _set(self, "theta", theta)
-        _set(self, "tau_high", tau_high)
-        _set(self, "tau_low", tau_low)
+        Value.__init__(self, theta, tau_high, tau_low)
 
 
 # --- layer systems -----------------------------------------------------------

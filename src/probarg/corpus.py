@@ -12,15 +12,14 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from ._value import Value, _set
+from ._value import Value
 from .coherence import (
-    Bounds,
     ClassificationConfig,
     ResponseCategory,
     classify,
     propagate,
 )
-from .dsl import ArgumentSpec, lower, parse
+from .dsl import lower, parse
 from .events import Interpretation
 
 CE = Interpretation.CONDITIONAL_EVENT
@@ -103,21 +102,11 @@ THETA_GRID = (Fraction(7, 10), Fraction(4, 5), Fraction(9, 10), Fraction(19, 20)
 
 
 class TaskRecord(Value):
-    __slots__ = ("abbrev", "spec", "expected", "observed", "confidence")
+    """One built-in task: its ArgumentSpec, the expected categories by
+    Interpretation, observed = (holds_pct, notholds_pct, noninf_pct) and
+    confidence = (mean, sd)."""
 
-    def __init__(
-        self,
-        abbrev: str,
-        spec: ArgumentSpec,
-        expected: dict,
-        observed: tuple,  # (holds_pct, notholds_pct, noninf_pct)
-        confidence: tuple,  # (mean, sd)
-    ):
-        _set(self, "abbrev", abbrev)
-        _set(self, "spec", spec)
-        _set(self, "expected", expected)
-        _set(self, "observed", observed)
-        _set(self, "confidence", confidence)
+    __slots__ = ("abbrev", "spec", "expected", "observed", "confidence")
 
     def modal_observed(self):
         """Category with the largest observed share, plus any ties."""
@@ -130,68 +119,30 @@ class TaskRecord(Value):
 class Prediction(Value):
     __slots__ = ("task", "interpretation", "bounds", "category")
 
-    def __init__(
-        self,
-        task: str,
-        interpretation: Interpretation,
-        bounds: Bounds,
-        category: ResponseCategory,
-    ):
-        _set(self, "task", task)
-        _set(self, "interpretation", interpretation)
-        _set(self, "bounds", bounds)
-        _set(self, "category", category)
-
 
 class AgreementRow(Value):
+    """One task under one reading: its Prediction's fields, the task's modal
+    observed category, whether the prediction matches it (never on a tied
+    mode), and the observed percentage of the predicted category."""
+
     __slots__ = (
         "task",
         "interpretation",
         "bounds",
         "category",
         "modal_observed",
-        "modal_ties",
         "match",
         "observed_share_of_predicted",
     )
 
-    def __init__(
-        self,
-        task: str,
-        interpretation: Interpretation,
-        bounds: Bounds,
-        category: ResponseCategory,
-        modal_observed: ResponseCategory,
-        modal_ties: tuple,
-        match: bool,
-        observed_share_of_predicted: Fraction,
-    ):
-        _set(self, "task", task)
-        _set(self, "interpretation", interpretation)
-        _set(self, "bounds", bounds)
-        _set(self, "category", category)
-        _set(self, "modal_observed", modal_observed)
-        _set(self, "modal_ties", modal_ties)
-        _set(self, "match", match)
-        _set(self, "observed_share_of_predicted", observed_share_of_predicted)
-
 
 class AgreementReport(Value):
-    __slots__ = ("theta", "rows", "match_counts", "mean_coherent_share", "theta_sensitivity")
+    """rows: an AgreementRow per task x interpretation; match_counts:
+    Interpretation -> int; mean_coherent_share: the mean observed share of
+    the CE prediction; theta_sensitivity: theta -> {Interpretation -> match
+    count}."""
 
-    def __init__(
-        self,
-        theta: Fraction,
-        rows: tuple,  # AgreementRow per task x interpretation
-        match_counts: dict,  # Interpretation -> int
-        mean_coherent_share: Fraction,  # mean observed share of the CE prediction
-        theta_sensitivity: dict,  # theta -> {Interpretation -> match count}
-    ):
-        _set(self, "theta", theta)
-        _set(self, "rows", rows)
-        _set(self, "match_counts", match_counts)
-        _set(self, "mean_coherent_share", mean_coherent_share)
-        _set(self, "theta_sensitivity", theta_sensitivity)
+    __slots__ = ("theta", "rows", "match_counts", "mean_coherent_share", "theta_sensitivity")
 
 
 def builtin_tasks():
@@ -275,7 +226,6 @@ def agreement_report(cfg: ClassificationConfig = ClassificationConfig()) -> Agre
                     bounds=pred.bounds,
                     category=pred.category,
                     modal_observed=modal,
-                    modal_ties=ties,
                     match=match,
                     observed_share_of_predicted=_share_of(task, pred.category),
                 )

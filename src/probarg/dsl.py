@@ -18,7 +18,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from ._value import Value, _set
+from ._value import Value
 from .coherence import Assessment, AssessmentEntry, ClassificationConfig, unit_interval
 from .events import (
     And,
@@ -64,26 +64,20 @@ class Numeric(Value):
 
     def __init__(self, lo: Fraction, hi: Fraction):
         lo, hi = unit_interval(lo, hi, "premise interval")
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
+        Value.__init__(self, lo, hi)
 
 
 class PremiseSpec(Value):
-    __slots__ = ("statement", "strength")
+    """statement: a SurfaceStatement; strength: QuiteSure, Certain or Numeric."""
 
-    def __init__(self, statement: SurfaceStatement, strength: QuiteSure | Certain | Numeric):
-        _set(self, "statement", statement)
-        _set(self, "strength", strength)
+    __slots__ = ("statement", "strength")
 
 
 class ArgumentSpec(Value):
-    __slots__ = ("name", "atoms", "premises", "conclusion")
+    """A parsed task: atoms are names, premises are PremiseSpecs and the
+    conclusion is a SurfaceStatement."""
 
-    def __init__(self, name: str, atoms: tuple, premises: tuple, conclusion: SurfaceStatement):
-        _set(self, "name", name)
-        _set(self, "atoms", atoms)
-        _set(self, "premises", premises)
-        _set(self, "conclusion", conclusion)
+    __slots__ = ("name", "atoms", "premises", "conclusion")
 
 
 # --- tokenizer ---------------------------------------------------------------

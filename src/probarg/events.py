@@ -19,7 +19,7 @@ import enum
 import itertools
 from collections.abc import Mapping
 
-from ._value import Value, _set
+from ._value import Value
 
 MAX_ATOMS = 16
 
@@ -45,7 +45,7 @@ class Atom(Formula):
     def __init__(self, name: str):
         if not name:
             raise ValueError("atom name must be nonempty")
-        _set(self, "name", name)
+        Value.__init__(self, name)
 
     def __str__(self):
         return self.name
@@ -53,9 +53,6 @@ class Atom(Formula):
 
 class Not(Formula):
     __slots__ = ("operand",)
-
-    def __init__(self, operand: Formula):
-        _set(self, "operand", operand)
 
     def __str__(self):
         return f"not({self.operand})"
@@ -65,10 +62,6 @@ class _Binary(Formula):
     """A connective over two formulas; subclasses name it in _word."""
 
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
     def __str__(self):
         return f"{self._word}({self.left}, {self.right})"
@@ -249,8 +242,7 @@ class ConditionalObject(Value):
     def __init__(self, consequent: Formula, antecedent: Formula = TOP):
         if not is_satisfiable(antecedent):
             raise ValueError(f"antecedent is unsatisfiable: {antecedent}")
-        _set(self, "consequent", consequent)
-        _set(self, "antecedent", antecedent)
+        Value.__init__(self, consequent, antecedent)
 
     def atoms(self) -> frozenset:
         return atoms_of(self.consequent) | atoms_of(self.antecedent)
@@ -282,10 +274,6 @@ class SurfaceStatement(Value):
 class _Conditional(SurfaceStatement):
     __slots__ = ("antecedent", "consequent")
 
-    def __init__(self, antecedent: Formula, consequent: Formula):
-        _set(self, "antecedent", antecedent)
-        _set(self, "consequent", consequent)
-
 
 class If(_Conditional):
     __slots__ = ()
@@ -300,16 +288,9 @@ class NegIf(_Conditional):
 class Every(SurfaceStatement):
     __slots__ = ("subject", "predicate")
 
-    def __init__(self, subject: str, predicate: str):
-        _set(self, "subject", subject)
-        _set(self, "predicate", predicate)
-
 
 class Plain(SurfaceStatement):
     __slots__ = ("formula",)
-
-    def __init__(self, formula: Formula):
-        _set(self, "formula", formula)
 
 
 class Interpretation(enum.Enum):

@@ -39,11 +39,11 @@ when it is read.
 - A Region holds one system of rows and makes its start once, on its
   first solve. Every solve_lp over the region starts from that basic
   feasible tableau and runs phase 2 only. A row list passed to solve_lp
-  becomes a one-use region. Region.vertex() is the start vertex (None
-  when the rows are infeasible): a feasible point, or a proof of
-  infeasibility, without a solve. Region.support() is the int mask of
-  variables positive at one feasible point (None when infeasible): after
-  a crash start, every column that allowed it; else the start vertex's.
+  becomes a one-use region. Region.support() is the int mask of the
+  variables positive at one feasible point, or None when the rows are
+  infeasible: after a crash start, every column that allowed it; else
+  the start vertex's. It needs no solve. The start vertex itself is the
+  solution of solve_lp([0] * n, region), which makes no pivot.
 - Region.charnes_cooper(optimum) derives, from the optimal tableau of
   maximizing c over {sum(x) == 1, H x <= 0}, a started region for
   {c . y == 1, H y <= 0}: one rank-one update of the rows in ints, on the
@@ -139,12 +139,6 @@ class Region:
 
     def __len__(self):
         return len(self._rows)
-
-    def vertex(self):
-        """The start vertex: the basic feasible point every solve starts
-        from, or None when the rows are infeasible."""
-        start = self._start
-        return None if start is None else _point(*start, self.n)
 
     # The columns of a crash start positive at some feasible point (_crash).
     _crash_support = 0

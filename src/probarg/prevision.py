@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, _set
+from ._value import Value
 from .coherence import as_fraction
 from .events import (
     And,
@@ -29,28 +29,16 @@ ONE = Fraction(1)
 class ConditionalRandomQuantity(Value):
     """Numeric rendering of a conditional event: 1 where antecedent and
     consequent hold, 0 where the antecedent holds but the consequent fails,
-    mu on the antecedent's complement."""
+    mu on the antecedent's complement. values are aligned with
+    constituents(atomset)."""
 
     __slots__ = ("atomset", "values", "consequent", "antecedent", "mu")
 
-    def __init__(
-        self,
-        atomset: tuple,
-        values: tuple,  # aligned with constituents(atomset)
-        consequent: Formula,
-        antecedent: Formula,
-        mu: Fraction,
-    ):
-        _set(self, "atomset", atomset)
-        _set(self, "values", values)
-        _set(self, "consequent", consequent)
-        _set(self, "antecedent", antecedent)
-        _set(self, "mu", mu)
-
     def value_at(self, valuation) -> Fraction:
-        for bits, val in zip(constituents(self.atomset), self.values):
-            if all(valuation[k] == bits[k] for k in self.atomset):
-                return val
+        if all(k in valuation for k in self.atomset):
+            for bits, val in zip(constituents(self.atomset), self.values):
+                if all(valuation[k] == bits[k] for k in self.atomset):
+                    return val
         raise KeyError(f"valuation not over atoms {self.atomset}")
 
 

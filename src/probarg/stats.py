@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._value import Value, _set
+from ._value import Value
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -31,7 +31,7 @@ class ContingencyTable(Value):
             raise ValueError("counts must be nonnegative")
         if all(x == 0 for r in rows for x in r):
             raise ValueError("table must have at least one positive count")
-        _set(self, "counts", rows)
+        Value.__init__(self, rows)
 
     @property
     def row_sums(self):
@@ -138,12 +138,6 @@ def _sample_margin_fixed(row_sums, col_sums, rng: SplitMix64):
 
 class MonteCarloResult(Value):
     __slots__ = ("p_estimate", "halfwidth_99", "iters", "seed")
-
-    def __init__(self, p_estimate: float, halfwidth_99: float, iters: int, seed: int):
-        _set(self, "p_estimate", p_estimate)
-        _set(self, "halfwidth_99", halfwidth_99)
-        _set(self, "iters", iters)
-        _set(self, "seed", seed)
 
 
 def monte_carlo_rxc(t: ContingencyTable, iters: int, seed: int) -> MonteCarloResult:

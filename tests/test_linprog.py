@@ -293,7 +293,7 @@ def test_charnes_cooper_start_equals_rebuilt_region(system, data):
     assert isinstance(derived, Region)
     assert (len(derived), derived.n) == (len(rebuilt), rebuilt.n)
     # The start is feasible for the rebuilt rows: it is their phase-1 point.
-    assert satisfies(homogeneous + [(c, EQ, 1)], derived.vertex())
+    assert satisfies(homogeneous + [(c, EQ, 1)], solve_lp([0] * n, derived).solution)
     for e in data.draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)):
         e = int_objective(e)[0]
         for maximize in (True, False):
@@ -327,14 +327,21 @@ def test_charnes_cooper_needs_a_positive_maximum_over_the_region():
 
 
 def test_vertex_is_the_phase1_point():
+    """A zero objective prices no column, so its solve stops at the start
+    vertex with no pivot."""
+    from probarg import linprog
+
     rows = [([2, 1, 0], LE, 4), ([1, 3, 1], GE, 3), ([1, 1, 1], EQ, 3)]
     region = Region(rows, 3)
-    x = region.vertex()
+    support = region.support()
+    with mock.patch.object(linprog, "_pivot", wraps=linprog._pivot) as pivot:
+        x = solve_lp([0, 0, 0], region).solution
+    assert pivot.call_count == 0
     assert satisfies(rows, x)
-    assert x == solve_lp([0, 0, 0], region).solution
-    assert region.support() == positive(x)
+    assert support == positive(x)
     infeasible = Region([([1, 1], LE, 1), ([1, 1], GE, 2)], 2)
-    assert infeasible.vertex() is infeasible.support() is None
+    assert infeasible.support() is None
+    assert solve_lp([0, 0], infeasible).status == "infeasible"
 
 
 # --- the one-pivot crash start ----------------------------------------------
@@ -423,7 +430,7 @@ def test_crash_start_matches_bland_reference(system, data):
         assert case == "none"
     else:
         assert_basic_feasible(start)
-        x = region.vertex()
+        x = solve_lp([0] * n, region).solution
         assert satisfies(rows, x)
         if crashed:
             # All the mass sits on the smallest column that allows the crash,
@@ -453,7 +460,7 @@ def test_a_crash_start_at_rhs_0_shows_no_positive_column():
     neither column that allowed the pivot is positive anywhere."""
     region = Region([([1, 1], EQ, 0), ([-1, 0], LE, 0)], 2)
     assert started(region)[1]
-    assert region.vertex() == [0, 0]
+    assert solve_lp([0, 0], region).solution == [0, 0]
     assert region.support() == 0
     assert Region([([1, 1], EQ, 2), ([-1, 0], LE, 0)], 2).support() == 0b11
 
@@ -495,7 +502,7 @@ def test_charnes_cooper_from_a_crash_start_equals_rebuilt_region(system, data):
         return
     derived = region.charnes_cooper(best)
     rebuilt = homogeneous + [(c, EQ, 1)]
-    assert satisfies(rebuilt, derived.vertex())
+    assert satisfies(rebuilt, solve_lp([0] * n, derived).solution)
     for e in data.draw(st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)):
         e = int_objective(e)[0]
         for maximize in (True, False):
@@ -524,4 +531,4 @@ def test_crash_start_checks_its_invariant(monkeypatch):
     monkeypatch.setattr(linprog, "_pivot", broken)
     region = Region([([2, 1], EQ, 1), ([1, -1], LE, 0)], 2)
     with pytest.raises(RuntimeError, match="crash start broke the tableau invariant"):
-        region.vertex()
+        region.support()

@@ -35,6 +35,12 @@ class TestCrq:
                 if eval_classical(A, v):
                     assert q.value_at(v) in (0, 1)
 
+    def test_valuation_missing_an_atom(self):
+        q = crq_of(C, A, F(1, 2), ("A", "C"))
+        for v in ({"A": True}, {"C": False}, {}):
+            with pytest.raises(KeyError, match=r"valuation not over atoms \('A', 'C'\)"):
+                q.value_at(v)
+
     def test_mu_out_of_range(self):
         with pytest.raises(ValueError):
             crq_of(C, A, F(3, 2), ["A", "C"])

@@ -474,8 +474,8 @@ def level0_solves(layer, m_row, e_row):
     of its start and of its max-sum, max-m, min-m and Charnes-Cooper solves;
     m_row and e_row are the query's rows."""
     region = layer.region()
-    steps = [traced(region.vertex)]
-    if region.vertex() is None:
+    steps = [traced(lambda: outcome(solve_lp([0] * region.n, region)))]
+    if region.support() is None:
         return len(region), steps
     solves = [
         (layer.antecedent_mass(range(len(layer.entries))), region, True),

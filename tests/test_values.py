@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import probarg
+from probarg._value import Value
 from probarg.coherence import (
     Assessment,
     AssessmentEntry,
@@ -94,8 +95,8 @@ VALUES = {
         Prediction("NR", CE, Bounds(F(9, 10), 1), H),
     ),
     "AgreementRow": (
-        lambda: AgreementRow("MP", CE, Bounds(0, 1), H, H, (), True, F(1, 2)),
-        AgreementRow("MP", CE, Bounds(0, 1), H, H, (), False, F(1, 2)),
+        lambda: AgreementRow("MP", CE, Bounds(0, 1), H, H, True, F(1, 2)),
+        AgreementRow("MP", CE, Bounds(0, 1), H, H, False, F(1, 2)),
     ),
     "AgreementReport": (
         lambda: AgreementReport(F(9, 10), (), {CE: 1}, F(1, 2), {}),
@@ -199,6 +200,68 @@ class TestConstruction:
             Atom("A", "B")
         with pytest.raises(TypeError):
             Top(1)
+
+
+def records(cls=Value):
+    """The package's Value subclasses that take Value's own constructor."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("probarg.") and "__init__" not in sub.__dict__:
+            yield sub
+        yield from records(sub)
+
+
+RECORDS = sorted(set(records()), key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+
+
+def test_records_found_by_walking_subclasses():
+    names = {cls.__qualname__ for cls in RECORDS}
+    assert {"Not", "And", "If", "Every", "Plain", "Coherent", "Incoherent", "TaskRecord"} <= names
+    assert {"Prediction", "AgreementRow", "AgreementReport", "PremiseSpec"} <= names
+    assert {"ArgumentSpec", "ConditionalRandomQuantity", "MonteCarloResult"} <= names
+    assert not names & {"Atom", "ConditionalObject", "Bounds", "Assessment", "Numeric"}
+
+
+# The constructor's contract: fields in __slots__ order, by position or
+# keyword, all required.
+by_name = pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+with_fields = pytest.mark.parametrize(
+    "cls", [cls for cls in RECORDS if cls._fields], ids=lambda cls: cls.__qualname__
+)
+
+
+@by_name
+def test_keywords_equal_positions(cls):
+    values = tuple(range(len(cls._fields)))
+    x = cls(*values)
+    assert tuple(getattr(x, f) for f in cls._fields) == values
+    assert cls(**dict(zip(cls._fields, values))) == x
+    assert cls(*values[:1], **dict(zip(cls._fields[1:], values[1:]))) == x
+
+
+@by_name
+def test_too_many_positional_arguments(cls):
+    with pytest.raises(TypeError, match=f"{cls.__qualname__}\\(\\) takes"):
+        cls(*range(len(cls._fields) + 1))
+
+
+@by_name
+def test_unknown_keyword(cls):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*range(len(cls._fields)), extra=0)
+
+
+@with_fields
+def test_missing_field(cls):
+    with pytest.raises(TypeError, match=f"missing required arguments: {cls._fields[-1]}$"):
+        cls(*range(len(cls._fields) - 1))
+    with pytest.raises(TypeError, match=f"missing required arguments: {cls._fields[0]}\\b"):
+        cls(**dict.fromkeys(cls._fields[1:], 0))
+
+
+@with_fields
+def test_field_given_both_ways(cls):
+    with pytest.raises(TypeError, match=f"multiple values for argument '{cls._fields[0]}'"):
+        cls(*range(len(cls._fields)), **{cls._fields[0]: 0})
 
 
 class TestValidationMessages:
