@@ -24,6 +24,11 @@ domains read one bit per class. The entry rows reach linprog as "<=" rows
 with rhs 0 in coprime ints, so Region has nothing to negate.
 
 The solver path takes as few solves as the answer allows:
+- A layer first drops the classes that a row with no negative
+  coefficient pins at zero mass, such as those of A where p(A) = 0 or of
+  not A where p(A) = 1, until no row pins one (presolve; see _Layer). The
+  polytope stays the same, so no answer changes. An entry whose
+  antecedent holds on no class left is forced to zero with no solve.
 - A layer builds a premise row only where it has a positive coefficient:
   lo*m <= e when lo > 0 and e fails somewhere on m, e <= hi*m when hi < 1
   and e holds somewhere; x >= 0 implies the rows it skips, and skipping
@@ -39,13 +44,16 @@ The solver path takes as few solves as the answer allows:
   not. The probes are supports, int masks over the columns: the start's
   (Region.support(), which after a one-pivot start holds every column
   that allowed it), the witness solve's, max m's or min m's. Only the
-  entries no probe clears go to the max-sum fixpoint of _forced_zero.
-  The forced set is a property of the polytope, so probes change no level
+  entries no probe clears go to the max-sum fixpoint of _forced_zero,
+  which solves only while one of them has an antecedent column. The
+  forced set is a property of the polytope, so probes change no level
   and no verdict.
 - Where min m = 0, the entries forced to zero with m_q = 0 are found over
   the layer of the worlds where q's antecedent fails. As x >= 0, that is
   the polytope with the row m_q = 0 added, whose two artificial rows
   always needed phase 1; the smaller layer can take the one-pivot start.
+  Its presolve may pin more classes than this layer's, so min m's
+  support reaches its columns class by class (_by_class).
 - The Charnes-Cooper program for a bound starts from the optimal tableau
   of maximizing the query's antecedent mass (Region.charnes_cooper),
   which propagate solves anyway, so it runs no phase 1.
@@ -193,9 +201,10 @@ class _Layer:
 
     classes: the columns, the classes of the worlds of domain that no table
     of tables or extra tells apart: domain split by each table t into its
-    parts inside and outside t, empty parts dropped. They are int masks,
-    ordered by their lowest world, the class's representative. These are
-    the constituents generated by the family (Gilio 2002; Biazzo and Gilio
+    parts inside and outside t, empty parts dropped, and then the classes a
+    forcing row pins (see below) dropped. They are int masks, ordered by
+    their lowest world, the class's representative. These are the
+    constituents generated by the family (Gilio 2002; Biazzo and Gilio
     2000): every table holds on all of a class or on none of it, so rows,
     objectives and deeper domains read one bit per class. m_cols: per
     entry, the columns where m holds, as an int mask (bit k for column k),
@@ -235,7 +244,25 @@ class _Layer:
     never leaves the basis, so it never enters, and every other row,
     reduced cost, crash column and tie-break is the same without it. The
     entry keeps its m_cols, so forced-zero sets and deeper layers do not
-    change."""
+    change.
+
+    A row with no negative coefficient pins every class where it is
+    positive at zero mass (the forcing-row rule of LP presolve; Brearley,
+    Mitra and Williams 1975, Andersen and Andersen 1995): its rhs is 0 and
+    x >= 0. lo*m <= e has none when lo = 1 or e holds on no class, and then
+    pins the classes of m where e fails (all of m's when e holds on none);
+    e <= hi*m has none when hi = 0 or e holds on every class of m, and then
+    pins e's. The layer drops the pinned classes, counts again and repeats
+    until no row pins a class; the forcing rows are then rows without a
+    positive coefficient, and are skipped. A pinned class has zero mass at
+    every feasible point, so the polytope is the same one in fewer
+    columns, and forced sets, levels and bounds, which are properties of
+    the polytope, do not change; only the simplex's path and the witness
+    vertex may. An entry whose antecedent holds on no class left has m_cols 0:
+    its antecedent mass is 0 everywhere, and it is forced with no solve. A
+    layer left with no class has no feasible point. domain keeps every
+    world, pinned or not: a deeper layer covers the worlds where a forced
+    antecedent holds, where a pinned class may carry mass."""
 
     def __init__(self, entries, tables, domain, extra=()):
         self.entries = entries
@@ -257,22 +284,37 @@ class _Layer:
                         parts.append(c)
                 classes = parts
         classes.sort(key=lambda c: c & -c)
+        # lo = a/b and hi = c/d; lo > 0 is a > 0, and hi < 1 is c < d
+        bounds = [
+            (e.lo.numerator, e.lo.denominator, e.hi.numerator, e.hi.denominator)
+            for e in entries
+        ]
+        while True:
+            # per entry (m_cols, on_m, on_e), and the worlds of the classes
+            # a forcing row pins
+            counts, pinned = [], 0
+            for (m, e), (a, b, c, d) in zip(tables, bounds):
+                m_cols, bit, on_m, on_e = 0, 1, 0, 0
+                for k in classes:
+                    if m & k:
+                        m_cols |= bit
+                        on_m += 1
+                        if e & k:
+                            on_e += 1
+                    bit <<= 1
+                counts.append((m_cols, on_m, on_e))
+                if a and on_e < on_m and (a == b or not on_e):
+                    pinned |= m ^ e
+                if c < d and on_e and (not c or on_e == on_m):
+                    pinned |= e
+            if not pinned:
+                break
+            classes = [k for k in classes if not k & pinned]
         self.classes = classes
         self.m_cols = []
         self.homogeneous = []
-        for entry, (m, e) in zip(entries, tables):
-            m_cols, bit, on_m, on_e = 0, 1, 0, 0
-            for c in classes:
-                if m & c:
-                    m_cols |= bit
-                    on_m += 1
-                    if e & c:
-                        on_e += 1
-                bit <<= 1
+        for (m, e), (a, b, c, d), (m_cols, on_m, on_e) in zip(tables, bounds, counts):
             self.m_cols.append(m_cols)
-            # lo = a/b and hi = c/d; lo > 0 is a > 0, and hi < 1 is c < d
-            a, b = entry.lo.numerator, entry.lo.denominator
-            c, d = entry.hi.numerator, entry.hi.denominator
             # (coefficient where m holds and e fails, where e holds, slack
             # coefficient) of each row built
             cuts = []
@@ -348,7 +390,10 @@ def _forced_zero(layer, region, probes=(), res=None):
     feasible point proves an entry is not forced, so before any solve the
     entries positive at a probe, then at region's start vertex, are
     dropped. The forced set is a property of the polytope, so the probes
-    change only how many solves find it.
+    change only how many solves find it. An entry with no antecedent
+    column (m_cols 0, its classes pinned by the layer's presolve) has zero
+    mass everywhere: once only such entries are left, they are the forced
+    set, with no solve.
     """
     candidates = list(range(len(layer.m_cols)))
     if res is not None:
@@ -359,7 +404,7 @@ def _forced_zero(layer, region, probes=(), res=None):
         candidates = _zero_at(layer, candidates, support)
     if candidates:
         candidates = _zero_at(layer, candidates, region.support())
-    while candidates:
+    while any(layer.m_cols[i] for i in candidates):
         res = _optimal(solve_lp(layer.antecedent_mass(candidates), region))
         if not res.value:
             return candidates
@@ -531,25 +576,26 @@ def _propagate_layer(layer, region, q) -> Bounds:
     # m_q = 0 stays feasible: values settled only at the deeper layer
     # where q's antecedent turns positive remain coherent too. Its forced
     # set is that of the points with m_q = 0: as x >= 0, those of the layer
-    # over the worlds where q's antecedent fails, whose columns are this
-    # layer's columns outside m_q, in order. min_m is such a point.
+    # over the worlds where q's antecedent fails, whose columns are among
+    # this layer's columns outside m_q (its presolve may pin more of them).
+    # min_m is such a point.
     pinned = _Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & q[0]))
-    probe = _outside(min_m.support(), layer.classes, q[0])
+    probe = _by_class(min_m.support(), layer.classes, pinned.classes)
     forced = _forced_zero(pinned, pinned.region(), [probe])
     deeper = _descend(layer, forced, q)
     return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
 
 
-def _outside(support, classes, m):
-    """support, a mask over classes, as a mask over the classes outside
-    the table m, taken in order."""
-    mask = k = 0
-    for j, c in enumerate(classes):
-        if not c & m:
-            if support >> j & 1:
-                mask |= 1 << k
-            k += 1
-    return mask
+def _by_class(support, classes, sub):
+    """support, a mask over classes, as a mask over sub, a list of classes
+    that holds every class of the support: bit k for each sub[k] that is
+    one of them."""
+    held = 0
+    while support:
+        low = support & -support
+        held |= classes[low.bit_length() - 1]
+        support ^= low
+    return sum([1 << k for k, c in enumerate(sub) if c & held])
 
 
 def _descend(layer, forced, q) -> Bounds:

@@ -34,7 +34,6 @@ from .events import (
     Or,
     Plain,
     SurfaceStatement,
-    atoms_of,
     expand,
 )
 

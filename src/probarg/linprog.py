@@ -11,7 +11,7 @@ when it is read.
 
 - Rows are normalised so each slack can start basic: a row with rhs < 0,
   and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
-  rows with rhs > 0 get an artificial column.
+  rows with rhs > 0 need an artificial.
 - A row may give the coefficient of its slack as a fourth item (1 when
   left out). The zero-layer systems of coherence send their entry rows
   this way: "<=" rows with rhs 0 in coprime ints, each with its bound's
@@ -19,7 +19,14 @@ when it is read.
   its rational form would give, and it is not negated.
 - With exactly one artificial row, the start is one pivot, with no phase
   1, when some column is positive in that row and <= 0 in every other row
-  (a crash basis; Bixby 1992; see _crash). Otherwise phase 1 runs.
+  (a crash basis; Bixby 1992; see _crash). Otherwise phase 1 runs, on the
+  artificial's own row: while the artificial is basic, phase 1's reduced
+  costs are a positive multiple of that row, and phase 1 ends when it
+  leaves. So the tableau has no artificial column and phase 1 no cost
+  row (see Region._start); every entering and leaving choice is the one
+  a cost row would give. The zero-layer systems always have one
+  artificial, for sum(x) == 1. With several artificials, phase 1
+  maximizes minus their sum over artificial columns and a cost row.
 - Each tableau row is divided once by the gcd of its entries. The
   reduced-cost row of an objective, phase 1's included, is summed in ints:
   each basic row a_i with basic coefficient d_i enters scaled by L/d_i,
@@ -206,14 +213,25 @@ class Region:
 
     @cached_property
     def _start(self):
-        """A basic feasible (integer tableau, basis) with the artificial
-        columns removed, or None when the rows are infeasible."""
+        """A basic feasible (integer tableau, basis) with no artificial
+        column, or None when the rows are infeasible.
+
+        With one artificial, the tableau has no column for it: its row i
+        has the basis index n_real, past every real column, which also
+        makes it lose every tie of the ratio test, as its column did. While
+        it is basic, phase 1's reduced costs (maximize minus the
+        artificial) are row i's entries with 0 at the artificial's own
+        column (_reduced_costs), and each pivot changes row i and that cost
+        row alike, up to a positive factor; so row i prices the columns,
+        with the same choices. Once the artificial leaves, every real
+        column prices at 0, so phase 1 ends there (_simplex with costs=i).
+        If instead it ends with the artificial basic, rhs_i > 0 means no
+        feasible point, and rhs_i = 0 an artificial to evict."""
         n = self.n
         n_slack = sum(1 for _, rel, _, _ in self._rows if rel != EQ)
         n_art = sum(1 for _, rel, _, _ in self._rows if rel != LE)
         n_real = n + n_slack
-        cols = n_real + n_art
-        zeros = [0] * (cols - n)
+        zeros = [0] * (n_slack + (n_art if n_art > 1 else 0))
         tableau = []
         basis = []
         si, ai = n, n_real
@@ -225,23 +243,31 @@ class Region:
             if rel == LE:
                 basis.append(si - 1)
             else:
-                row[ai] = 1
+                if n_art > 1:
+                    row[ai] = 1
                 basis.append(ai)
                 ai += 1
             tableau.append(_coprime(row))
-        if n_art:
-            crash = _crash(tableau, basis, n, n_real) if n_art == 1 else None
+        if n_art == 1:
+            i = basis.index(n_real)
+            crash = _crash(tableau, basis, n, i)
             if crash is not None:
                 self._crash_support = crash
-            else:
-                # Phase 1 maximizes minus the sum of the artificials.
-                phase1 = [0] * n_real + [-1] * n_art + [0]
-                tableau.append(_reduced_costs(tableau, basis, phase1))
-                if _simplex(tableau, basis) != "optimal":
-                    raise RuntimeError("phase 1 unexpectedly unbounded")
-                if tableau.pop()[-1] != 0:
-                    return None
-                _evict_artificials(tableau, basis, n_real)
+                return tableau, basis
+            # Phase 1 prices with the artificial's row (see above).
+            _simplex(tableau, basis, i)
+            if basis[i] == n_real and tableau[i][-1]:
+                return None
+            _evict_artificials(tableau, basis, n_real)
+        elif n_art:
+            # Phase 1 maximizes minus the sum of the artificials.
+            phase1 = [0] * n_real + [-1] * n_art + [0]
+            tableau.append(_reduced_costs(tableau, basis, phase1))
+            if _simplex(tableau, basis) != "optimal":
+                raise RuntimeError("phase 1 unexpectedly unbounded")
+            if tableau.pop()[-1] != 0:
+                return None
+            _evict_artificials(tableau, basis, n_real)
             tableau = [row[:n_real] + row[-1:] for row in tableau]
         return tableau, basis
 
@@ -332,7 +358,7 @@ def _coprime(row):
     return [v // g for v in row] if g > 1 else row
 
 
-def _crash(tableau, basis, n, n_real):
+def _crash(tableau, basis, n, i):
     """Start a tableau whose one artificial sits in row i in one pivot, when
     a column allows it: pivot row i on the smallest column j < n that is
     positive in row i and <= 0 in every other row. Returns None when no
@@ -343,13 +369,12 @@ def _crash(tableau, basis, n, n_real):
     Every other row is a "<=" row with rhs >= 0 and its slack basic, so the
     pivot leaves it the rhs p*rhs_r - r_j*rhs_i >= 0 (p: row i's entry at j)
     and a positive slack coefficient: the start is basic feasible, and the
-    artificial, now nonbasic, can be dropped. No slack column is positive
-    in row i, so j < n loses no candidate. The same holds for each column
-    that allows the pivot: alone, at rhs_i/p > 0, it is a feasible point.
-    The feasible set is convex, so the mean of those points is feasible
-    too, and positive on each of their columns.
+    artificial, now nonbasic, has no column to drop. No slack column is
+    positive in row i, so j < n loses no candidate. The same holds for
+    each column that allows the pivot: alone, at rhs_i/p > 0, it is a
+    feasible point. The feasible set is convex, so the mean of those
+    points is feasible too, and positive on each of their columns.
     """
-    i = next(k for k, b in enumerate(basis) if b >= n_real)
     art = tableau[i]
     columns = [j for j in range(n) if art[j] > 0]
     for k, row in enumerate(tableau):
@@ -383,13 +408,16 @@ def _evict_artificials(tableau, basis, n_real):
         i += 1
 
 
-def _simplex(tableau, basis):
-    """Maximize from a basic feasible tableau whose last row holds the
-    reduced costs (and minus the objective value)."""
-    cols = len(tableau[-1]) - 1
+def _simplex(tableau, basis, costs=-1):
+    """Maximize from a basic feasible tableau whose row costs (the last by
+    default) holds the reduced costs (and minus the objective value), or a
+    positive multiple of them. When costs is a constraint row, its entries
+    price the columns only while its basic variable is basic: the run ends
+    as soon as that variable leaves."""
+    cols = len(tableau[costs]) - 1
     degenerate = 0
     while True:
-        cost = tableau[-1]
+        cost = tableau[costs]
         entering = None
         if degenerate < DEGENERATE_RUN:
             best = 0
@@ -417,6 +445,8 @@ def _simplex(tableau, basis):
             return "unbounded"
         degenerate = degenerate + 1 if best_rhs == 0 else 0
         _pivot(tableau, basis, leaving, entering)
+        if leaving == costs:
+            return "optimal"
 
 
 def _pivot(tableau, basis, row, col):

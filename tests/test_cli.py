@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -298,3 +299,14 @@ class TestStartup:
         # -O strips asserts, so none may sit on the decision path
         res = _python("-O", "-m", "probarg", "corpus", *args)
         assert res.stdout == (GOLDEN / golden).read_bytes()
+
+    def test_package_has_no_assert(self):
+        # -O strips asserts, so a check that must hold raises an error of
+        # its own; this finds an assert before any golden run could miss it
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted((SRC / "probarg").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []

@@ -13,8 +13,10 @@ random assessments over 2-4 declared atoms (1-5 used and 0-3 unused for the
 merged columns), some of them unused, with zero-probability premises
 (zero-layer descents) and incoherent premise sets.
 A layer that builds both premise rows of every entry, implied or not, is the
-reference for the rows a layer skips, and a layer with one column per world
-the reference for the classes of worlds a layer merges into one column.
+reference for the rows a layer skips, a layer with one column per world
+the reference for the classes of worlds a layer merges into one column, and
+vertex enumeration and a layer that keeps every class the references for
+the classes a layer's presolve drops.
 
 The references find what holds at each world with eval_classical over
 constituents(), not with the solver's truth tables, so they also check the
@@ -30,7 +32,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from int_rows import int_row
-from oracles import conditional_value, vertex_bounds, witness_satisfies
+from oracles import (
+    assessment_polytope_rows,
+    conditional_value,
+    enumerate_vertices,
+    vertex_bounds,
+    witness_satisfies,
+)
 from probarg import coherence, linprog
 from probarg.coherence import (
     Assessment,
@@ -40,6 +48,7 @@ from probarg.coherence import (
     Incoherent,
     IncoherentPremises,
     check_coherence,
+    classify,
     propagate,
     structural_bounds,
 )
@@ -564,9 +573,11 @@ def test_chain_level0_has_seven_rows():
 
 
 def test_free_entry_adds_no_row_but_descends():
-    """p(A) = 0 and p(B | A) in [0, 1]: the second entry builds no row at
-    level 0, and its antecedent, forced to zero there, carries it into the
-    level-1 layer."""
+    """p(A) = 0 and p(B | A) in [0, 1]: p(A) = 0 pins the worlds where A
+    holds, so the level-0 layer has one column, where A fails, and no row.
+    The free entry has no antecedent column left there, so it is forced
+    with no solve (the one solve is the witness's), and its antecedent
+    carries it into the level-1 layer, where it builds no row either."""
     zero = AssessmentEntry(ConditionalObject(Atom("A")), F(0), F(0))
     free = AssessmentEntry(ConditionalObject(Atom("B"), Atom("A")), F(0), F(1))
     layers = []
@@ -577,11 +588,13 @@ def test_free_entry_adds_no_row_but_descends():
             layers.append(self)
 
     with patched(coherence, "_Layer", Recorded):
-        verdict = check_coherence(Assessment((zero, free)), ("A", "B"))
+        counts, verdict = traced(lambda: check_coherence(Assessment((zero, free)), ("A", "B")))
     assert isinstance(verdict, Coherent)
+    assert counts == {"pivots": 2, "solves": 1, "levels": 1}
     level0, level1 = layers
-    assert len(level0.homogeneous) == 1
-    assert level0.m_cols[1] and len(level0.region()) == 2
+    assert worlds_of(level0.domain) == [0, 1, 2, 3] and level0.classes == [0b0011]
+    assert level0.homogeneous == [] and level0.m_cols == [1, 0]
+    assert len(level0.region()) == 1
     assert level1.entries == [free]
     assert level1.homogeneous == [] and worlds_of(level1.domain) == [2, 3]
 
@@ -601,31 +614,51 @@ def world_layer(atoms):
     world of its domain, in world order, and its premise rows found world by
     world in Fractions with eval_classical over constituents(atoms), built
     where they have a positive coefficient, as _Layer builds them, and given
-    to linprog in int form (int_row). It takes _Layer's arguments and reads
-    of the tables only the deeper layers' domains (_Layer.deeper)."""
+    to linprog in int form (int_row). Its presolve is stated on the rows: a
+    row with no negative coefficient pins every world where it is positive,
+    and the rows are found again without the pinned worlds until none is
+    pinned. It takes _Layer's arguments and reads of the tables only the
+    deeper layers' domains (_Layer.deeper)."""
     dicts = constituents(atoms)
 
     class WorldLayer(coherence._Layer):
         def __init__(self, entries, tables, domain, extra=()):
-            worlds = worlds_of(domain)
-            n = len(worlds)
             self.entries, self.tables, self.domain, self.extra = entries, tables, domain, extra
+            worlds = worlds_of(domain)
+            while True:
+                m_cols, rows = self.premise_rows(worlds)
+                pinned = {
+                    w
+                    for row in rows
+                    if all(v >= 0 for v in row)
+                    for w, v in zip(worlds, row)
+                    if v > 0
+                }
+                if not pinned:
+                    break
+                worlds = [w for w in worlds if w not in pinned]
             self.classes = [1 << w for w in worlds]
-            self.m_cols, self.homogeneous = [], []
-            for entry in entries:
-                m_cols, lo_row, hi_row = 0, [F(0)] * n, [F(0)] * n
+            self.m_cols = m_cols
+            self.homogeneous = [int_row(row, "<=", 0) for row in rows]
+
+        def premise_rows(self, worlds):
+            """Per entry its m_cols over worlds, and the rows lo*m - e <= 0
+            and e - hi*m <= 0 that have a positive coefficient there."""
+            n = len(worlds)
+            m_cols, rows = [], []
+            for entry in self.entries:
+                cols, lo_row, hi_row = 0, [F(0)] * n, [F(0)] * n
                 for k, w in enumerate(worlds):
                     if eval_classical(entry.obj.antecedent, dicts[w]):
-                        m_cols |= 1 << k
+                        cols |= 1 << k
                         lo_row[k] += entry.lo
                         hi_row[k] -= entry.hi
                         if eval_classical(entry.obj.consequent, dicts[w]):
                             lo_row[k] -= 1
                             hi_row[k] += 1
-                self.m_cols.append(m_cols)
-                self.homogeneous += [
-                    int_row(row, "<=", 0) for row in (lo_row, hi_row) if any(v > 0 for v in row)
-                ]
+                m_cols.append(cols)
+                rows += [row for row in (lo_row, hi_row) if any(v > 0 for v in row)]
+            return m_cols, rows
 
     return WorldLayer
 
@@ -748,8 +781,10 @@ def test_pinned_layer_forces_what_the_pinned_row_forces():
     """Where min m = 0, propagate finds the entries forced to zero with m_q
     = 0 over the layer of the worlds where q's antecedent fails, probed by
     min m's support; the plain procedure adds the row m_q = 0 to the
-    layer's rows. The new layer's columns are the layer's columns outside
-    m_q, in order, and the forced sets are the same."""
+    layer's rows. The new layer's columns are among the layer's columns
+    outside m_q, in order (its presolve may pin more of them), the probe
+    maps min m's support onto them class by class, and the forced sets are
+    the same."""
     rng = random.Random("pinned-layer")
     reached = nonempty = 0
     for _ in range(400):
@@ -765,8 +800,9 @@ def test_pinned_layer_forces_what_the_pinned_row_forces():
         n = len(layer.classes)
         rows = Region([([1] * n, EQ, 1)] + layer.homogeneous + [(m_row, EQ, 0)], n)
         pinned = coherence._Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & m_q))
-        assert pinned.classes == [c for c in layer.classes if not c & m_q]
-        probe = coherence._outside(min_m.support(), layer.classes, m_q)
+        outside = iter([c for c in layer.classes if not c & m_q])
+        assert all(c in outside for c in pinned.classes)
+        probe = coherence._by_class(min_m.support(), layer.classes, pinned.classes)
         assert probe == sum(
             1 << k for k, c in enumerate(pinned.classes) if min_m.solution[layer.classes.index(c)]
         )
@@ -776,3 +812,132 @@ def test_pinned_layer_forces_what_the_pinned_row_forces():
         reached += 1
         nonempty += bool(forced)
     assert reached >= 100 and nonempty >= 50, (reached, nonempty)
+
+
+# --- presolve -----------------------------------------------------------------
+#
+# A row with rhs 0 and no negative coefficient pins every class where it is
+# positive at zero mass, and a layer drops those classes. Here the dropped
+# classes and the entries left with no antecedent column are checked by
+# vertex enumeration, which uses no solver, and the answers against a layer
+# that keeps every class, on assessments full of [0, 0] and [1, 1] premises.
+
+
+class KeptLayer(coherence._Layer):
+    """The layer without presolve: every class of its domain is a column.
+    Its classes are those of the layer built with every bound set to [0, 1],
+    which pins nothing; its rows are each entry's lo*m - e <= 0 and e -
+    hi*m <= 0 where they have a positive coefficient, in int form
+    (int_row), as _Layer builds them."""
+
+    def __init__(self, entries, tables, domain, extra=()):
+        free = [AssessmentEntry(e.obj, F(0), F(1)) for e in entries]
+        super().__init__(free, tables, domain, extra)
+        self.entries = entries
+        self.homogeneous = []
+        for entry, (m, e) in zip(entries, tables):
+            held = [(1 if e & c else 0) if m & c else None for c in self.classes]
+            rows = (
+                [0 if h is None else entry.lo - h for h in held],
+                [0 if h is None else h - entry.hi for h in held],
+            )
+            self.homogeneous += [int_row(row, "<=", 0) for row in rows if any(v > 0 for v in row)]
+
+
+def small_kinded_problems(seed, count):
+    """count seeded kinded_problem sets that declare at most 3 atoms."""
+    rng = random.Random(seed)
+    problems = []
+    while len(problems) < count:
+        a, q, atoms = kinded_problem(rng)
+        if len(atoms) <= 3:
+            problems.append((a, q, atoms))
+    return problems
+
+
+def oracle_classes(entries, atoms):
+    """The worlds of constituents(atoms) grouped by what holds at them, with
+    eval_classical: per entry, its antecedent, and antecedent and
+    consequent. Lists of world indices, ordered by their lowest world."""
+    groups = {}
+    for w, v in enumerate(constituents(atoms)):
+        key = tuple(
+            (eval_classical(ante, v), eval_classical(And(ante, cons), v))
+            for ante, cons in ((e.obj.antecedent, e.obj.consequent) for e in entries)
+        )
+        groups.setdefault(key, []).append(w)
+    return list(groups.values())
+
+
+def check_presolve(a, q, atoms):
+    """The level-0 layer of check_coherence against vertex enumeration, and
+    check_coherence and propagate against KeptLayer. Returns whether the
+    level-0 layer dropped a class.
+
+    The vertices are those of the level-0 polytope over one world per
+    oracle class (assessment_polytope_rows), whose points are the world
+    polytope's points summed class by class: a class has mass 0 at every
+    vertex, and so at every point, exactly when each of its worlds has mass
+    0 at every point of the world polytope. The ">= 0" rows with no
+    negative coefficient are left out: x >= 0 implies them, and one is
+    active only where the x >= 0 rows of its positive columns are, which
+    span it, so leaving it out changes no vertex."""
+    layer, _ = coherence._level0(a, atoms)
+    kept = worlds_of(sum(layer.classes))
+    classes = oracle_classes(a.entries, atoms)
+    dicts = constituents(atoms)
+    eqs, ineqs = assessment_polytope_rows(a.entries, [dicts[ws[0]] for ws in classes])
+    vertices = enumerate_vertices(
+        len(classes), eqs, [(row, rhs) for row, rhs in ineqs if any(v < 0 for v in row)]
+    )
+    for k, ws in enumerate(classes):
+        if set(ws) - set(kept):
+            assert all(x[k] == 0 for x in vertices), f"a dropped world of {ws} has mass"
+    for entry, m_cols in zip(a.entries, layer.m_cols):
+        if not m_cols:
+            ante = [eval_classical(entry.obj.antecedent, dicts[ws[0]]) for ws in classes]
+            assert all(not any(v for v, h in zip(x, ante) if h) for x in vertices)
+
+    def answers(kept_every_class):
+        layer_class = KeptLayer if kept_every_class else coherence._Layer
+        with patched(coherence, "_Layer", layer_class):
+            verdict = check_coherence(a, atoms)
+            try:
+                bounds = propagate(a, q, atoms)
+                evaluated = bounds, classify(bounds)
+            except IncoherentPremises as err:
+                evaluated = err.certificate
+        if isinstance(verdict, Coherent):
+            assert witness_satisfies(a.entries, dicts, verdict.witness)
+            verdict = Coherent
+        return verdict, evaluated
+
+    assert answers(False) == answers(True)
+    return len(layer.classes) < len(classes)
+
+
+def test_presolve_drops_only_zero_mass_and_keeps_the_answers():
+    """300 seeded sets over at most 3 atoms; presolve fires in at least 50,
+    at level 0."""
+    fired = sum(check_presolve(*problem) for problem in small_kinded_problems("presolve", 300))
+    assert fired >= 50, fired
+
+
+def test_presolve_pivots_and_solves():
+    """check_coherence and propagate on 300 seeded kinded_problem sets over
+    at most 3 atoms: the pivots, coherence's solves and deeper levels they
+    take in all. Before the presolve, check_coherence took 763 pivots and
+    306 solves and propagate 782 pivots and 475 solves, at the same
+    levels."""
+    totals = {}
+    for a, q, atoms in small_kinded_problems("presolve-counts", 300):
+        for name, fn in (
+            ("check", lambda: check_coherence(a, atoms)),
+            ("propagate", lambda: propagate(a, q, atoms)),
+        ):
+            counts, _ = traced(fn)
+            totals[name] = {k: totals.get(name, {}).get(k, 0) + v for k, v in counts.items()}
+    assert totals == {
+        "check": {"pivots": 285, "solves": 194, "levels": 124},
+        "propagate": {"pivots": 379, "solves": 337, "levels": 144},
+    }
