@@ -57,13 +57,19 @@ The solver path takes as few solves as the answer allows:
 - The Charnes-Cooper program for a bound starts from the optimal tableau
   of maximizing the query's antecedent mass (Region.charnes_cooper),
   which propagate solves anyway, so it runs no phase 1.
+- A layer whose bounds are [0, 1] is the answer: propagate solves no min
+  m there, builds no pinned layer and descends no further. Every deeper
+  layer's bounds lie in [0, 1], and they hold this layer's, so the answer
+  is [0, 1] whatever they are (see _propagate_layer).
 
 Everything on the decision path is exact rational arithmetic: whether a
 conclusion interval equals [0, 1] (probabilistic non-informativeness) is a
 yes/no question, not a tolerance question. It is int arithmetic up to the
-answer: a solve gives its value as one Fraction and its support as an int
-mask, and a point in Fractions is built only for check_coherence's
-witness. The bounds are the Charnes-Cooper values.
+answer: a solve gives its value as an int numerator and denominator and
+its support as an int mask, and the forced-zero fixpoint and the max m and
+min m tests read the numerator. A Fraction is built only for the
+Charnes-Cooper values, which are the bounds, and for check_coherence's
+witness.
 """
 
 from __future__ import annotations
@@ -397,7 +403,7 @@ def _forced_zero(layer, region, probes=(), res=None):
     """
     candidates = list(range(len(layer.m_cols)))
     if res is not None:
-        if not res.value:
+        if not res.numerator:
             return candidates
         probes = [*probes, res.support()]
     for support in probes:
@@ -406,7 +412,7 @@ def _forced_zero(layer, region, probes=(), res=None):
         candidates = _zero_at(layer, candidates, region.support())
     while any(layer.m_cols[i] for i in candidates):
         res = _optimal(solve_lp(layer.antecedent_mass(candidates), region))
-        if not res.value:
+        if not res.numerator:
             return candidates
         candidates = _zero_at(layer, candidates, res.support())
     return candidates
@@ -548,7 +554,8 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
     Level-0 bounds come from the linear-fractional program; whenever the
     antecedent of q may (or must) carry zero mass, the zero-layer where it
     becomes positive is searched as well, constrained by the premises that
-    are forced to zero alongside it, and the results are joined.
+    are forced to zero alongside it. Its bounds hold those above it, so
+    they are the join (see _propagate_layer).
     """
     atomset = tuple(atomset)
     layer, region = _level0(a, atomset, q)
@@ -561,17 +568,42 @@ def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
 
 
 def _propagate_layer(layer, region, q) -> Bounds:
-    """Bounds on p(q) over one layer; q is the query's (m, e) tables and
-    region is layer.region()."""
+    """Bounds on p(q) over one layer and the layers below it; q is the
+    query's (m, e) tables and region is layer.region().
+
+    The order: max m; where it is positive, the two Charnes-Cooper bounds,
+    the layer's own interval; where that is not [0, 1], min m; and where
+    min m = 0, the layer of the points with m_q = 0 and the descent.
+
+    The answer is the join of the own intervals of the layers visited, and
+    that join is the deepest one's: each layer's own interval holds the
+    one of the layer above it. Take a point x of a layer with m_q > 0, keep
+    its masses on the worlds of the next layer (where q's antecedent or the
+    antecedent of an entry forced with m_q = 0 holds) and rescale them to
+    sum to 1. Each of those entries has its antecedent inside those worlds,
+    so its rows, which are homogeneous, hold as they held at x; q's
+    antecedent is inside them too, so the result is a point of the next
+    layer with m_q > 0 and the e_q / m_q of x. So the next layer's max m is
+    positive, and its bounds reach every ratio this layer's do: a descent
+    returns the deeper bounds as they are.
+
+    An own interval of [0, 1] is the answer with no min m, no pinned layer
+    and no descent: a deeper layer's bounds are those of a ratio e_q / m_q
+    of masses with 0 <= e_q <= m_q, so they lie in [0, 1], and the join of
+    [0, 1] with any interval there is [0, 1]. The test reads the exact
+    bounds, so no answer changes, only the solves that find it.
+    """
     m_row = _mass_row(q[0], layer.classes)
     max_m = _optimal(solve_lp(m_row, region, maximize=True))
-    if not max_m.value:
+    if not max_m.numerator:
         forced = _forced_zero(layer, region, [max_m.support()])
         return _descend(layer, forced, q)
     e_row = _mass_row(q[1], layer.classes)
     lo, hi = _fractional_bounds(region, max_m, e_row)
+    if lo == ZERO and hi == ONE:
+        return Bounds(lo, hi)
     min_m = _optimal(solve_lp(m_row, region, maximize=False))
-    if min_m.value:
+    if min_m.numerator:
         return Bounds(lo, hi)
     # m_q = 0 stays feasible: values settled only at the deeper layer
     # where q's antecedent turns positive remain coherent too. Its forced
@@ -582,8 +614,7 @@ def _propagate_layer(layer, region, q) -> Bounds:
     pinned = _Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & q[0]))
     probe = _by_class(min_m.support(), layer.classes, pinned.classes)
     forced = _forced_zero(pinned, pinned.region(), [probe])
-    deeper = _descend(layer, forced, q)
-    return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
+    return _descend(layer, forced, q)
 
 
 def _by_class(support, classes, sub):

@@ -4,10 +4,12 @@ One two-phase simplex. Ints in; Fractions only in results. Every
 coefficient, rhs, slack unit and objective is a Python int, and a Region
 or solve_lp given any other value raises TypeError. All arithmetic is on
 ints. A result's value is summed in ints, c_b * rhs_b * (L/d_b) over the
-priced basic rows with L the lcm of their d_b, and becomes one Fraction.
-Its support() is an int mask of the variables positive at the optimum.
-Its solution, the basic values x_b = rhs/d as Fractions, is built only
-when it is read.
+priced basic rows with L the lcm of their d_b, and kept as that int
+numerator over L: its numerator says whether it is 0 with no Fraction,
+and the value becomes one Fraction only when it is read. Its support() is
+an int mask of the variables positive at the optimum. Its solution, the
+basic values x_b = rhs/d as Fractions, is likewise built only when it is
+read.
 
 - Rows are normalised so each slack can start basic: a row with rhs < 0,
   and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
@@ -83,10 +85,12 @@ DEGENERATE_RUN = 8
 class LPResult(Value):
     """A solve's outcome; unlike the other value classes it can be changed,
     and so has no hash. An optimal solve_lp result also keeps its final
-    tableau (private, not a field), from which Region.charnes_cooper
-    starts, support() reads and solution is built on its first read."""
+    tableau and its value as an int numerator and denominator (private, not
+    fields), from which Region.charnes_cooper starts, support() and
+    numerator read, and value and solution are built on their first
+    read."""
 
-    __slots__ = ("status", "value", "solution", "_optimum")
+    __slots__ = ("status", "value", "solution", "_optimum", "_ratio")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
@@ -99,12 +103,26 @@ class LPResult(Value):
         self._optimum = None
 
     def __getattr__(self, name):
-        # Only an unset slot gets here: the solution of a solve_lp optimum.
-        if name != "solution" or self._optimum is None:
+        # Only an unset slot gets here: the value or the solution of a
+        # solve_lp optimum.
+        if self._optimum is None:
             raise AttributeError(name)
-        region, _, _, tableau, basis = self._optimum
-        self.solution = _point(tableau, basis, region.n)
-        return self.solution
+        if name == "value":
+            self.value = Fraction(*self._ratio)
+            return self.value
+        if name == "solution":
+            region, _, _, tableau, basis = self._optimum
+            self.solution = _point(tableau, basis, region.n)
+            return self.solution
+        raise AttributeError(name)
+
+    @property
+    def numerator(self) -> int:
+        """The int numerator of a solve_lp optimum's value, over a positive
+        int denominator and not always in lowest terms, read without
+        building the value: it is 0 exactly when the value is, and has its
+        sign. Any other result has none (AttributeError)."""
+        return self._ratio[0]
 
     def support(self) -> int:
         """The variables positive at a solve_lp optimum, as an int mask:
@@ -177,12 +195,14 @@ class Region:
         derived region at the same basis, and it is feasible: t_i/M >= 0.
         On the integer tableau, with r[-1] = -K the cost row's last entry
         and M = P/Q, row i becomes P*K*row_i + P*rhs_i*r on the columns,
-        with rhs rhs_i*K*Q, made coprime. A row with rhs 0 stays as it is.
+        with rhs rhs_i*K*Q, made coprime. P/Q is the optimum's int ratio,
+        not always in lowest terms; a factor common to P and Q scales the
+        whole row and goes with the gcd. A row with rhs 0 stays as it is.
         """
         start = optimum._optimum
         if start is None or start[0] is not self or not start[2]:
             raise ValueError("optimum is not a solve_lp maximum over this region")
-        p, q = optimum.value.numerator, optimum.value.denominator
+        p, q = optimum._ratio
         if p <= 0:
             raise ValueError("the Charnes-Cooper start needs a positive maximum")
         first, rel, rhs, _ = self._rows[0]
@@ -306,9 +326,10 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
         if b < n and row[-1] and objective[b]
     ]
     big = lcm(*[d for _, _, d in priced])
-    res = LPResult("optimal", Fraction(sum([c * rhs * (big // d) for c, rhs, d in priced]), big))
+    res = LPResult("optimal")
     res._optimum = rows, objective, maximize, tableau, basis
-    del res.solution  # built from the tableau on its first read
+    res._ratio = sum([c * rhs * (big // d) for c, rhs, d in priced]), big
+    del res.value, res.solution  # built on their first read
     return res
 
 

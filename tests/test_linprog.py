@@ -15,11 +15,21 @@ def positive(x):
     return sum(1 << j for j, v in enumerate(x) if v > 0)
 
 
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
 def reads_agree(objective, res):
-    """An optimal result's value and support(), read off its tableau in
-    ints, are those its solution in Fractions gives."""
+    """An optimal result's value, numerator and support(), read off its
+    tableau in ints, are those its solution in Fractions gives: the value
+    and its sign."""
     x = res.solution
-    return res.value == sum(F(c) * v for c, v in zip(objective, x)) and res.support() == positive(x)
+    value = sum(F(c) * v for c, v in zip(objective, x))
+    return (
+        res.value == value
+        and sign(res.numerator) == sign(value)
+        and res.support() == positive(x)
+    )
 
 
 def test_simple_max():
@@ -324,6 +334,25 @@ def test_charnes_cooper_needs_a_positive_maximum_over_the_region():
     assert best.value == 1
     assert "_optimum" not in repr(best)
     assert best == LPResult("optimal", best.value, best.solution)
+
+
+def test_value_is_built_on_its_first_read():
+    """A solve_lp optimum keeps its value as an int numerator over an int
+    denominator. Reading numerator builds no Fraction; value is built once,
+    on its first read, and the result's fields, == and repr are those of a
+    result built with the value."""
+    res = solve_lp([1, 1], [([1, 2], LE, 4), ([3, 1], LE, 6)])
+    with mock.patch("probarg.linprog.Fraction", wraps=F) as built:
+        assert res.numerator > 0 and built.call_count == 0
+        assert res.value == F(14, 5) and built.call_count == 1
+        assert res.value == F(14, 5) and built.call_count == 1
+    assert res == LPResult("optimal", F(14, 5), [F(8, 5), F(6, 5)])
+    assert repr(res) == repr(LPResult("optimal", F(14, 5), [F(8, 5), F(6, 5)]))
+    assert solve_lp([-1, 0], [([1, 1], LE, 1)]).numerator == 0
+    assert solve_lp([1, 1], [([1, 1], GE, 1)], maximize=False).numerator > 0
+    assert solve_lp([-1, -1], [([1, 1], GE, 1)]).numerator < 0
+    with pytest.raises(AttributeError, match="numerator"):
+        LPResult("optimal", F(1), [F(1)]).numerator
 
 
 def test_vertex_is_the_phase1_point():

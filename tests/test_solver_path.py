@@ -3,12 +3,13 @@
 propagate starts the Charnes-Cooper program from the max-m optimum, the
 zero-layer procedure tests the supports of points it already has (the
 start, the witness, the max-m or min-m solution) before any forced-zero
-solve, and where min m = 0 it drops the columns of q's antecedent instead
-of adding the row m_q = 0. Here all three are checked against the
-procedure without those steps: a Charnes-Cooper region rebuilt from its
-rows (phase 1 and all), a forced-zero fixpoint that starts from the max-sum
-solve and reads each solution in Fractions, the row m_q = 0, and
-feasibility decided by a solve. Inputs are
+solve, where min m = 0 it drops the columns of q's antecedent instead
+of adding the row m_q = 0, and it descends no further than a layer whose
+bounds are [0, 1]. Here all four are checked against the procedure
+without those steps: a Charnes-Cooper region rebuilt from its rows (phase
+1 and all), a forced-zero fixpoint that starts from the max-sum solve and
+reads each solution in Fractions, the row m_q = 0, a descent wherever min
+m = 0, and feasibility decided by a solve. Inputs are
 random assessments over 2-4 declared atoms (1-5 used and 0-3 unused for the
 merged columns), some of them unused, with zero-probability premises
 (zero-layer descents) and incoherent premise sets.
@@ -258,31 +259,37 @@ def rebuilt_bounds(layer, m_row, e_row):
     return region, lo.value, hi.value
 
 
-def propagate_by_rebuilding(layer, region, q, atoms):
-    """Bounds on p(q) over one layer, each Charnes-Cooper region rebuilt
-    and each forced set found by the fixpoint alone."""
+def propagate_by_rebuilding(layer, region, q, atoms, levels=None):
+    """Bounds on p(q) over one layer, each Charnes-Cooper region rebuilt,
+    each forced set found by the fixpoint alone, and every layer where min
+    m = 0 descended. levels, when given, gets each layer's own interval
+    (lo, hi), or None where max m = 0, from the top down."""
     m_row, e_row = q_rows(q, atoms, layer)
     max_m = solve_lp(m_row, region)
     if max_m.value == 0:
+        if levels is not None:
+            levels.append(None)
         forced = forced_by_fixpoint(layer, region)
-        return descend_by_rebuilding(layer, forced, q, atoms)
+        return descend_by_rebuilding(layer, forced, q, atoms, levels)
     _, lo, hi = rebuilt_bounds(layer, m_row, e_row)
+    if levels is not None:
+        levels.append((lo, hi))
     if solve_lp(m_row, region, maximize=False).value > 0:
         return Bounds(lo, hi)
     n = len(layer.classes)
     pinned = Region([([1] * n, EQ, 1)] + layer.homogeneous + [(m_row, EQ, 0)], n)
     forced = forced_by_fixpoint(layer, pinned)
-    deeper = descend_by_rebuilding(layer, forced, q, atoms)
+    deeper = descend_by_rebuilding(layer, forced, q, atoms, levels)
     return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
 
 
-def descend_by_rebuilding(layer, forced, q, atoms):
+def descend_by_rebuilding(layer, forced, q, atoms, levels=None):
     entries = [layer.entries[i] for i in forced]
     domain = restrict(
         atoms, layer.domain, [q.antecedent] + [e.obj.antecedent for e in entries]
     )
     sub = coherence._Layer(entries, eval_tables(entries, atoms), domain, obj_tables(q, atoms))
-    return propagate_by_rebuilding(sub, sub.region(), q, atoms)
+    return propagate_by_rebuilding(sub, sub.region(), q, atoms, levels)
 
 
 def check_problem(a, q, atoms, rng):
@@ -452,21 +459,26 @@ def patched(module, name, value):
         setattr(module, name, saved)
 
 
+@contextmanager
+def counted(counts, key, module, name):
+    """module.name counts its calls in counts[key] while in use."""
+    f = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return f(*args, **kwargs)
+
+    with patched(module, name, wrapper):
+        yield
+
+
 def traced(fn):
     """fn() with what it took: (pivots, coherence's solve_lp calls, deeper
     levels, result or raised IncoherentPremises)."""
     counts = {"pivots": 0, "solves": 0, "levels": 0}
-
-    def counting(key, f):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return f(*args, **kwargs)
-
-        return wrapper
-
-    with patched(linprog, "_pivot", counting("pivots", linprog._pivot)), patched(
-        coherence, "solve_lp", counting("solves", coherence.solve_lp)
-    ), patched(coherence, "_restrict_worlds", counting("levels", coherence._restrict_worlds)):
+    with counted(counts, "pivots", linprog, "_pivot"), counted(
+        counts, "solves", coherence, "solve_lp"
+    ), counted(counts, "levels", coherence, "_restrict_worlds"):
         try:
             out = fn()
         except IncoherentPremises as err:
@@ -928,7 +940,9 @@ def test_presolve_pivots_and_solves():
     at most 3 atoms: the pivots, coherence's solves and deeper levels they
     take in all. Before the presolve, check_coherence took 763 pivots and
     306 solves and propagate 782 pivots and 475 solves, at the same
-    levels."""
+    levels. Before propagate stopped at bounds of [0, 1], it took 379
+    pivots, 337 solves and 144 levels; the levels it visits fall with the
+    descents it skips, and check_coherence's do not move."""
     totals = {}
     for a, q, atoms in small_kinded_problems("presolve-counts", 300):
         for name, fn in (
@@ -939,5 +953,96 @@ def test_presolve_pivots_and_solves():
             totals[name] = {k: totals.get(name, {}).get(k, 0) + v for k, v in counts.items()}
     assert totals == {
         "check": {"pivots": 285, "solves": 194, "levels": 124},
-        "propagate": {"pivots": 379, "solves": 337, "levels": 144},
+        "propagate": {"pivots": 337, "solves": 239, "levels": 131},
     }
+
+
+# --- the stop at [0, 1] -------------------------------------------------------
+#
+# propagate returns as soon as a layer's own interval is [0, 1], with no min
+# m, no pinned layer and no descent, and takes a deeper layer's bounds as
+# they are, unjoined. Here it is checked against propagate_by_rebuilding,
+# which descends wherever min m = 0 and joins what it finds.
+
+
+def compare_stop(a, q, atoms):
+    """propagate against propagate_by_rebuilding on a coherent problem whose
+    query logic does not settle: the same bounds, and each rebuilt layer's
+    own interval holds the one of the layer above it. Returns (the descents
+    propagate made, the rebuilt layers' own intervals, from the top down).
+
+    The intervals nest because a point of a layer with m_q > 0, restricted
+    to the next layer's worlds and rescaled, is a point of the next layer
+    with the same e_q / m_q: those worlds hold q's antecedent and those of
+    the next layer's entries, whose rows are homogeneous. So the join of
+    the intervals found so far is the last one, and no problem has a join
+    of [0, 1] where no layer's own interval is [0, 1]."""
+    counts = {"descents": 0}
+    with counted(counts, "descents", coherence, "_descend"):
+        got = propagate(a, q, atoms)
+    layer, region = coherence._level0(a, atoms, q)
+    levels = []
+    assert got == propagate_by_rebuilding(layer, region, q, atoms, levels)
+    own = [b for b in levels if b is not None]
+    assert all(lo <= up_lo and up_hi <= hi for (up_lo, up_hi), (lo, hi) in zip(own, own[1:]))
+    return counts["descents"], levels
+
+
+def test_stop_at_0_1_loses_nothing():
+    """300 seeded coherent kinded_problem sets with a query that logic does
+    not settle: the stop skips a descent that the rebuilt procedure makes in
+    at least 50 of them, and in some below level 0, after a descent."""
+    rng = random.Random("join-stop")
+    problems = skipped = below = 0
+    while problems < 300:
+        a, q, atoms = kinded_problem(rng)
+        if structural_bounds(q) is not None or isinstance(check_coherence(a, atoms), Incoherent):
+            continue
+        problems += 1
+        descents, levels = compare_stop(a, q, atoms)
+        if descents < len(levels) - 1:
+            skipped += 1
+            below += descents > 0
+    assert skipped >= 50 and below >= 5, (skipped, below)
+
+
+def test_stop_below_level_0():
+    """p(A or B) = 0 and p(C | A or B) >= 9/10, query (C | A): level 0 gives
+    A no mass, so propagate descends to the layer over A or B, whose own
+    interval is [0, 1] while B alone may carry its mass (min m = 0). There
+    it stops; the rebuilt procedure descends once more, to [0, 1] again."""
+    A, B, C = Atom("A"), Atom("B"), Atom("C")
+    a = Assessment(
+        (
+            AssessmentEntry(ConditionalObject(Or(A, B)), F(0), F(0)),
+            AssessmentEntry(ConditionalObject(C, Or(A, B)), F(9, 10), F(1)),
+        )
+    )
+    q = ConditionalObject(C, A)
+    assert compare_stop(a, q, ("A", "B", "C")) == (1, [None, (0, 1), (0, 1)])
+    assert propagate(a, q, ("A", "B", "C")) == Bounds(F(0), F(1))
+
+
+def test_only_bounds_and_witnesses_build_fractions():
+    """The forced-zero fixpoint and the max m and min m tests read a solve's
+    int numerator, so on 300 seeded problems solve_lp builds a Fraction only
+    for a Charnes-Cooper bound, two per program, and for a witness, one per
+    positive mass; the other solves, more than half of all, build none."""
+    counts = {"fractions": 0, "programs": 0, "solves": 0}
+    rng = random.Random("fraction-free")
+    with counted(counts, "fractions", linprog, "Fraction"), counted(
+        counts, "programs", coherence, "_fractional_bounds"
+    ), counted(counts, "solves", coherence, "solve_lp"):
+        for _ in range(300):
+            a, q, atoms = random_problem(rng)
+            before = counts["fractions"]
+            verdict = check_coherence(a, atoms)
+            witness = 0 if isinstance(verdict, Incoherent) else sum(1 for x in verdict.witness if x)
+            assert counts["fractions"] - before == witness
+            before, programs = counts["fractions"], counts["programs"]
+            try:
+                propagate(a, q, atoms)
+            except IncoherentPremises:
+                pass
+            assert counts["fractions"] - before == 2 * (counts["programs"] - programs)
+    assert counts["solves"] > 2 * counts["programs"] + 300, counts
