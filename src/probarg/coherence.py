@@ -24,11 +24,12 @@ domains read one bit per class. The entry rows reach linprog as "<=" rows
 with rhs 0 in coprime ints, so Region has nothing to negate.
 
 The solver path takes as few solves as the answer allows:
-- A layer first drops the classes that a row with no negative
+- A layer first drops the worlds that a row with no negative
   coefficient pins at zero mass, such as those of A where p(A) = 0 or of
-  not A where p(A) = 1, until no row pins one (presolve; see _Layer). The
-  polytope stays the same, so no answer changes. An entry whose
-  antecedent holds on no class left is forced to zero with no solve.
+  not A where p(A) = 1, until no row pins one, and only then splits the
+  worlds left into classes (presolve; see _Layer). The polytope stays the
+  same, so no answer changes. An entry whose antecedent holds on no class
+  left is forced to zero with no solve.
 - A layer builds a premise row only where it has a positive coefficient:
   lo*m <= e when lo > 0 and e fails somewhere on m, e <= hi*m when hi < 1
   and e holds somewhere; x >= 0 implies the rows it skips, and skipping
@@ -43,33 +44,32 @@ The solver path takes as few solves as the answer allows:
   feasible point. Positive mass at any one feasible point proves it is
   not. The probes are supports, int masks over the columns: the start's
   (Region.support(), which after a one-pivot start holds every column
-  that allowed it), the witness solve's, max m's or min m's. Only the
-  entries no probe clears go to the max-sum fixpoint of _forced_zero,
-  which solves only while one of them has an antecedent column. The
-  forced set is a property of the polytope, so probes change no level
-  and no verdict.
-- Where min m = 0, the entries forced to zero with m_q = 0 are found over
-  the layer of the worlds where q's antecedent fails. As x >= 0, that is
-  the polytope with the row m_q = 0 added, whose two artificial rows
-  always needed phase 1; the smaller layer can take the one-pivot start.
-  Its presolve may pin more classes than this layer's, so min m's
-  support reaches its columns class by class (_by_class).
+  that allowed it), the witness solve's or max m's. Only the entries no
+  probe clears go to the max-sum fixpoint of _forced_zero, which solves
+  only while one of them has an antecedent column. The forced set is a
+  property of the polytope, so probes change no level and no verdict.
+- Whether m_q can be 0 is read, with no solve, from the start of the
+  layer of the worlds where q's antecedent fails (the pinned layer). As
+  x >= 0, its points are the layer's points with m_q = 0, so it is
+  feasible exactly when min m = 0; the row m_q = 0 would add a second
+  artificial row, which always needs phase 1, where the smaller layer can
+  take the one-pivot start or be emptied by its presolve. Where it is
+  feasible, the entries it forces to zero go to the deeper layer.
 - The Charnes-Cooper program for a bound starts from the optimal tableau
   of maximizing the query's antecedent mass (Region.charnes_cooper),
   which propagate solves anyway, so it runs no phase 1.
-- A layer whose bounds are [0, 1] is the answer: propagate solves no min
-  m there, builds no pinned layer and descends no further. Every deeper
-  layer's bounds lie in [0, 1], and they hold this layer's, so the answer
-  is [0, 1] whatever they are (see _propagate_layer).
+- A layer whose bounds are [0, 1] is the answer: propagate builds no
+  pinned layer there and descends no further. Every deeper layer's
+  bounds lie in [0, 1], and they hold this layer's, so the answer is
+  [0, 1] whatever they are (see _propagate_layer).
 
 Everything on the decision path is exact rational arithmetic: whether a
 conclusion interval equals [0, 1] (probabilistic non-informativeness) is a
 yes/no question, not a tolerance question. It is int arithmetic up to the
 answer: a solve gives its value as an int numerator and denominator and
-its support as an int mask, and the forced-zero fixpoint and the max m and
-min m tests read the numerator. A Fraction is built only for the
-Charnes-Cooper values, which are the bounds, and for check_coherence's
-witness.
+its support as an int mask, and the forced-zero fixpoint and the max m
+test read the numerator. A Fraction is built only for the Charnes-Cooper
+values, which are the bounds, and for check_coherence's witness.
 """
 
 from __future__ import annotations
@@ -206,10 +206,10 @@ class _Layer:
     query's (m, e).
 
     classes: the columns, the classes of the worlds of domain that no table
-    of tables or extra tells apart: domain split by each table t into its
-    parts inside and outside t, empty parts dropped, and then the classes a
-    forcing row pins (see below) dropped. They are int masks, ordered by
-    their lowest world, the class's representative. These are the
+    of tables or extra tells apart, once the worlds a forcing row pins (see
+    below) are dropped: the worlds left split by each table t into their
+    parts inside and outside t, empty parts dropped. They are int masks,
+    ordered by their lowest world, the class's representative. These are the
     constituents generated by the family (Gilio 2002; Biazzo and Gilio
     2000): every table holds on all of a class or on none of it, so rows,
     objectives and deeper domains read one bit per class. m_cols: per
@@ -258,10 +258,18 @@ class _Layer:
     x >= 0. lo*m <= e has none when lo = 1 or e holds on no class, and then
     pins the classes of m where e fails (all of m's when e holds on none);
     e <= hi*m has none when hi = 0 or e holds on every class of m, and then
-    pins e's. The layer drops the pinned classes, counts again and repeats
-    until no row pins a class; the forcing rows are then rows without a
-    positive coefficient, and are skipped. A pinned class has zero mass at
-    every feasible point, so the polytope is the same one in fewer
+    pins e's. The layer drops the pinned classes and repeats until no row
+    pins a class; the forcing rows are then rows without a positive
+    coefficient, and are skipped. Every table is a union of classes, so a
+    row pins a class exactly when it pins the class's worlds, and the
+    presolve runs on live, a mask of the worlds not yet pinned, before any
+    split: e holds on a class left when e & live is not 0, and on every
+    class of m left when (m ^ e) & live is 0. Splitting the worlds left
+    gives the classes of domain that no row pins, in the same order, so
+    the tableau is the one of a layer that splits every world first and
+    then drops the pinned classes, and a layer that a forcing row empties
+    costs a few mask operations. A pinned class has zero mass
+    at every feasible point, so the polytope is the same one in fewer
     columns, and forced sets, levels and bounds, which are properties of
     the polytope, do not change; only the simplex's path and the witness
     vertex may. An entry whose antecedent holds on no class left has m_cols 0:
@@ -275,7 +283,27 @@ class _Layer:
         self.tables = tables
         self.domain = domain
         self.extra = extra
-        classes = [domain] if domain else []
+        # lo = a/b and hi = c/d; lo > 0 is a > 0, and hi < 1 is c < d
+        bounds = [
+            (e.lo.numerator, e.lo.denominator, e.hi.numerator, e.hi.denominator)
+            for e in entries
+        ]
+        # held: per entry, the live worlds where e holds and those where m
+        # holds and e fails; live: the worlds no forcing row pins
+        live = domain
+        while True:
+            held, pinned = [], 0
+            for (m, e), (a, b, c, d) in zip(tables, bounds):
+                on_e, off_e = e & live, (m ^ e) & live
+                held.append((on_e, off_e))
+                if a and off_e and (a == b or not on_e):
+                    pinned |= off_e
+                if c < d and on_e and (not c or not off_e):
+                    pinned |= on_e
+            if not pinned:
+                break
+            live ^= pinned
+        classes = [live] if live else []
         for pair in (*tables, extra):
             for t in pair:
                 parts = []
@@ -290,46 +318,20 @@ class _Layer:
                         parts.append(c)
                 classes = parts
         classes.sort(key=lambda c: c & -c)
-        # lo = a/b and hi = c/d; lo > 0 is a > 0, and hi < 1 is c < d
-        bounds = [
-            (e.lo.numerator, e.lo.denominator, e.hi.numerator, e.hi.denominator)
-            for e in entries
-        ]
-        while True:
-            # per entry (m_cols, on_m, on_e), and the worlds of the classes
-            # a forcing row pins
-            counts, pinned = [], 0
-            for (m, e), (a, b, c, d) in zip(tables, bounds):
-                m_cols, bit, on_m, on_e = 0, 1, 0, 0
-                for k in classes:
-                    if m & k:
-                        m_cols |= bit
-                        on_m += 1
-                        if e & k:
-                            on_e += 1
-                    bit <<= 1
-                counts.append((m_cols, on_m, on_e))
-                if a and on_e < on_m and (a == b or not on_e):
-                    pinned |= m ^ e
-                if c < d and on_e and (not c or on_e == on_m):
-                    pinned |= e
-            if not pinned:
-                break
-            classes = [k for k in classes if not k & pinned]
         self.classes = classes
         self.m_cols = []
         self.homogeneous = []
-        for (m, e), (a, b, c, d), (m_cols, on_m, on_e) in zip(tables, bounds, counts):
-            self.m_cols.append(m_cols)
+        for (m, e), (a, b, c, d), (on_e, off_e) in zip(tables, bounds, held):
+            self.m_cols.append(sum([1 << k for k, w in enumerate(classes) if m & w]))
             # (coefficient where m holds and e fails, where e holds, slack
             # coefficient) of each row built
             cuts = []
-            if a and on_e < on_m:
+            if a and off_e:
                 cuts.append((a, a - b, b))
             if c < d and on_e:
                 cuts.append((-c, d - c, d))
-            for off_e, in_e, k in cuts:
-                row = [(in_e if e & w else off_e) if m & w else 0 for w in classes]
+            for off, on, k in cuts:
+                row = [(on if e & w else off) if m & w else 0 for w in classes]
                 self.homogeneous.append((row, LE, 0, k))
 
     def region(self) -> Region:
@@ -572,8 +574,9 @@ def _propagate_layer(layer, region, q) -> Bounds:
     query's (m, e) tables and region is layer.region().
 
     The order: max m; where it is positive, the two Charnes-Cooper bounds,
-    the layer's own interval; where that is not [0, 1], min m; and where
-    min m = 0, the layer of the points with m_q = 0 and the descent.
+    the layer's own interval; where that is not [0, 1], the pinned layer,
+    that of the points with m_q = 0, whose start decides whether min m =
+    0; and where it is feasible, the descent with the entries it forces.
 
     The answer is the join of the own intervals of the layers visited, and
     that join is the deepest one's: each layer's own interval holds the
@@ -587,9 +590,9 @@ def _propagate_layer(layer, region, q) -> Bounds:
     positive, and its bounds reach every ratio this layer's do: a descent
     returns the deeper bounds as they are.
 
-    An own interval of [0, 1] is the answer with no min m, no pinned layer
-    and no descent: a deeper layer's bounds are those of a ratio e_q / m_q
-    of masses with 0 <= e_q <= m_q, so they lie in [0, 1], and the join of
+    An own interval of [0, 1] is the answer with no pinned layer and no
+    descent: a deeper layer's bounds are those of a ratio e_q / m_q of
+    masses with 0 <= e_q <= m_q, so they lie in [0, 1], and the join of
     [0, 1] with any interval there is [0, 1]. The test reads the exact
     bounds, so no answer changes, only the solves that find it.
     """
@@ -602,31 +605,16 @@ def _propagate_layer(layer, region, q) -> Bounds:
     lo, hi = _fractional_bounds(region, max_m, e_row)
     if lo == ZERO and hi == ONE:
         return Bounds(lo, hi)
-    min_m = _optimal(solve_lp(m_row, region, maximize=False))
-    if min_m.numerator:
-        return Bounds(lo, hi)
-    # m_q = 0 stays feasible: values settled only at the deeper layer
-    # where q's antecedent turns positive remain coherent too. Its forced
-    # set is that of the points with m_q = 0: as x >= 0, those of the layer
-    # over the worlds where q's antecedent fails, whose columns are among
-    # this layer's columns outside m_q (its presolve may pin more of them).
-    # min_m is such a point.
+    # The points with m_q = 0 are, as x >= 0, those of the layer over the
+    # worlds where q's antecedent fails: min m = 0 exactly when it is
+    # feasible. Then values settled only at the deeper layer where q's
+    # antecedent turns positive remain coherent too, and its forced set is
+    # that of this pinned layer.
     pinned = _Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & q[0]))
-    probe = _by_class(min_m.support(), layer.classes, pinned.classes)
-    forced = _forced_zero(pinned, pinned.region(), [probe])
-    return _descend(layer, forced, q)
-
-
-def _by_class(support, classes, sub):
-    """support, a mask over classes, as a mask over sub, a list of classes
-    that holds every class of the support: bit k for each sub[k] that is
-    one of them."""
-    held = 0
-    while support:
-        low = support & -support
-        held |= classes[low.bit_length() - 1]
-        support ^= low
-    return sum([1 << k for k, c in enumerate(sub) if c & held])
+    pinned_region = pinned.region()
+    if pinned_region.support() is None:
+        return Bounds(lo, hi)
+    return _descend(layer, _forced_zero(pinned, pinned_region), q)
 
 
 def _descend(layer, forced, q) -> Bounds:

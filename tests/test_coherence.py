@@ -336,6 +336,8 @@ class TestSolveCounts:
     its level-0 system."""
 
     def test_pivots_and_solves(self, monkeypatch):
+        """8 pivots in 4 solves while a min m solve decided whether m_q can
+        be 0; the pinned layer's presolve now decides it with no pivot."""
         from probarg import coherence, linprog
 
         calls = {"pivot": 0, "solve": 0}
@@ -353,7 +355,7 @@ class TestSolveCounts:
         monkeypatch.setattr(coherence, "solve_lp", counted_solve)
         b = propagate(*chain(6, F(9, 10)))
         assert (b.lo, b.hi) == (F(497051, 900000), 1)
-        assert calls == {"pivot": 8, "solve": 4}
+        assert calls == {"pivot": 7, "solve": 3}
 
     def test_corpus_grid_pivots_and_solves(self, monkeypatch):
         """Every corpus task x interpretation x THETA_GRID propagated: the
@@ -362,7 +364,8 @@ class TestSolveCounts:
         crash start probed only its vertex, 440 solves before an entry
         with no antecedent column left was forced with no solve, and 320
         pivots in 432 solves before propagate stopped at a layer whose
-        bounds are [0, 1], with no min m and no descent."""
+        bounds are [0, 1], with no min m and no descent, and 312 pivots in
+        384 solves before the pinned layer's start replaced min m."""
         from probarg import coherence, linprog
         from probarg.corpus import THETA_GRID, builtin_tasks
         from probarg.dsl import lower
@@ -386,24 +389,40 @@ class TestSolveCounts:
                 for theta in THETA_GRID:
                     a, q = lower(task.spec, interp, ClassificationConfig(theta=theta))
                     propagate(a, q, task.spec.atoms)
-        assert calls == {"pivot": 312, "solve": 384}
+        assert calls == {"pivot": 312, "solve": 312}
 
     def test_chain8_pivots_and_solves(self, monkeypatch):
         """A point further along the scale curve: n = 8 took 54 pivots and
         5 solves before the Charnes-Cooper program started from the max-m
-        optimum, and 43 pivots before the one-pivot crash start."""
+        optimum, 43 pivots before the one-pivot crash start, and 10 pivots
+        in 4 solves before the pinned layer's start replaced min m."""
         calls = _count_calls(monkeypatch)
         b = propagate(*chain(8, F(9, 10)))
         assert (b.lo, b.hi) == (F(38361131, 90000000), 1)
-        assert calls == {"pivot": 10, "solve": 4}
+        assert calls == {"pivot": 9, "solve": 3}
 
     def test_chain10_pivots_and_solves(self, monkeypatch):
-        """n = 10 took 242 pivots before the one-pivot crash start; the
-        chain now takes one pivot more per added atom."""
+        """n = 10 took 242 pivots before the one-pivot crash start, and 12
+        pivots in 4 solves before the pinned layer's start replaced min m;
+        the chain now takes one pivot more per added atom."""
         calls = _count_calls(monkeypatch)
         b = propagate(*chain(10, F(9, 10)))
         assert (b.lo, b.hi) == (F(2917251611, 9000000000), 1)
-        assert calls == {"pivot": 12, "solve": 4}
+        assert calls == {"pivot": 11, "solve": 3}
+
+    def test_chain12_pivots_and_solves(self, monkeypatch):
+        """n = 12, on the scale path: it took 14 pivots in 4 solves before
+        the pinned layer's start replaced min m. The pinned layer covers
+        the worlds where A0 fails, and its presolve empties it, since p(A0)
+        >= 9/10 pins them all, so it costs no pivot."""
+        a, q, atoms = chain(12, F(9, 10))
+        layer, _ = coherence._level0(a, atoms, q)
+        m_q = layer.extra[0]
+        assert coherence._Layer(layer.entries, layer.tables, layer.domain ^ m_q).classes == []
+        calls = _count_calls(monkeypatch)
+        b = propagate(a, q, atoms)
+        assert (b.lo, b.hi) == (F(217297380491, 900000000000), 1)
+        assert calls == {"pivot": 13, "solve": 3}
 
     def test_chain_level0_runs_no_phase1(self, monkeypatch):
         """The all-true world satisfies every premise row of the chain, so
@@ -574,10 +593,18 @@ class TestAtomSet:
 
 class TestNonOptimalSolves:
     """A layer solve that does not come back optimal raises RuntimeError,
-    whichever solve it is."""
+    whichever solve it is: with maximize, max m, the layer system's; without,
+    the minimum of the Charnes-Cooper program (there is no min m solve)."""
 
-    @pytest.mark.parametrize("maximize", [True, False])
-    def test_mass_solves(self, monkeypatch, maximize):
+    @pytest.mark.parametrize(
+        "maximize, message",
+        [
+            (True, "layer system unexpectedly unbounded"),
+            (False, "Charnes-Cooper programs unexpectedly unbounded/optimal"),
+        ],
+        ids=["True", "False"],
+    )
+    def test_mass_solves(self, monkeypatch, maximize, message):
         from probarg import coherence
         from probarg.linprog import LPResult
 
@@ -585,19 +612,19 @@ class TestNonOptimalSolves:
         # one entry per column of the level-0 layer, read at its first world
         layer, _ = coherence._level0(a, atoms, q)
         worlds = constituents(atoms)
-        m_row = [
-            int(eval_classical(q.antecedent, worlds[(c & -c).bit_length() - 1]))
-            for c in layer.classes
+        event = q.antecedent if maximize else And(q.antecedent, q.consequent)
+        row = [
+            int(eval_classical(event, worlds[(c & -c).bit_length() - 1])) for c in layer.classes
         ]
         solve, broken = coherence.solve_lp, maximize
 
         def failing(objective, rows, maximize=True):
-            if list(objective) == m_row and maximize == broken:
+            if list(objective) == row and maximize == broken:
                 return LPResult("unbounded")
             return solve(objective, rows, maximize)
 
         monkeypatch.setattr(coherence, "solve_lp", failing)
-        with pytest.raises(RuntimeError, match="layer system unexpectedly unbounded"):
+        with pytest.raises(RuntimeError, match=message):
             propagate(a, q, atoms)
 
 

@@ -2,10 +2,11 @@
 
 propagate starts the Charnes-Cooper program from the max-m optimum, the
 zero-layer procedure tests the supports of points it already has (the
-start, the witness, the max-m or min-m solution) before any forced-zero
-solve, where min m = 0 it drops the columns of q's antecedent instead
-of adding the row m_q = 0, and it descends no further than a layer whose
-bounds are [0, 1]. Here all four are checked against the procedure
+start, the witness, the max-m solution) before any forced-zero solve,
+propagate decides whether m_q can be 0, and finds what is forced with it,
+over the layer without the worlds of q's antecedent instead of solving
+min m and adding the row m_q = 0, and it descends no further than a layer
+whose bounds are [0, 1]. Here all four are checked against the procedure
 without those steps: a Charnes-Cooper region rebuilt from its rows (phase
 1 and all), a forced-zero fixpoint that starts from the max-sum solve and
 reads each solution in Fractions, the row m_q = 0, a descent wherever min
@@ -16,8 +17,9 @@ merged columns), some of them unused, with zero-probability premises
 A layer that builds both premise rows of every entry, implied or not, is the
 reference for the rows a layer skips, a layer with one column per world
 the reference for the classes of worlds a layer merges into one column, and
-vertex enumeration and a layer that keeps every class the references for
-the classes a layer's presolve drops.
+vertex enumeration, a layer that keeps every class and the presolve that
+walks the classes (class_presolve_reference) the references for the
+classes a layer's presolve drops.
 
 The references find what holds at each world with eval_classical over
 constituents(), not with the solver's truth tables, so they also check the
@@ -32,6 +34,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from class_presolve_reference import presolved
 from int_rows import int_row
 from oracles import (
     assessment_polytope_rows,
@@ -790,15 +793,14 @@ def test_level0_tables_settle_what_structural_bounds_settles():
 
 
 def test_pinned_layer_forces_what_the_pinned_row_forces():
-    """Where min m = 0, propagate finds the entries forced to zero with m_q
-    = 0 over the layer of the worlds where q's antecedent fails, probed by
-    min m's support; the plain procedure adds the row m_q = 0 to the
-    layer's rows. The new layer's columns are among the layer's columns
-    outside m_q, in order (its presolve may pin more of them), the probe
-    maps min m's support onto them class by class, and the forced sets are
-    the same."""
+    """Where the bounds are not [0, 1], propagate builds the layer of the
+    worlds where q's antecedent fails; as x >= 0, its points are the
+    layer's points with m_q = 0. Its start finds no feasible point exactly
+    when min m, solved here, is positive, and otherwise the entries it
+    forces to zero are those the plain procedure forces with the row m_q =
+    0 added to the layer's rows."""
     rng = random.Random("pinned-layer")
-    reached = nonempty = 0
+    reached = nonempty = positive = 0
     for _ in range(400):
         a, q, atoms = random_problem(rng)
         if isinstance(check_coherence(a, atoms), Incoherent):
@@ -806,24 +808,21 @@ def test_pinned_layer_forces_what_the_pinned_row_forces():
         layer, region = coherence._level0(a, atoms, q)
         m_q = layer.extra[0]
         m_row = coherence._mass_row(m_q, layer.classes)
+        pinned = coherence._Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & m_q))
+        pinned_region = pinned.region()
         min_m = solve_lp(m_row, region, maximize=False)
+        assert (pinned_region.support() is None) == (min_m.value > 0)
         if min_m.value:
+            positive += 1
             continue
         n = len(layer.classes)
         rows = Region([([1] * n, EQ, 1)] + layer.homogeneous + [(m_row, EQ, 0)], n)
-        pinned = coherence._Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & m_q))
-        outside = iter([c for c in layer.classes if not c & m_q])
-        assert all(c in outside for c in pinned.classes)
-        probe = coherence._by_class(min_m.support(), layer.classes, pinned.classes)
-        assert probe == sum(
-            1 << k for k, c in enumerate(pinned.classes) if min_m.solution[layer.classes.index(c)]
-        )
         forced = forced_by_fixpoint(layer, rows)
-        assert coherence._forced_zero(pinned, pinned.region(), [probe]) == forced
-        assert forced_by_fixpoint(pinned, pinned.region()) == forced
+        assert coherence._forced_zero(pinned, pinned_region) == forced
+        assert forced_by_fixpoint(pinned, pinned_region) == forced
         reached += 1
         nonempty += bool(forced)
-    assert reached >= 100 and nonempty >= 50, (reached, nonempty)
+    assert reached >= 100 and nonempty >= 50 and positive >= 50, (reached, nonempty, positive)
 
 
 # --- presolve -----------------------------------------------------------------
@@ -935,6 +934,58 @@ def test_presolve_drops_only_zero_mass_and_keeps_the_answers():
     assert fired >= 50, fired
 
 
+def presolve_layers(a, q, atoms):
+    """The layers check_coherence and propagate build on one problem, with
+    their kinds ("level 0", "deeper", "pinned"): every layer of the check,
+    every layer of the propagate path whose columns tell q's tables apart,
+    and for each of those the layer of its worlds where q's antecedent
+    fails, built here whether propagate builds it or not."""
+    built = []
+
+    class Recorded(coherence._Layer):
+        def __init__(self, entries, tables, domain, extra=()):
+            super().__init__(entries, tables, domain, extra)
+            built.append(self)
+
+    with patched(coherence, "_Layer", Recorded):
+        check_coherence(a, atoms)
+        checked = len(built)
+        try:
+            propagate(a, q, atoms)
+        except IncoherentPremises:
+            pass
+    layers = built[:checked] + [layer for layer in built[checked:] if layer.extra]
+    pinned = [
+        coherence._Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & layer.extra[0]))
+        for layer in layers
+        if layer.extra
+    ]
+    level0 = everywhere(atoms)
+    return [
+        ("level 0" if layer.domain == level0 else "deeper", layer) for layer in layers
+    ] + [("pinned", layer) for layer in pinned]
+
+
+def test_presolve_on_worlds_matches_class_walking():
+    """300 seeded random_problem and 300 kinded_problem sets: every layer
+    check_coherence and propagate build, and every pinned layer, has the
+    classes, m_cols and rows of the presolve that splits every world first
+    and then drops pinned classes (class_presolve_reference). The sets
+    reach each kind of layer, layers the presolve shrinks and layers it
+    empties."""
+    reached = dict.fromkeys(("level 0", "deeper", "pinned", "shrunk", "emptied"), 0)
+    for seed, problem in (("presolve-worlds", random_problem), ("presolve-kinds", kinded_problem)):
+        rng = random.Random(seed)
+        for _ in range(300):
+            for kind, layer in presolve_layers(*problem(rng)):
+                got = (layer.classes, layer.m_cols, layer.homogeneous)
+                assert got == presolved(layer.entries, layer.tables, layer.domain, layer.extra)
+                reached[kind] += 1
+                reached["shrunk"] += sum(layer.classes) != layer.domain
+                reached["emptied"] += bool(layer.domain) and not layer.classes
+    assert min(reached.values()) >= 100, reached
+
+
 def test_presolve_pivots_and_solves():
     """check_coherence and propagate on 300 seeded kinded_problem sets over
     at most 3 atoms: the pivots, coherence's solves and deeper levels they
@@ -942,7 +993,9 @@ def test_presolve_pivots_and_solves():
     306 solves and propagate 782 pivots and 475 solves, at the same
     levels. Before propagate stopped at bounds of [0, 1], it took 379
     pivots, 337 solves and 144 levels; the levels it visits fall with the
-    descents it skips, and check_coherence's do not move."""
+    descents it skips, and check_coherence's do not move. Before the pinned
+    layer's start replaced min m, it took 337 pivots and 239 solves at the
+    same levels."""
     totals = {}
     for a, q, atoms in small_kinded_problems("presolve-counts", 300):
         for name, fn in (
@@ -953,15 +1006,15 @@ def test_presolve_pivots_and_solves():
             totals[name] = {k: totals.get(name, {}).get(k, 0) + v for k, v in counts.items()}
     assert totals == {
         "check": {"pivots": 285, "solves": 194, "levels": 124},
-        "propagate": {"pivots": 337, "solves": 239, "levels": 131},
+        "propagate": {"pivots": 333, "solves": 216, "levels": 131},
     }
 
 
 # --- the stop at [0, 1] -------------------------------------------------------
 #
-# propagate returns as soon as a layer's own interval is [0, 1], with no min
-# m, no pinned layer and no descent, and takes a deeper layer's bounds as
-# they are, unjoined. Here it is checked against propagate_by_rebuilding,
+# propagate returns as soon as a layer's own interval is [0, 1], with no
+# pinned layer and no descent, and takes a deeper layer's bounds as they
+# are, unjoined. Here it is checked against propagate_by_rebuilding,
 # which descends wherever min m = 0 and joins what it finds.
 
 
@@ -1024,8 +1077,8 @@ def test_stop_below_level_0():
 
 
 def test_only_bounds_and_witnesses_build_fractions():
-    """The forced-zero fixpoint and the max m and min m tests read a solve's
-    int numerator, so on 300 seeded problems solve_lp builds a Fraction only
+    """The forced-zero fixpoint and the max m test read a solve's int
+    numerator, so on 300 seeded problems solve_lp builds a Fraction only
     for a Charnes-Cooper bound, two per program, and for a witness, one per
     positive mass; the other solves, more than half of all, build none."""
     counts = {"fractions": 0, "programs": 0, "solves": 0}
