@@ -55,13 +55,24 @@ The solver path takes as few solves as the answer allows:
   artificial row, which always needs phase 1, where the smaller layer can
   take the one-pivot start or be emptied by its presolve. Where it is
   feasible, the entries it forces to zero go to the deeper layer.
-- The Charnes-Cooper program for a bound starts from the optimal tableau
-  of maximizing the query's antecedent mass (Region.charnes_cooper),
-  which propagate solves anyway, so it runs no phase 1.
+- A side of a layer's bounds is read off a feasible point where one
+  proves it: a point with m_q > 0 and ratio e_q / m_q of 0 proves lo = 0,
+  one with ratio 1 proves hi = 1, as every ratio lies in [0, 1]. The
+  points are the crash columns, each a feasible point alone
+  (Region.singletons()), and the max m optimum. Where the crash columns
+  prove both sides, the bounds are [0, 1] with no solve at all.
+- The Charnes-Cooper program for a side no point proves starts from the
+  optimal tableau of maximizing the query's antecedent mass
+  (Region.charnes_cooper), which propagate solves anyway, so it runs no
+  phase 1. The upper side is solved only where the lower one is 0 or the
+  layer does not descend: a layer that descends returns the deeper
+  layer's bounds.
 - A layer whose bounds are [0, 1] is the answer: propagate builds no
   pinned layer there and descends no further. Every deeper layer's
   bounds lie in [0, 1], and they hold this layer's, so the answer is
   [0, 1] whatever they are (see _propagate_layer).
+- A layer with no class left has the region {sum over no column == 1},
+  which linprog's empty-row rule finds infeasible with no tableau.
 
 Everything on the decision path is exact rational arithmetic: whether a
 conclusion interval equals [0, 1] (probabilistic non-informativeness) is a
@@ -303,26 +314,28 @@ class _Layer:
             if not pinned:
                 break
             live ^= pinned
+        # A table splits only the live worlds, and none of them where it
+        # holds on all or none of them, or as an earlier table does.
         classes = [live] if live else []
-        for pair in (*tables, extra):
-            for t in pair:
-                parts = []
-                for c in classes:
-                    inside = c & t
-                    if inside and inside != c:
-                        # c ^ inside is c & ~t without a negative int, whose
-                        # & is an order of magnitude slower on a 2^16-world
-                        # table
-                        parts += (inside, c ^ inside)
-                    else:
-                        parts.append(c)
-                classes = parts
+        for t in dict.fromkeys([t & live for pair in (*tables, extra) for t in pair]):
+            if not t or t == live:
+                continue
+            parts = []
+            for c in classes:
+                inside = c & t
+                if inside and inside != c:
+                    # c ^ inside is c & ~t without a negative int, whose &
+                    # is an order of magnitude slower on a 2^16-world table
+                    parts += (inside, c ^ inside)
+                else:
+                    parts.append(c)
+            classes = parts
         classes.sort(key=lambda c: c & -c)
         self.classes = classes
         self.m_cols = []
         self.homogeneous = []
         for (m, e), (a, b, c, d), (on_e, off_e) in zip(tables, bounds, held):
-            self.m_cols.append(sum([1 << k for k, w in enumerate(classes) if m & w]))
+            self.m_cols.append(_columns(m, classes))
             # (coefficient where m holds and e fails, where e holds, slack
             # coefficient) of each row built
             cuts = []
@@ -382,6 +395,12 @@ def _mass_row(table, classes):
     return [1 if table & c else 0 for c in classes]
 
 
+def _columns(table, classes):
+    """The classes where table holds, as an int mask over the columns (bit
+    k for classes[k]), the mask linprog's supports use."""
+    return sum([1 << k for k, c in enumerate(classes) if table & c])
+
+
 def _forced_zero(layer, region, probes=(), res=None):
     """Indices of entries whose conditioning event has zero mass at every
     point of the layer system (region). probes: supports (int masks over
@@ -426,9 +445,9 @@ def _zero_at(layer, candidates, support):
     return [i for i in candidates if not layer.m_cols[i] & support]
 
 
-def _optimal(res):
+def _optimal(res, what="layer system"):
     if res.status != "optimal":
-        raise RuntimeError(f"layer system unexpectedly {res.status}")
+        raise RuntimeError(f"{what} unexpectedly {res.status}")
     return res
 
 
@@ -528,26 +547,19 @@ def _settled(m, e):
     return None
 
 
-def _fractional_bounds(region, max_m, e_row):
-    """Exact min/max of e_q / m_q over the layer region with m_q > 0, where
-    max_m is solve_lp's maximum of m_q over region, and it is positive.
+def _ratio_bound(scaled, e_row, maximize):
+    """The min or max of e_q / m_q over a layer's points with m_q > 0,
+    solved over scaled, the layer region's Charnes-Cooper region
+    (Region.charnes_cooper from the max m optimum).
 
     Charnes-Cooper: scale masses so the antecedent of q carries total mass 1;
     the entry constraints are homogeneous so they survive the scaling, the
     normalization row is replaced by m_q = 1, and the objective becomes
-    linear. The objective is e_q(mu) <= m_q(mu) = 1, so both programs are
-    bounded and their optima are attained by genuine mass vectors. Their
-    region starts from max_m's optimal tableau (Region.charnes_cooper), so
-    it needs no phase 1 of its own.
+    linear. The objective is e_q(mu) <= m_q(mu) = 1, so the program is
+    bounded and its optima are attained by genuine mass vectors. Its region
+    starts from max m's optimal tableau, so it needs no phase 1 of its own.
     """
-    scaled = region.charnes_cooper(max_m)
-    lo = solve_lp(e_row, scaled, maximize=False)
-    hi = solve_lp(e_row, scaled, maximize=True)
-    if lo.status != "optimal" or hi.status != "optimal":
-        raise RuntimeError(
-            f"Charnes-Cooper programs unexpectedly {lo.status}/{hi.status}"
-        )
-    return lo.value, hi.value
+    return _optimal(solve_lp(e_row, scaled, maximize), "Charnes-Cooper program").value
 
 
 def propagate(a: Assessment, q: ConditionalObject, atomset) -> Bounds:
@@ -573,10 +585,24 @@ def _propagate_layer(layer, region, q) -> Bounds:
     """Bounds on p(q) over one layer and the layers below it; q is the
     query's (m, e) tables and region is layer.region().
 
-    The order: max m; where it is positive, the two Charnes-Cooper bounds,
-    the layer's own interval; where that is not [0, 1], the pinned layer,
-    that of the points with m_q = 0, whose start decides whether min m =
-    0; and where it is feasible, the descent with the entries it forces.
+    The order: the sides of the layer's own interval that feasible points
+    at hand prove (below); where one is still unknown, max m, and the
+    sides its optimal vertex proves; the Charnes-Cooper lower bound where
+    it is unknown, and the upper one where it is unknown and the lower one
+    is 0; where the interval is not [0, 1], the pinned layer, that of the
+    points with m_q = 0, whose start decides whether min m = 0; where it is
+    feasible, the descent with the entries it forces, and otherwise the
+    upper bound, solved if it is still unknown.
+
+    A feasible point with m_q > 0 whose ratio e_q / m_q is 0 proves lo =
+    0, and one whose ratio is 1 proves hi = 1, since every ratio lies in
+    [0, 1]. The points are supports, int masks over the columns, and the
+    columns tell q's tables apart, so a point's ratio is 0 when its
+    support meets m_q and misses e_q, and 1 when it meets m_q only inside
+    e_q (e_q lies inside m_q). Each crash column alone is a feasible point
+    (Region.singletons()): one in e_q proves hi = 1, one in m_q but not in
+    e_q proves lo = 0, and with both the interval is [0, 1] with no solve.
+    The max m vertex is a point with m_q > 0 when max m is.
 
     The answer is the join of the own intervals of the layers visited, and
     that join is the deepest one's: each layer's own interval holds the
@@ -588,21 +614,39 @@ def _propagate_layer(layer, region, q) -> Bounds:
     antecedent is inside them too, so the result is a point of the next
     layer with m_q > 0 and the e_q / m_q of x. So the next layer's max m is
     positive, and its bounds reach every ratio this layer's do: a descent
-    returns the deeper bounds as they are.
+    returns the deeper bounds as they are, and a layer that descends needs
+    its own interval only to tell whether it is [0, 1]. Where lo > 0 it is
+    not, so there the upper bound is solved only once the pinned layer
+    shows there is no descent.
 
     An own interval of [0, 1] is the answer with no pinned layer and no
     descent: a deeper layer's bounds are those of a ratio e_q / m_q of
     masses with 0 <= e_q <= m_q, so they lie in [0, 1], and the join of
-    [0, 1] with any interval there is [0, 1]. The test reads the exact
+    [0, 1] with any interval there is [0, 1]. The tests read the exact
     bounds, so no answer changes, only the solves that find it.
     """
-    m_row = _mass_row(q[0], layer.classes)
-    max_m = _optimal(solve_lp(m_row, region, maximize=True))
-    if not max_m.numerator:
-        forced = _forced_zero(layer, region, [max_m.support()])
-        return _descend(layer, forced, q)
-    e_row = _mass_row(q[1], layer.classes)
-    lo, hi = _fractional_bounds(region, max_m, e_row)
+    m_cols, e_cols = _columns(q[0], layer.classes), _columns(q[1], layer.classes)
+    m_only = m_cols ^ e_cols
+    singles = region.singletons()
+    lo = ZERO if singles & m_only else None
+    hi = ONE if singles & e_cols else None
+    if lo is None or hi is None:
+        max_m = _optimal(solve_lp(_mass_row(q[0], layer.classes), region))
+        if not max_m.numerator:
+            forced = _forced_zero(layer, region, [max_m.support()])
+            return _descend(layer, forced, q)
+        vertex = max_m.support()
+        if not vertex & e_cols:
+            lo = ZERO
+        if not vertex & m_only:
+            hi = ONE
+    if lo is None or hi is None:
+        scaled = region.charnes_cooper(max_m)
+        e_row = _mass_row(q[1], layer.classes)
+        if lo is None:
+            lo = _ratio_bound(scaled, e_row, False)
+        if lo == ZERO and hi is None:
+            hi = _ratio_bound(scaled, e_row, True)
     if lo == ZERO and hi == ONE:
         return Bounds(lo, hi)
     # The points with m_q = 0 are, as x >= 0, those of the layer over the
@@ -612,9 +656,11 @@ def _propagate_layer(layer, region, q) -> Bounds:
     # that of this pinned layer.
     pinned = _Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & q[0]))
     pinned_region = pinned.region()
-    if pinned_region.support() is None:
-        return Bounds(lo, hi)
-    return _descend(layer, _forced_zero(pinned, pinned_region), q)
+    if pinned_region.support() is not None:
+        return _descend(layer, _forced_zero(pinned, pinned_region), q)
+    if hi is None:
+        hi = _ratio_bound(scaled, e_row, True)
+    return Bounds(lo, hi)
 
 
 def _descend(layer, forced, q) -> Bounds:

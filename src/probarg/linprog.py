@@ -51,8 +51,14 @@ read.
   becomes a one-use region. Region.support() is the int mask of the
   variables positive at one feasible point, or None when the rows are
   infeasible: after a crash start, every column that allowed it; else
-  the start vertex's. It needs no solve. The start vertex itself is the
+  the start vertex's. Region.singletons() is the mask of the crash
+  columns, each of which alone is a feasible point, and 0 after a
+  phase-1 start. Neither needs a solve. The start vertex itself is the
   solution of solve_lp([0] * n, region), which makes no pivot.
+- A region with an "==" or ">=" row whose rhs is positive and whose
+  coefficients are all 0 is infeasible, and is known to be so with no
+  tableau (the empty-row rule of LP presolve; Andersen and Andersen
+  1995): a region with no column and the row sum(x) == 1 is one.
 - Region.charnes_cooper(optimum) derives, from the optimal tableau of
   maximizing c over {sum(x) == 1, H x <= 0}, a started region for
   {c . y == 1, H y <= 0}: one rank-one update of the rows in ints, on the
@@ -139,7 +145,8 @@ class Region:
     rows: list of (coeffs, relation, rhs) with relation in {"<=", ">=", "=="}
     and ints for numbers. A "<=" or ">=" row may end with a fourth item, an
     int k > 0, the coefficient of its slack s (1 when left out; an "=="
-    row has no slack, and a fourth item on it raises ValueError):
+    row has no slack, and a fourth item on it, or a k <= 0, raises
+    ValueError):
     coeffs . x + k*s == rhs for "<=", and coeffs . x - k*s == rhs for ">=".
     Scaling a row and its k together changes nothing, but k sets the unit
     of the slack, and the entering rule compares the slack's reduced cost
@@ -156,17 +163,21 @@ class Region:
                 raise ValueError("constraint arity mismatch")
             if slack and rel == EQ:
                 raise ValueError("an '==' row has no slack")
+            if slack and slack[0] <= 0:
+                raise ValueError("a slack unit must be > 0")
             if rhs < 0 or (rhs == 0 and rel == GE):
                 coeffs = [-v for v in coeffs]
                 rhs = -rhs
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            if rhs and rel != LE and not any(coeffs):
+                self._start = None  # an empty row (see _start)
             self._rows.append((coeffs, rel, rhs, slack[0] if slack else 1))
 
     def __len__(self):
         return len(self._rows)
 
-    # The columns of a crash start positive at some feasible point (_crash).
-    _crash_support = 0
+    # The columns of a crash start, each a feasible point alone (_crash).
+    _singletons = 0
 
     def support(self):
         """Variables positive at one feasible point, as an int mask (bit j
@@ -174,7 +185,15 @@ class Region:
         the start vertex and, after a crash start, every column that allowed
         it (see _crash)."""
         start = self._start
-        return None if start is None else self._crash_support | _support(*start, self.n)
+        return None if start is None else self._singletons | _support(*start, self.n)
+
+    def singletons(self) -> int:
+        """The columns j at which the point with x_j > 0 alone, every other
+        variable 0, is feasible, as an int mask, read off a crash start:
+        every column that allowed it when its artificial row's rhs is
+        positive (see _crash). 0 after a phase-1 start, when that rhs is 0,
+        and when the rows are infeasible; it needs no solve."""
+        return 0 if self._start is None else self._singletons
 
     def charnes_cooper(self, optimum) -> "Region":
         """The region {c . y == 1, this region's other rows}, started from
@@ -236,6 +255,11 @@ class Region:
         """A basic feasible (integer tableau, basis) with no artificial
         column, or None when the rows are infeasible.
 
+        An "==" or ">=" row with rhs > 0 and no nonzero coefficient holds at
+        no point: coeffs . x is 0, and a ">=" row's slack would be negative
+        (the empty-row rule of LP presolve; Andersen and Andersen 1995).
+        Region.__init__ sets _start to None for it, so no tableau is built.
+
         With one artificial, the tableau has no column for it: its row i
         has the basis index n_real, past every real column, which also
         makes it lose every tie of the ratio test, as its column did. While
@@ -272,7 +296,7 @@ class Region:
             i = basis.index(n_real)
             crash = _crash(tableau, basis, n, i)
             if crash is not None:
-                self._crash_support = crash
+                self._singletons = crash
                 return tableau, basis
             # Phase 1 prices with the artificial's row (see above).
             _simplex(tableau, basis, i)

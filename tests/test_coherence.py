@@ -337,7 +337,10 @@ class TestSolveCounts:
 
     def test_pivots_and_solves(self, monkeypatch):
         """8 pivots in 4 solves while a min m solve decided whether m_q can
-        be 0; the pinned layer's presolve now decides it with no pivot."""
+        be 0; the pinned layer's presolve now decides it with no pivot. 7
+        pivots in 3 solves before the upper bound was read off the crash
+        column, the all-true world, which holds q's antecedent and
+        consequent: now max m and the lower bound."""
         from probarg import coherence, linprog
 
         calls = {"pivot": 0, "solve": 0}
@@ -355,7 +358,7 @@ class TestSolveCounts:
         monkeypatch.setattr(coherence, "solve_lp", counted_solve)
         b = propagate(*chain(6, F(9, 10)))
         assert (b.lo, b.hi) == (F(497051, 900000), 1)
-        assert calls == {"pivot": 7, "solve": 3}
+        assert calls == {"pivot": 7, "solve": 2}
 
     def test_corpus_grid_pivots_and_solves(self, monkeypatch):
         """Every corpus task x interpretation x THETA_GRID propagated: the
@@ -364,8 +367,10 @@ class TestSolveCounts:
         crash start probed only its vertex, 440 solves before an entry
         with no antecedent column left was forced with no solve, and 320
         pivots in 432 solves before propagate stopped at a layer whose
-        bounds are [0, 1], with no min m and no descent, and 312 pivots in
-        384 solves before the pinned layer's start replaced min m."""
+        bounds are [0, 1], with no min m and no descent, 312 pivots in 384
+        solves before the pinned layer's start replaced min m, and 312 in
+        312 before the sides a crash column or the max m vertex proves went
+        unsolved, with the [0, 1] answers found with no solve."""
         from probarg import coherence, linprog
         from probarg.corpus import THETA_GRID, builtin_tasks
         from probarg.dsl import lower
@@ -389,40 +394,50 @@ class TestSolveCounts:
                 for theta in THETA_GRID:
                     a, q = lower(task.spec, interp, ClassificationConfig(theta=theta))
                     propagate(a, q, task.spec.atoms)
-        assert calls == {"pivot": 312, "solve": 312}
+        assert calls == {"pivot": 276, "solve": 152}
 
     def test_chain8_pivots_and_solves(self, monkeypatch):
         """A point further along the scale curve: n = 8 took 54 pivots and
         5 solves before the Charnes-Cooper program started from the max-m
-        optimum, 43 pivots before the one-pivot crash start, and 10 pivots
-        in 4 solves before the pinned layer's start replaced min m."""
+        optimum, 43 pivots before the one-pivot crash start, 10 pivots in 4
+        solves before the pinned layer's start replaced min m, and 9 in 3
+        before the crash column proved the upper bound."""
         calls = _count_calls(monkeypatch)
         b = propagate(*chain(8, F(9, 10)))
         assert (b.lo, b.hi) == (F(38361131, 90000000), 1)
-        assert calls == {"pivot": 9, "solve": 3}
+        assert calls == {"pivot": 9, "solve": 2}
 
     def test_chain10_pivots_and_solves(self, monkeypatch):
-        """n = 10 took 242 pivots before the one-pivot crash start, and 12
-        pivots in 4 solves before the pinned layer's start replaced min m;
-        the chain now takes one pivot more per added atom."""
+        """n = 10 took 242 pivots before the one-pivot crash start, 12
+        pivots in 4 solves before the pinned layer's start replaced min m,
+        and 11 in 3 before the crash column proved the upper bound; the
+        chain now takes one pivot more per added atom."""
         calls = _count_calls(monkeypatch)
         b = propagate(*chain(10, F(9, 10)))
         assert (b.lo, b.hi) == (F(2917251611, 9000000000), 1)
-        assert calls == {"pivot": 11, "solve": 3}
+        assert calls == {"pivot": 11, "solve": 2}
 
     def test_chain12_pivots_and_solves(self, monkeypatch):
         """n = 12, on the scale path: it took 14 pivots in 4 solves before
-        the pinned layer's start replaced min m. The pinned layer covers
-        the worlds where A0 fails, and its presolve empties it, since p(A0)
-        >= 9/10 pins them all, so it costs no pivot."""
+        the pinned layer's start replaced min m, and 13 in 3 before the
+        crash column proved the upper bound. The pinned layer covers the
+        worlds where A0 fails, and its presolve empties it, since p(A0) >=
+        9/10 pins them all, so it costs no pivot and, by the empty-row
+        rule, no tableau."""
         a, q, atoms = chain(12, F(9, 10))
         layer, _ = coherence._level0(a, atoms, q)
         m_q = layer.extra[0]
-        assert coherence._Layer(layer.entries, layer.tables, layer.domain ^ m_q).classes == []
+        from probarg import linprog
+
+        pinned = coherence._Layer(layer.entries, layer.tables, layer.domain ^ m_q)
+        assert pinned.classes == []
+        with monkeypatch.context() as m:
+            m.setattr(linprog, "_coprime", None)  # every tableau row passes it
+            assert pinned.region().support() is None
         calls = _count_calls(monkeypatch)
         b = propagate(a, q, atoms)
         assert (b.lo, b.hi) == (F(217297380491, 900000000000), 1)
-        assert calls == {"pivot": 13, "solve": 3}
+        assert calls == {"pivot": 13, "solve": 2}
 
     def test_chain_level0_runs_no_phase1(self, monkeypatch):
         """The all-true world satisfies every premise row of the chain, so
@@ -594,13 +609,16 @@ class TestAtomSet:
 class TestNonOptimalSolves:
     """A layer solve that does not come back optimal raises RuntimeError,
     whichever solve it is: with maximize, max m, the layer system's; without,
-    the minimum of the Charnes-Cooper program (there is no min m solve)."""
+    the minimum of the Charnes-Cooper program (there is no min m solve).
+    The chain's crash column proves its upper bound, so the minimum is its
+    one Charnes-Cooper solve; while both were solved together the message
+    was "Charnes-Cooper programs unexpectedly unbounded/optimal"."""
 
     @pytest.mark.parametrize(
         "maximize, message",
         [
             (True, "layer system unexpectedly unbounded"),
-            (False, "Charnes-Cooper programs unexpectedly unbounded/optimal"),
+            (False, "Charnes-Cooper program unexpectedly unbounded"),
         ],
         ids=["True", "False"],
     )

@@ -249,6 +249,70 @@ def test_an_equality_row_takes_no_slack_unit():
     assert int_row([F(1, 2), 0], LE, F(1, 2)) == ([1, 0], LE, 1, 2)
 
 
+def test_a_slack_unit_must_be_positive():
+    """A slack unit k <= 0 is a caller error. With k = -1, x0 + x1 <= 1
+    would become x0 + x1 + s == 1 with s free to grow, and max x0 would
+    come back unbounded; with k = 0 the row would become "==". Region and
+    solve_lp raise ValueError."""
+    for k in (0, -1, -2):
+        for rel in (LE, GE):
+            with pytest.raises(ValueError, match="a slack unit must be > 0"):
+                Region([([1, 1], rel, 1, k)], 2)
+        with pytest.raises(ValueError, match="a slack unit must be > 0"):
+            solve_lp([1, 0], [([1, 1], LE, 1, k)])
+    assert solve_lp([1, 0], [([1, 1], LE, 1, 3)]).value == 1
+
+
+def unbuilt(*args):
+    raise AssertionError("a tableau was built")
+
+
+@pytest.mark.parametrize(
+    "rows, n",
+    [
+        ([([1, 1], EQ, 1), ([0, 0], EQ, 3)], 2),
+        ([([1, 1], LE, 1), ([0, 0], GE, 2)], 2),
+        ([([0, 0, 0], LE, -1)], 3),
+        ([([], EQ, 1)], 0),
+        ([([], LE, 1), ([], GE, 1)], 0),
+    ],
+    ids=["==", ">=", "<= with rhs < 0", "no column", "no column, >="],
+)
+def test_an_empty_row_is_infeasible_with_no_tableau(monkeypatch, rows, n):
+    """An "==" or ">=" row with rhs > 0 (after a "<=" row with rhs < 0 is
+    negated) and no nonzero coefficient holds at no point: the region is
+    infeasible, as the reference finds, and no tableau is built. A region
+    with no column and the row sum(x) == 1 is the region of a layer with no
+    class."""
+    from probarg import linprog
+
+    assert bland_reference.solve_lp([1] * n, rows).status == "infeasible"
+    region = Region(rows, n)
+    monkeypatch.setattr(linprog, "_coprime", unbuilt)
+    assert region.support() is None and region.singletons() == 0
+    assert solve_lp([1] * n, region).status == "infeasible"
+
+
+@pytest.mark.parametrize(
+    "rows, n, best",
+    [
+        ([([1, 1], EQ, 1), ([0, 0], LE, 2)], 2, 1),
+        ([([1, 1], EQ, 1), ([0, 0], EQ, 0), ([0, 0], GE, 0)], 2, 1),
+        ([([], LE, 0), ([], EQ, 0)], 0, 0),
+    ],
+    ids=["<=", "rhs 0", "no column"],
+)
+def test_an_empty_row_that_holds_leaves_the_region_feasible(rows, n, best):
+    """A "<=" row with rhs >= 0, or any row with rhs 0, and no nonzero
+    coefficient holds at every point: the region keeps its optimum, with
+    or without columns."""
+    objective = [1] + [0] * (n - 1) if n else []
+    assert bland_reference.solve_lp(objective, rows).value == best
+    region = Region(rows, n)
+    assert region.support() is not None
+    assert solve_lp(objective, region).value == best
+
+
 INT = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 7, -12, 10**12])
 
 
@@ -465,12 +529,13 @@ def test_crash_start_matches_bland_reference(system, data):
             # All the mass sits on the smallest column that allows the crash,
             # and each such column alone is a feasible point.
             assert [j for j, v in enumerate(x) if v] == columns[:1]
-            assert region.support() == sum(1 << j for j in columns)
+            assert region.support() == region.singletons() == sum(1 << j for j in columns)
             rhs = next(r for _, rel, r in rows if rel == EQ)
             for j in columns:
                 assert satisfies(rows, [F(rhs) / F(eq[j]) if k == j else 0 for k in range(n)])
         else:
             assert region.support() == positive(x)
+            assert region.singletons() == 0
     for objective in data.draw(
         st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)
     ):
@@ -490,8 +555,29 @@ def test_a_crash_start_at_rhs_0_shows_no_positive_column():
     region = Region([([1, 1], EQ, 0), ([-1, 0], LE, 0)], 2)
     assert started(region)[1]
     assert solve_lp([0, 0], region).solution == [0, 0]
-    assert region.support() == 0
-    assert Region([([1, 1], EQ, 2), ([-1, 0], LE, 0)], 2).support() == 0b11
+    assert region.support() == region.singletons() == 0
+    region = Region([([1, 1], EQ, 2), ([-1, 0], LE, 0)], 2)
+    assert region.support() == region.singletons() == 0b11
+
+
+def test_singletons_are_the_crash_columns():
+    """x + y + z == 1 with x <= y: y and z allow the crash start, each alone
+    a feasible point, and x does not (it is positive in x - y <= 0). With
+    y <= x too, no column allows it: phase 1 starts the region at x = y =
+    1/2, a point that singletons() does not show, and an infeasible region
+    shows none either. singletons() starts the region itself."""
+    region = Region([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3)
+    assert region.singletons() == 0b110
+    assert started(Region([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3))[1]
+    for j in (1, 2):
+        point = [F(k == j) for k in range(3)]
+        assert satisfies([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], point)
+    rows = [([1, 1], EQ, 1), ([1, -1], LE, 0), ([-1, 1], LE, 0)]
+    region = Region(rows, 2)
+    start, crashed = started(region)
+    assert start is not None and not crashed
+    assert region.singletons() == 0 and region.support() == 0b11
+    assert Region([([1, 1], EQ, 1), ([1, 1], GE, 2)], 2).singletons() == 0
 
 
 def test_a_fair_share_take_the_crash_start():

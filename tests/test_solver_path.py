@@ -253,6 +253,13 @@ def layers_by_fixpoint(a, atoms, q=None):
         domain = restrict(atoms, domain, [e.obj.antecedent for e in entries])
 
 
+def warm_bounds(region, max_m, e_row):
+    """min/max of e/m over a layer region, both solved by _ratio_bound over
+    the Charnes-Cooper region started from the max m optimum."""
+    scaled = region.charnes_cooper(max_m)
+    return tuple(coherence._ratio_bound(scaled, e_row, up) for up in (False, True))
+
+
 def rebuilt_bounds(layer, m_row, e_row):
     """min/max of e/m over the layer: the Charnes-Cooper region rebuilt
     from its rows and run through its own phase 1."""
@@ -337,7 +344,7 @@ def check_problem(a, q, atoms, rng):
     derived = region.charnes_cooper(max_m)
     rebuilt, lo, hi = rebuilt_bounds(layer, m_row, e_row)
     assert (len(derived), derived.n) == (len(rebuilt), rebuilt.n)
-    assert coherence._fractional_bounds(region, max_m, e_row) == (lo, hi)
+    assert warm_bounds(region, max_m, e_row) == (lo, hi)
     if len(layer.classes) <= 4:
         dicts = constituents(atoms)
         assert vertex_bounds(layer.entries, [dicts[w] for w in representatives(layer)], q) == (lo, hi)
@@ -720,7 +727,7 @@ def compare_merged(a, q, atoms):
         if max_m.value > 0:
             dicts = constituents(atoms)
             want = vertex_bounds(layer.entries, [dicts[w] for w in representatives(layer)], q)
-            assert coherence._fractional_bounds(region, max_m, e_row) == want
+            assert warm_bounds(region, max_m, e_row) == want
             reached.add("vertex oracle")
     return reached
 
@@ -995,7 +1002,8 @@ def test_presolve_pivots_and_solves():
     pivots, 337 solves and 144 levels; the levels it visits fall with the
     descents it skips, and check_coherence's do not move. Before the pinned
     layer's start replaced min m, it took 337 pivots and 239 solves at the
-    same levels."""
+    same levels, and before it read the sides of the bounds off the crash
+    columns and the max m vertex, 333 pivots and 216 solves."""
     totals = {}
     for a, q, atoms in small_kinded_problems("presolve-counts", 300):
         for name, fn in (
@@ -1006,7 +1014,7 @@ def test_presolve_pivots_and_solves():
             totals[name] = {k: totals.get(name, {}).get(k, 0) + v for k, v in counts.items()}
     assert totals == {
         "check": {"pivots": 285, "solves": 194, "levels": 124},
-        "propagate": {"pivots": 333, "solves": 216, "levels": 131},
+        "propagate": {"pivots": 278, "solves": 58, "levels": 131},
     }
 
 
@@ -1079,12 +1087,15 @@ def test_stop_below_level_0():
 def test_only_bounds_and_witnesses_build_fractions():
     """The forced-zero fixpoint and the max m test read a solve's int
     numerator, so on 300 seeded problems solve_lp builds a Fraction only
-    for a Charnes-Cooper bound, two per program, and for a witness, one per
-    positive mass; the other solves, more than half of all, build none."""
-    counts = {"fractions": 0, "programs": 0, "solves": 0}
+    for a Charnes-Cooper bound, one per side solved (two per program while
+    both sides were always solved), and for a witness, one per positive
+    mass. The other solves, those that are neither a side nor a coherent
+    check's witness, build none; they are over a third of all (242 of
+    593, and 305 of 850 while both sides were always solved)."""
+    counts = {"fractions": 0, "sides": 0, "solves": 0, "witnesses": 0}
     rng = random.Random("fraction-free")
     with counted(counts, "fractions", linprog, "Fraction"), counted(
-        counts, "programs", coherence, "_fractional_bounds"
+        counts, "sides", coherence, "_ratio_bound"
     ), counted(counts, "solves", coherence, "solve_lp"):
         for _ in range(300):
             a, q, atoms = random_problem(rng)
@@ -1092,10 +1103,171 @@ def test_only_bounds_and_witnesses_build_fractions():
             verdict = check_coherence(a, atoms)
             witness = 0 if isinstance(verdict, Incoherent) else sum(1 for x in verdict.witness if x)
             assert counts["fractions"] - before == witness
-            before, programs = counts["fractions"], counts["programs"]
+            counts["witnesses"] += isinstance(verdict, Coherent)
+            before, sides = counts["fractions"], counts["sides"]
             try:
                 propagate(a, q, atoms)
             except IncoherentPremises:
                 pass
-            assert counts["fractions"] - before == 2 * (counts["programs"] - programs)
-    assert counts["solves"] > 2 * counts["programs"] + 300, counts
+            assert counts["fractions"] - before == counts["sides"] - sides
+    unbuilt = counts["solves"] - counts["sides"] - counts["witnesses"]
+    assert 3 * unbuilt > counts["solves"], counts
+
+
+# --- sides read off feasible points ------------------------------------------
+#
+# Each crash column alone is a feasible point, and the max m optimum is one
+# with m_q > 0; a point with ratio e_q / m_q of 0 proves lo = 0 and one with
+# ratio 1 proves hi = 1. propagate solves a Charnes-Cooper side only where
+# no such point proves it, and the upper side at a layer that descends only
+# where the lower one is 0. Here each layer call is checked against the
+# rebuilt bounds and against points found with eval_classical's rows.
+
+
+def layer_calls(fn):
+    """fn() with a record per _propagate_layer call: its layer and region,
+    the solve_lp calls it made itself (not in a deeper call), the sides it
+    solved (_ratio_bound's maximize, in order) and whether it descended."""
+    calls, stack = [], []
+    propagate_layer, solve, ratio_bound, descend = (
+        coherence._propagate_layer,
+        coherence.solve_lp,
+        coherence._ratio_bound,
+        coherence._descend,
+    )
+
+    def traced_layer(layer, region, q):
+        call = {"layer": layer, "region": region, "solves": 0, "sides": [], "descended": False}
+        calls.append(call)
+        stack.append(call)
+        try:
+            return propagate_layer(layer, region, q)
+        finally:
+            stack.pop()
+
+    def traced_solve(*args, **kwargs):
+        if stack:
+            stack[-1]["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def traced_bound(scaled, e_row, maximize):
+        stack[-1]["sides"].append(maximize)
+        return ratio_bound(scaled, e_row, maximize)
+
+    def traced_descend(*args):
+        stack[-1]["descended"] = True
+        return descend(*args)
+
+    with patched(coherence, "_propagate_layer", traced_layer), patched(
+        coherence, "solve_lp", traced_solve
+    ), patched(coherence, "_ratio_bound", traced_bound), patched(
+        coherence, "_descend", traced_descend
+    ):
+        out = fn()
+    return calls, out
+
+
+def mask(row):
+    """A 0/1 row as an int mask over its columns."""
+    return sum(1 << k for k, v in enumerate(row) if v)
+
+
+def unit_points(layer, atoms):
+    """The columns where all the mass can sit, found with eval_classical at
+    each column's lowest world: every entry is void there, true with hi =
+    1 or false with lo = 0."""
+    dicts = constituents(atoms)
+    found = 0
+    for k, w in enumerate(representatives(layer)):
+        v = dicts[w]
+        if all(
+            not eval_classical(e.obj.antecedent, v)
+            or (e.hi == 1 if eval_classical(e.obj.consequent, v) else e.lo == 0)
+            for e in layer.entries
+        ):
+            found |= 1 << k
+    return found
+
+
+def check_sides(a, q, atoms):
+    """propagate against propagate_by_rebuilding on one coherent problem,
+    and each of its layer calls against the sides feasible points prove.
+    Returns the shortcuts it took: "no solve" (a crash column with ratio 0
+    and one with ratio 1: [0, 1] with no solve), "vertex" (the max m vertex
+    proves a side no crash column does) and "descent" (a layer that
+    descends with lo > 0 leaves the upper side unsolved)."""
+    calls, got = layer_calls(lambda: propagate(a, q, atoms))
+    layer, region = coherence._level0(a, atoms, q)
+    assert got == propagate_by_rebuilding(layer, region, q, atoms)
+    taken = set()
+    for call in calls:
+        layer, region = call["layer"], call["region"]
+        m_row, e_row = q_rows(q, atoms, layer)
+        m_cols, e_cols = mask(m_row), mask(e_row)
+        singles = region.singletons()
+        assert singles == unit_points(layer, atoms)
+        lo_proved, hi_proved = bool(singles & m_cols & ~e_cols), bool(singles & e_cols)
+        if lo_proved and hi_proved:
+            assert call["solves"] == 0 and not call["descended"]
+            taken.add("no solve")
+            continue
+        max_m = solve_lp(m_row, region)
+        if max_m.value == 0:
+            assert call["sides"] == [] and call["descended"]
+            continue
+        _, lo, hi = rebuilt_bounds(layer, m_row, e_row)
+        assert not lo_proved or lo == 0
+        assert not hi_proved or hi == 1
+        vertex = max_m.support()
+        vertex_lo, vertex_hi = not vertex & e_cols, not vertex & m_cols & ~e_cols
+        assert not vertex_lo or lo == 0
+        assert not vertex_hi or hi == 1
+        if (vertex_lo and not lo_proved) or (vertex_hi and not hi_proved):
+            taken.add("vertex")
+        lo_proved |= vertex_lo
+        hi_proved |= vertex_hi
+        want = [] if lo_proved else [False]
+        if not hi_proved and (lo == 0 or not call["descended"]):
+            want.append(True)
+        elif not hi_proved:
+            taken.add("descent")
+        assert call["sides"] == want
+        assert call["solves"] == 1 + len(want) or call["descended"]
+    return taken
+
+
+def test_sides_read_off_points_keep_the_bounds():
+    """300 seeded kinded_problem and 300 random_problem sets, the coherent
+    ones whose query logic does not settle: the bounds are the rebuilt
+    procedure's, and every side a point proves is the rebuilt side. [0, 1]
+    with no solve is taken in over 100 sets, a side read off the max m
+    vertex in over 20; a descent from a layer with lo > 0 is rare in
+    these sets, and test_descent_skips_the_upper_side has one more."""
+    taken = dict.fromkeys(("no solve", "vertex", "descent"), 0)
+    for seed, problem in (("sides-kinds", kinded_problem), ("sides-random", random_problem)):
+        rng = random.Random(seed)
+        for _ in range(300):
+            a, q, atoms = problem(rng)
+            if structural_bounds(q) is not None or isinstance(check_coherence(a, atoms), Incoherent):
+                continue
+            for key in check_sides(a, q, atoms):
+                taken[key] += 1
+    assert taken["no solve"] >= 100 and taken["vertex"] >= 20 and taken["descent"] >= 2, taken
+
+
+def test_descent_skips_the_upper_side():
+    """p(C | A) in [9/10, 19/20], query (C | A): no crash column holds A,
+    and the max m vertex has mass on A and C and on A and not C, so no
+    point proves a side. Level 0 solves max m and lo = 9/10; A may have
+    mass 0, so it descends to the layer over A, whose bounds are the
+    answer, and its own upper side is never solved."""
+    A, C = Atom("A"), Atom("C")
+    a = Assessment((AssessmentEntry(ConditionalObject(C, A), F(9, 10), F(19, 20)),))
+    q = ConditionalObject(C, A)
+    assert check_sides(a, q, ("A", "C")) == {"descent"}
+    calls, bounds = layer_calls(lambda: propagate(a, q, ("A", "C")))
+    assert bounds == Bounds(F(9, 10), F(19, 20))
+    assert [(c["solves"], c["sides"], c["descended"]) for c in calls] == [
+        (2, [False], True),
+        (3, [False, True], False),
+    ]
