@@ -20,8 +20,10 @@ query's), represented by the class's lowest world. Twin worlds would give
 equal columns that never enter the basis, so the merged system makes the
 per-world system's pivots on fewer cells, and a witness puts each class's
 mass on its representative (see _Layer). Rows, objectives and deeper
-domains read one bit per class. The entry rows reach linprog as "<=" rows
-with rhs 0 in coprime ints, so Region has nothing to negate.
+domains read one bit per class. The entry rows are "<=" rows with rhs 0
+in coprime ints, already in the form of a tableau row, so a layer builds
+its region's initial tableau itself (Region.from_tableau) and no row is
+checked or normalised twice.
 
 The solver path takes as few solves as the answer allows:
 - A layer first drops the worlds that a row with no negative
@@ -72,7 +74,7 @@ The solver path takes as few solves as the answer allows:
   bounds lie in [0, 1], and they hold this layer's, so the answer is
   [0, 1] whatever they are (see _propagate_layer).
 - A layer with no class left has the region {sum over no column == 1},
-  which linprog's empty-row rule finds infeasible with no tableau.
+  which linprog's empty-row rule finds infeasible with no start.
 
 Everything on the decision path is exact rational arithmetic: whether a
 conclusion interval equals [0, 1] (probabilistic non-informativeness) is a
@@ -90,7 +92,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .events import ConditionalObject, declared, tabulator, truth_table
-from .linprog import EQ, LE, Region, solve_lp
+from .linprog import LE, Region, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -162,13 +164,50 @@ class Coherent(Value):
 
 
 class Incoherent(Value):
-    __slots__ = ("level", "description")
+    """The verdict on incoherent premises: level, the zero layer that has
+    no solution, and description, its system in prose.
+
+    The solver's verdict (_unsolvable) keeps the layer's world count and
+    entries and formats description on its first read, as LPResult does
+    its value, since most callers read only the level. ==, hash, repr, copy
+    and pickle read description, so they are those of Incoherent(level,
+    description) with the text given."""
+
+    __slots__ = ("level", "description", "_layer")
+
+    @classmethod
+    def _unsolvable(cls, level, worlds, entries) -> "Incoherent":
+        """The verdict that the zero layer at level, over worlds
+        constituents, has no solution for its assessment entries."""
+        verdict = cls.__new__(cls)
+        object.__setattr__(verdict, "level", level)
+        object.__setattr__(verdict, "_layer", (worlds, entries))
+        return verdict
+
+    def __getattr__(self, name):
+        # Only an unset slot gets here: the description of _unsolvable().
+        if name != "description":
+            raise AttributeError(name)
+        worlds, entries = self._layer
+        text = (
+            f"level-{self.level} system over {worlds} constituents is "
+            "unsolvable for entries: "
+            + "; ".join(f"p({e.obj}) in [{e.lo}, {e.hi}]" for e in entries)
+        )
+        object.__setattr__(self, "description", text)
+        return text
 
 
 class IncoherentPremises(ValueError):
+    """propagate's error on incoherent premises; certificate is the
+    Incoherent verdict. The message is formatted when it is read."""
+
     def __init__(self, certificate: Incoherent):
-        super().__init__(f"premises incoherent: {certificate.description}")
+        super().__init__(certificate)
         self.certificate = certificate
+
+    def __str__(self):
+        return f"premises incoherent: {self.certificate.description}"
 
 
 class ResponseCategory(enum.Enum):
@@ -236,7 +275,9 @@ class _Layer:
     Each is its rational row with a unit slack (lo - 1 and lo, 1 - hi and
     -hi) scaled by its denominator, so the tableau and every pivot are
     those of the rational rows. A unit slack on the int row would change
-    the slack's unit and, through Dantzig's rule, some pivots.
+    the slack's unit and, through Dantzig's rule, some pivots. region()
+    builds the initial tableau from them, with no second check (see
+    region).
 
     One column per class makes the pivots of one column per world. Twin
     worlds, two of one class, have equal columns in every row and
@@ -348,9 +389,30 @@ class _Layer:
                 self.homogeneous.append((row, LE, 0, k))
 
     def region(self) -> Region:
-        """The layer's masses summing to 1 under its rows."""
+        """The layer's masses summing to 1 under its rows, the region of
+        Region([([1] * n, EQ, 1)] + homogeneous, n) over the n classes.
+
+        The layer builds its initial tableau itself (Region.from_tableau):
+        sum(x) == 1 first, the one row that needs an artificial, then each
+        entry row with its own slack column, the row's slack coefficient k
+        there. Its rows need no second check: each is a "<=" row with rhs 0
+        in ints, which Region would not negate, and is coprime with its k:
+        a row lo*m <= e holds a where m holds and e fails and has k = b,
+        with gcd(a, b) = 1, and a row e <= hi*m holds d - c where e holds
+        and has k = d, with gcd(d - c, d) = gcd(c, d) = 1; sum(x) == 1 is
+        coprime too. So the tableau is the one Region builds from those
+        rows, with no row checked, negated or divided again. A layer with
+        no class has the row sum(x) == 1 over no column, and Region's
+        empty-row rule makes no start for it."""
         n = len(self.classes)
-        return Region([([1] * n, EQ, 1)] + self.homogeneous, n)
+        s = len(self.homogeneous)
+        tableau = [[1] * n + [0] * s + [1]]
+        tail = [0] * (s + 1)
+        for j, (row, _, _, k) in enumerate(self.homogeneous, n):
+            row = row + tail
+            row[j] = k
+            tableau.append(row)
+        return Region.from_tableau(n, tableau, [n + s, *range(n, n + s)])
 
     def antecedent_mass(self, indices):
         """Objective: the summed antecedent mass of the given entries."""
@@ -512,14 +574,7 @@ def _zero_layers(layer, region, support=None):
     level = 0
     while True:
         if region.support() is None:
-            desc = (
-                f"level-{level} system over {layer.domain.bit_count()} constituents is "
-                f"unsolvable for entries: "
-                + "; ".join(
-                    f"p({e.obj}) in [{e.lo}, {e.hi}]" for e in layer.entries
-                )
-            )
-            return Incoherent(level, desc)
+            return Incoherent._unsolvable(level, layer.domain.bit_count(), layer.entries)
         forced = _forced_zero(layer, region, res=support)
         if not forced:
             return None

@@ -177,40 +177,54 @@ def truth_table(f: Formula, names) -> int:
 
 def tabulator(names):
     """truth_table over names as a function of the formula, for many
-    formulas over one atom set: the atom map and the table of Top are made
-    once. names must have passed declared() (or be empty); a formula with an
-    atom not among them raises KeyError."""
+    formulas over one atom set: each atom's table and the table of Top are
+    made once. names must have passed declared() (or be empty); a formula
+    with an atom not among them raises KeyError.
+
+    A formula's class picks its bit operation, looked up by the exact
+    class; an instance of a subclass of a formula class takes its base's."""
     n = len(names)
-    shifts = {name: n - 1 - i for i, name in enumerate(names)}
     full = (1 << (1 << n)) - 1
-    return lambda f: _table(f, shifts, full)
-
-
-def _table(f, shifts, full):
-    """truth_table over shifts (atom name -> bit of the world index) and
-    full, the table of Top."""
-    if isinstance(f, Atom):
-        block = 1 << shifts[f.name]
+    size = full.bit_length()
+    atoms = {}
+    for i, name in enumerate(names):
+        block = 1 << (n - 1 - i)
         # ones on the upper half of each 2*block run of worlds, the run
         # doubled until it covers them all
-        table, width, size = ((1 << block) - 1) << block, 2 * block, full.bit_length()
+        t, width = ((1 << block) - 1) << block, 2 * block
         while width < size:
-            table |= table << width
+            t |= t << width
             width *= 2
-        return table
-    if isinstance(f, Not):
-        return full ^ _table(f.operand, shifts, full)
-    if isinstance(f, And):
-        return _table(f.left, shifts, full) & _table(f.right, shifts, full)
-    if isinstance(f, Or):
-        return _table(f.left, shifts, full) | _table(f.right, shifts, full)
-    if isinstance(f, MaterialImp):
-        return (full ^ _table(f.left, shifts, full)) | _table(f.right, shifts, full)
-    if isinstance(f, Top):
+        atoms[name] = t
+    return lambda f: _table(f, atoms, full)
+
+
+def _table(f, atoms, full):
+    """truth_table over atoms (atom name -> its table) and full, the table
+    of Top. A function of the module, not a closure that calls itself,
+    which would make a reference cycle per tabulator."""
+    kind = f.__class__
+    if kind not in _KINDS:
+        kind = next((k for k in _KINDS if isinstance(f, k)), None)
+    if kind is Atom:
+        return atoms[f.name]
+    if kind is Not:
+        return full ^ _table(f.operand, atoms, full)
+    if kind is And:
+        return _table(f.left, atoms, full) & _table(f.right, atoms, full)
+    if kind is Or:
+        return _table(f.left, atoms, full) | _table(f.right, atoms, full)
+    if kind is MaterialImp:
+        return (full ^ _table(f.left, atoms, full)) | _table(f.right, atoms, full)
+    if kind is Top:
         return full
-    if isinstance(f, Bottom):
+    if kind is Bottom:
         return 0
     raise TypeError(f"not a formula: {f!r}")
+
+
+# The formula classes tabulator dispatches on, in its isinstance order.
+_KINDS = (Atom, Not, And, Or, MaterialImp, Top, Bottom)
 
 
 def is_satisfiable(f: Formula, atomset=None) -> bool:

@@ -15,10 +15,16 @@ read.
   and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
   rows with rhs > 0 need an artificial.
 - A row may give the coefficient of its slack as a fourth item (1 when
-  left out). The zero-layer systems of coherence send their entry rows
-  this way: "<=" rows with rhs 0 in coprime ints, each with its bound's
-  denominator as the slack coefficient. Such a row is the tableau row
-  its rational form would give, and it is not negated.
+  left out); a row of any other length raises ValueError. Such a row is
+  the tableau row its rational form would give.
+- Region(rows, n) checks and normalises each row and builds the initial
+  tableau from them: the variables' columns, one slack column per "<="
+  or ">=" row, the rhs, and no artificial column. Region.from_tableau
+  takes an initial tableau that its caller built, and checks nothing. The
+  zero-layer systems of coherence build theirs: sum(x) == 1, then each
+  entry row, a "<=" row with rhs 0 in coprime ints with its bound's
+  denominator as the slack coefficient, so no row needs a check, a
+  negation or a gcd. Either way the start below is the same routine.
 - With exactly one artificial row, the start is one pivot, with no phase
   1, when some column is positive in that row and <= 0 in every other row
   (a crash basis; Bixby 1992; see _crash). Otherwise phase 1 runs, on the
@@ -29,7 +35,9 @@ read.
   a cost row would give. The zero-layer systems always have one
   artificial, for sum(x) == 1. With several artificials, phase 1
   maximizes minus their sum over artificial columns and a cost row.
-- Each tableau row is divided once by the gcd of its entries. The
+- Each tableau row is divided once by the gcd of its entries, but for a
+  row with an artificial when there are several: its unit artificial
+  coefficient leaves it as it is. The
   reduced-cost row of an objective, phase 1's included, is summed in ints:
   each basic row a_i with basic coefficient d_i enters scaled by L/d_i,
   with L the lcm of those d_i, and the sum is then made coprime.
@@ -57,8 +65,9 @@ read.
   solution of solve_lp([0] * n, region), which makes no pivot.
 - A region with an "==" or ">=" row whose rhs is positive and whose
   coefficients are all 0 is infeasible, and is known to be so with no
-  tableau (the empty-row rule of LP presolve; Andersen and Andersen
-  1995): a region with no column and the row sum(x) == 1 is one.
+  start: no crash and no phase 1 (the empty-row rule of LP presolve;
+  Andersen and Andersen 1995): a region with no column and the row
+  sum(x) == 1 is one.
 - Region.charnes_cooper(optimum) derives, from the optimal tableau of
   maximizing c over {sum(x) == 1, H x <= 0}, a started region for
   {c . y == 1, H y <= 0}: one rank-one update of the rows in ints, on the
@@ -152,12 +161,18 @@ class Region:
     of the slack, and the entering rule compares the slack's reduced cost
     with the others. len() is the number of rows. A region is never
     changed by a solve, so it can serve any number of objectives.
+
+    Region checks each row (ints, arity, at most four items, a slack unit
+    only on "<=" and ">=" rows and > 0), negates a row with rhs < 0 and a
+    homogeneous ">=" row, and builds the initial tableau in the form
+    from_tableau takes; _start starts from it on the first solve.
     """
 
     def __init__(self, rows, n):
-        self.n = n
-        self._rows = []
+        checked = []
         for coeffs, rel, rhs, *slack in rows:
+            if len(slack) > 1:
+                raise ValueError("a row has at most four items: coeffs, relation, rhs, slack unit")
             gcd(*coeffs, rhs, *slack)  # TypeError on any value but an int
             if len(coeffs) != n:
                 raise ValueError("constraint arity mismatch")
@@ -169,12 +184,60 @@ class Region:
                 coeffs = [-v for v in coeffs]
                 rhs = -rhs
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            if rhs and rel != LE and not any(coeffs):
-                self._start = None  # an empty row (see _start)
-            self._rows.append((coeffs, rel, rhs, slack[0] if slack else 1))
+            checked.append((coeffs, rel, rhs, slack[0] if slack else 1))
+        # The initial tableau (see from_tableau). With several artificials,
+        # a row of one is not divided by its gcd: the start gives it a unit
+        # artificial column.
+        n_slack = sum(1 for _, rel, _, _ in checked if rel != EQ)
+        n_art = sum(1 for _, rel, _, _ in checked if rel != LE)
+        zeros = [0] * n_slack
+        tableau, basis = [], []
+        si, ai = n, n + n_slack
+        for coeffs, rel, rhs, k in checked:
+            row = [*coeffs, *zeros, rhs]
+            if rel != EQ:
+                row[si] = k if rel == LE else -k
+                si += 1
+            if rel == LE:
+                basis.append(si - 1)
+            else:
+                basis.append(ai)
+                ai += 1
+            tableau.append(_coprime(row) if rel == LE or n_art == 1 else row)
+        self._hold(n, tableau, basis)
+
+    @classmethod
+    def from_tableau(cls, n, tableau, basis) -> "Region":
+        """The region of an initial tableau that its caller built, taken
+        as it is: no row is checked, negated or divided by its gcd.
+        coherence's layers build theirs (see _Layer.region in coherence).
+
+        tableau: one int row per constraint, each with n columns for the
+        variables, then one column per slack, then its rhs, and no column
+        for an artificial. basis: per row its basic column, a slack whose
+        coefficient in that row is positive and 0 in every other row, or,
+        for the j-th row (from 0) that needs an artificial, n_real + j,
+        n_real being the number of columns before the rhs. Every rhs
+        is >= 0, and a row is divided by its gcd unless several rows need
+        an artificial, each of which the start gives a unit column. This
+        is what Region(rows, n) builds from its rows."""
+        region = cls.__new__(cls)
+        region._hold(n, tableau, basis)
+        return region
+
+    def _hold(self, n, tableau, basis):
+        """Keep the initial tableau. A row with an artificial, rhs > 0 and
+        no nonzero coefficient on the n variables is an empty row, and
+        makes no start (see _start)."""
+        self.n = n
+        self._tableau, self._basis = tableau, basis
+        n_real = len(tableau[0]) - 1 if tableau else n
+        for row, b in zip(tableau, basis):
+            if b >= n_real and row[-1] and not any(row[:n]):
+                self._start = None
 
     def __len__(self):
-        return len(self._rows)
+        return len(self._tableau)
 
     # The columns of a crash start, each a feasible point alone (_crash).
     _singletons = 0
@@ -224,10 +287,11 @@ class Region:
         p, q = optimum._ratio
         if p <= 0:
             raise ValueError("the Charnes-Cooper start needs a positive maximum")
-        first, rel, rhs, _ = self._rows[0]
-        if rel != EQ or rhs != 1 or any(v != 1 for v in first):
+        first = self._tableau[0]
+        n = self.n
+        if first[-1] != 1 or any(v != 1 for v in first[:n]) or any(first[n:-1]):
             raise ValueError("the first row must be sum(x) == 1")
-        if any(rhs != 0 for _, _, rhs, _ in self._rows[1:]):
+        if any(row[-1] for row in self._tableau[1:]):
             raise ValueError("the rows after the first must be homogeneous")
         _, c, _, final, basis = start
         cost = final[-1]
@@ -244,9 +308,9 @@ class Region:
             if row[b] <= 0 or row[-1] < 0:
                 raise RuntimeError("Charnes-Cooper start broke the tableau invariant")
             tableau.append(row)
-        derived = Region.__new__(Region)
-        derived.n = self.n
-        derived._rows = [(c, EQ, 1, 1)] + self._rows[1:]
+        # The initial tableau of {c . y == 1, this region's other rows}
+        initial = [[*c, *first[n:-1], 1]] + self._tableau[1:]
+        derived = Region.from_tableau(n, initial, self._basis)
         derived._start = tableau, basis
         return derived
 
@@ -258,7 +322,8 @@ class Region:
         An "==" or ">=" row with rhs > 0 and no nonzero coefficient holds at
         no point: coeffs . x is 0, and a ">=" row's slack would be negative
         (the empty-row rule of LP presolve; Andersen and Andersen 1995).
-        Region.__init__ sets _start to None for it, so no tableau is built.
+        Region sets _start to None for it when it takes its initial
+        tableau (_hold), so no start is made: no crash, no phase 1.
 
         With one artificial, the tableau has no column for it: its row i
         has the basis index n_real, past every real column, which also
@@ -272,28 +337,12 @@ class Region:
         If instead it ends with the artificial basic, rhs_i > 0 means no
         feasible point, and rhs_i = 0 an artificial to evict."""
         n = self.n
-        n_slack = sum(1 for _, rel, _, _ in self._rows if rel != EQ)
-        n_art = sum(1 for _, rel, _, _ in self._rows if rel != LE)
-        n_real = n + n_slack
-        zeros = [0] * (n_slack + (n_art if n_art > 1 else 0))
-        tableau = []
-        basis = []
-        si, ai = n, n_real
-        for coeffs, rel, rhs, k in self._rows:
-            row = [*coeffs, *zeros, rhs]
-            if rel != EQ:
-                row[si] = k if rel == LE else -k
-                si += 1
-            if rel == LE:
-                basis.append(si - 1)
-            else:
-                if n_art > 1:
-                    row[ai] = 1
-                basis.append(ai)
-                ai += 1
-            tableau.append(_coprime(row))
+        tableau, basis = self._tableau[:], self._basis[:]
+        n_real = len(tableau[0]) - 1 if tableau else n
+        artificials = [i for i, b in enumerate(basis) if b >= n_real]
+        n_art = len(artificials)
         if n_art == 1:
-            i = basis.index(n_real)
+            i = artificials[0]
             crash = _crash(tableau, basis, n, i)
             if crash is not None:
                 self._singletons = crash
@@ -304,7 +353,12 @@ class Region:
                 return None
             _evict_artificials(tableau, basis, n_real)
         elif n_art:
-            # Phase 1 maximizes minus the sum of the artificials.
+            # Phase 1 maximizes minus the sum of the artificials, over a
+            # unit column for each.
+            tableau = [
+                row[:-1] + [int(b == a) for a in range(n_real, n_real + n_art)] + row[-1:]
+                for row, b in zip(tableau, basis)
+            ]
             phase1 = [0] * n_real + [-1] * n_art + [0]
             tableau.append(_reduced_costs(tableau, basis, phase1))
             if _simplex(tableau, basis) != "optimal":

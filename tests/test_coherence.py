@@ -140,6 +140,88 @@ def _lowered_checks():
                 yield f"{spec.name} {interp.value} {theta}", a, spec.atoms
 
 
+class TestDeferredDescription:
+    """The solver's Incoherent formats its description on the first read,
+    and IncoherentPremises its message; callers that read only the level,
+    or catch the error, format nothing."""
+
+    @staticmethod
+    def premises():
+        return Assessment(
+            (entry(ConditionalObject(A), F(3, 5), 1), entry(ConditionalObject(Not(A)), F(1, 2), 1))
+        )
+
+    TEXT = (
+        "level-0 system over 4 constituents is unsolvable for entries: "
+        "p(A) in [3/5, 1]; p(not(A)) in [1/2, 1]"
+    )
+
+    @staticmethod
+    def str_calls(monkeypatch):
+        """Counts of ConditionalObject.__str__ calls, live: each entry of
+        the prose formats its conditional once."""
+        calls = []
+        to_str = ConditionalObject.__str__
+
+        def counted(obj):
+            calls.append(obj)
+            return to_str(obj)
+
+        monkeypatch.setattr(ConditionalObject, "__str__", counted)
+        return calls
+
+    def test_equals_the_eager_verdict(self):
+        import copy
+        import pickle
+
+        eager = Incoherent(0, self.TEXT)
+        reads = {
+            "==": lambda v: v == eager and eager == v,
+            "hash": lambda v: hash(v) == hash(eager),
+            "repr": lambda v: repr(v) == repr(eager),
+            "copy": lambda v: copy.copy(v) == eager and copy.deepcopy(v) == eager,
+            "pickle": lambda v: pickle.loads(pickle.dumps(v)) == eager,
+            "description": lambda v: v.description == self.TEXT,
+        }
+        for name, read in reads.items():
+            # a fresh verdict each time, its description not yet formatted
+            verdict = check_coherence(self.premises(), ["A", "C"])
+            assert read(verdict), name
+        deeper = check_coherence(Assessment((entry(ConditionalObject(A, Not(A)), 1),)), ["A"])
+        assert deeper == Incoherent(
+            1,
+            "level-1 system over 1 constituents is unsolvable for entries: "
+            "p((A | not(A))) in [1, 1]",
+        )
+
+    def test_incoherent_premises_message(self):
+        """The message is the one the error was built with before; the
+        error keeps its certificate as its argument, so it also survives a
+        pickle round trip, which a message argument did not."""
+        import pickle
+
+        with pytest.raises(IncoherentPremises) as exc:
+            propagate(self.premises(), ConditionalObject(C, A), ["A", "C"])
+        assert str(exc.value) == "premises incoherent: " + self.TEXT
+        assert exc.value.certificate == Incoherent(0, self.TEXT)
+        again = pickle.loads(pickle.dumps(exc.value))
+        assert str(again) == str(exc.value) and again.certificate == exc.value.certificate
+
+    def test_nothing_formatted_unless_read(self, monkeypatch):
+        calls = self.str_calls(monkeypatch)
+        verdict = check_coherence(self.premises(), ["A", "C"])
+        assert verdict.level == 0 and isinstance(verdict, Incoherent)
+        try:
+            propagate(self.premises(), ConditionalObject(C, A), ["A", "C"])
+        except IncoherentPremises as err:
+            caught = err
+        assert calls == []
+        assert str(caught).endswith(self.TEXT) and len(calls) == 2
+        assert verdict.description == self.TEXT and len(calls) == 4
+        # the text is kept: a second read formats nothing
+        assert verdict.description == self.TEXT and len(calls) == 4
+
+
 class TestWitnesses:
     def test_every_witness_satisfies_the_premises(self):
         """Each check_coherence witness, re-checked world by world against
@@ -396,6 +478,39 @@ class TestSolveCounts:
                     propagate(a, q, task.spec.atoms)
         assert calls == {"pivot": 276, "solve": 152}
 
+    def test_random_assess_pool_counts(self):
+        """The random-assess pool, as tests/solver_counts.py runs it: 800
+        items over 2..5 atoms, check_coherence on even items and propagate
+        on odd ones. Its pivots, solves and region starts, and the starts on
+        a region with no column, which a layer with no class never makes.
+        Before the sides of the bounds were read off feasible points they
+        were 2292 / 888 / 1115, 424 of the starts on a region with no
+        column."""
+        import solver_counts
+
+        with solver_counts.counting() as counts:
+            solver_counts.pool()
+        assert counts == {"pivots": 2219, "solves": 707, "starts": 691, "empty starts": 0}
+
+    def test_random_assess_pool_leaves_no_cyclic_garbage(self):
+        """Everything an op makes is freed when the op's last reference
+        goes, with no wait for the cycle collector. A reference cycle per
+        op (a self-calling closure per tabulator made 4000 cyclic objects
+        per pass) lives on until a collection, and in a long run, as in
+        the benchmark, the cycles promoted to the oldest generation pile up
+        and raise peak RSS."""
+        import gc
+
+        import solver_counts
+
+        gc.collect()
+        gc.disable()
+        try:
+            solver_counts.pool()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_chain8_pivots_and_solves(self, monkeypatch):
         """A point further along the scale curve: n = 8 took 54 pivots and
         5 solves before the Charnes-Cooper program started from the max-m
@@ -423,7 +538,7 @@ class TestSolveCounts:
         crash column proved the upper bound. The pinned layer covers the
         worlds where A0 fails, and its presolve empties it, since p(A0) >=
         9/10 pins them all, so it costs no pivot and, by the empty-row
-        rule, no tableau."""
+        rule, no start."""
         a, q, atoms = chain(12, F(9, 10))
         layer, _ = coherence._level0(a, atoms, q)
         m_q = layer.extra[0]
@@ -432,7 +547,8 @@ class TestSolveCounts:
         pinned = coherence._Layer(layer.entries, layer.tables, layer.domain ^ m_q)
         assert pinned.classes == []
         with monkeypatch.context() as m:
-            m.setattr(linprog, "_coprime", None)  # every tableau row passes it
+            for name in ("_crash", "_simplex"):  # every start runs one
+                m.setattr(linprog, name, None)
             assert pinned.region().support() is None
         calls = _count_calls(monkeypatch)
         b = propagate(a, q, atoms)
@@ -478,7 +594,7 @@ class TestSolveCounts:
         class CountedRegion(linprog.Region):
             @cached_property
             def _start(self):
-                started.append(self._rows)
+                started.append(self._tableau)
                 return linprog.Region._start.func(self)
 
         monkeypatch.setattr(coherence, "Region", CountedRegion)
@@ -486,7 +602,7 @@ class TestSolveCounts:
         propagate(a, q, atoms)
         # propagate's level-0 columns tell the query's tables apart too
         _, level0 = coherence._level0(a, atoms, q)
-        assert started.count(level0._rows) == 1
+        assert started.count(level0._tableau) == 1
 
 
 class TestPointsOnlyForWitnesses:

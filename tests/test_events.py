@@ -274,6 +274,25 @@ class TestTruthTable:
                 by_division = (((1 << block) - 1) << block) * (full // ((1 << 2 * block) - 1))
                 assert truth_table(Atom(name), names) == by_division, (n, name)
 
+    def test_subclasses_take_their_base_classes_operation(self):
+        """The tabulator looks a formula's operation up by its exact class;
+        an instance of a subclass falls back to isinstance, so it gets its
+        base's table, and anything else is refused."""
+
+        class Both(And):
+            __slots__ = ()
+
+        class Named(Atom):
+            __slots__ = ()
+
+        names = ["A", "C"]
+        assert truth_table(Both(A, Not(C)), names) == truth_table(And(A, Not(C)), names) == 0b0100
+        assert truth_table(Or(Named("C"), Both(A, C)), names) == truth_table(C, names)
+        with pytest.raises(TypeError, match="not a formula"):
+            truth_table(And(A, "C"), names)
+        with pytest.raises(KeyError):
+            truth_table(Atom("B"), names)
+
     def test_constants(self):
         assert truth_table(TOP, ["A", "C"]) == 0b1111
         assert truth_table(BOTTOM, ["A", "C"]) == 0

@@ -263,8 +263,21 @@ def test_a_slack_unit_must_be_positive():
     assert solve_lp([1, 0], [([1, 1], LE, 1, 3)]).value == 1
 
 
+def test_a_row_has_at_most_four_items():
+    """A row is (coeffs, relation, rhs) and maybe a slack unit; a fifth
+    item is a caller error, not something to drop: ([1, 1], "<=", 1, 2, 5)
+    was read as ([1, 1], "<=", 1, 2), and max x0 came back 1. Region and
+    solve_lp raise ValueError."""
+    for row in (([1, 1], LE, 1, 2, 5), ([1, 1], EQ, 1, 1, 1), ([1, 1], GE, 1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="at most four items"):
+            Region([row], 2)
+        with pytest.raises(ValueError, match="at most four items"):
+            solve_lp([1, 0], [([1, 0], LE, 1), row])
+    assert solve_lp([1, 0], [([1, 1], LE, 1, 2)]).value == 1
+
+
 def unbuilt(*args):
-    raise AssertionError("a tableau was built")
+    raise AssertionError("a start was made")
 
 
 @pytest.mark.parametrize(
@@ -281,14 +294,15 @@ def unbuilt(*args):
 def test_an_empty_row_is_infeasible_with_no_tableau(monkeypatch, rows, n):
     """An "==" or ">=" row with rhs > 0 (after a "<=" row with rhs < 0 is
     negated) and no nonzero coefficient holds at no point: the region is
-    infeasible, as the reference finds, and no tableau is built. A region
-    with no column and the row sum(x) == 1 is the region of a layer with no
-    class."""
+    infeasible, as the reference finds, and no start is made from its
+    tableau: no crash, no phase 1. A region with no column and the row
+    sum(x) == 1 is the region of a layer with no class."""
     from probarg import linprog
 
     assert bland_reference.solve_lp([1] * n, rows).status == "infeasible"
     region = Region(rows, n)
-    monkeypatch.setattr(linprog, "_coprime", unbuilt)
+    for name in ("_coprime", "_crash", "_simplex"):
+        monkeypatch.setattr(linprog, name, unbuilt)
     assert region.support() is None and region.singletons() == 0
     assert solve_lp([1] * n, region).status == "infeasible"
 

@@ -388,7 +388,9 @@ def full_layer(atoms):
     column by column in Fractions with eval_classical at the column's
     lowest world, then given to linprog in int form (int_row).
     It takes _Layer's arguments and its columns (_Layer.classes), and reads
-    of the tables only the deeper layers' domains (_Layer.deeper)."""
+    of the tables only the deeper layers' domains (_Layer.deeper). Its
+    ">=" rows are not in the form of the tableau _Layer builds, so its
+    region goes through Region's checks and normalisation of each row."""
     dicts = constituents(atoms)
 
     class FullLayer(coherence._Layer):
@@ -409,6 +411,10 @@ def full_layer(atoms):
                             hi_row[k] -= 1
                 self.m_cols.append(m_cols)
                 self.homogeneous += [int_row(lo_row, ">=", 0), int_row(hi_row, ">=", 0)]
+
+        def region(self):
+            n = len(self.classes)
+            return Region([([1] * n, EQ, 1)] + self.homogeneous, n)
 
     return FullLayer
 
@@ -1271,3 +1277,117 @@ def test_descent_skips_the_upper_side():
         (2, [False], True),
         (3, [False, True], False),
     ]
+
+
+# --- the tableau a layer builds -------------------------------------------------
+#
+# _Layer.region() builds its initial tableau itself and hands it to
+# Region.from_tableau, which checks nothing. Here every region a layer
+# builds is checked against Region(rows, n) over the same rows, which
+# checks and normalises each row and builds the tableau its own way: the
+# same initial tableau, the same start, supports and singletons.
+
+
+def layers_with_regions(fn, full):
+    """fn() with every layer that built a region while it ran, as (kind,
+    layer); full is the level-0 domain. kind: "level 0", "deeper" (made by
+    _Layer.deeper) or "pinned" (the layer of the worlds where q's
+    antecedent fails)."""
+    made, deeper_layers = [], []
+    region, deeper = coherence._Layer.region, coherence._Layer.deeper
+
+    def recorded_region(layer):
+        r = region(layer)
+        if any(layer is d for d in deeper_layers):
+            kind = "deeper"
+        else:
+            kind = "level 0" if layer.domain == full else "pinned"
+        made.append((kind, layer))
+        return r
+
+    def recorded_deeper(layer, *args):
+        sub = deeper(layer, *args)
+        deeper_layers.append(sub)
+        return sub
+
+    with patched(coherence._Layer, "region", recorded_region), patched(
+        coherence._Layer, "deeper", recorded_deeper
+    ):
+        try:
+            fn()
+        except IncoherentPremises:
+            pass
+    return made
+
+
+def start_kind(region):
+    """How region starts: "no class", "infeasible", "crash" or "phase 1".
+    Reads a fresh region, whose start is not made yet."""
+    if region.n == 0:
+        # the empty-row rule: no start at all
+        assert vars(region)["_start"] is None
+        return "no class"
+    runs, simplex = [], linprog._simplex
+    with patched(linprog, "_simplex", lambda *args: runs.append(args) or simplex(*args)):
+        start = region._start
+    if start is None:
+        return "infeasible"
+    return "phase 1" if runs else "crash"
+
+
+def check_layer_regions(a, q, atoms, kinds):
+    """Every region the layers of check_coherence and propagate build
+    equals Region([sum row] + layer.homogeneous, n); kinds counts the
+    layers by kind and the starts by how they start."""
+    full = (1 << (1 << len(atoms))) - 1
+    made = layers_with_regions(lambda: check_coherence(a, atoms), full)
+    made += layers_with_regions(lambda: propagate(a, q, atoms), full)
+    for kind, layer in made:
+        n = len(layer.classes)
+        general = Region([([1] * n, EQ, 1)] + layer.homogeneous, n)
+        region = layer.region()
+        assert (region._tableau, region._basis) == (general._tableau, general._basis)
+        how = start_kind(region)
+        assert how == start_kind(general)
+        assert region._start == general._start
+        assert region.support() == general.support()
+        assert region.singletons() == general.singletons()
+        assert len(region) == len(general) == 1 + len(layer.homogeneous)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        kinds[how] = kinds.get(how, 0) + 1
+
+
+def test_layer_tableau_is_the_rows_tableau():
+    """300 seeded kinded_problem and 300 random_problem sets, the 800
+    random-assess pool items and the chain over 3..8 atoms: each level-0,
+    deeper and pinned layer's region has the initial tableau, the start,
+    the supports and the row count of Region over its rows. Every kind of
+    layer and of start occurs: these inputs build 2812 level-0, 1048
+    deeper and 207 pinned layers' regions, of which 1812 take the crash
+    start, 756 phase 1 and 16 are found infeasible by phase 1, and 1483
+    are of layers with no class (most incoherent sets are emptied by the
+    presolve)."""
+    import solver_counts
+
+    workloads = solver_counts.workloads
+    problems = []
+    for seed, problem in (("tableau-kinds", kinded_problem), ("tableau-random", random_problem)):
+        rng = random.Random(seed)
+        problems += [problem(rng) for _ in range(300)]
+    for n in workloads.ASSESS_SIZES:
+        for index in range(workloads.ASSESS_POOL):
+            problems.append(workloads.assess_inputs(workloads.assess_item(n, index)))
+    problems += [workloads.chain_inputs(n, F(9, 10)) for n in range(3, 9)]
+    kinds = {}
+    for a, q, atoms in problems:
+        check_layer_regions(a, q, atoms, kinds)
+    least = {
+        "level 0": 2500,
+        "deeper": 900,
+        "pinned": 150,
+        "crash": 1500,
+        "phase 1": 600,
+        "infeasible": 10,
+        "no class": 1200,
+    }
+    assert all(kinds.get(k, 0) >= v for k, v in least.items()), kinds

@@ -1,0 +1,150 @@
+"""Time two checkouts of probarg against each other in one process.
+
+    python tools/ab_inprocess.py BASE NEW
+
+BASE and NEW are checkout roots (each with src/probarg). Both packages are
+loaded side by side, as probarg_base and probarg_new, and run the same
+inputs, built from this checkout's perfbench/workloads.py, which is only
+read. The ops come in three groups:
+
+- pool: each item of the random-assess pool (800 items over 2..5 atoms),
+  check_coherence on even items, propagate and classify on odd ones;
+- chain n: propagate on the chain over n = 3..6 atoms, at each of the
+  chain-scale thetas;
+- corpus report: the agreement report and its text and JSON renderings,
+  at each of the corpus-cli thetas.
+
+First each op's result is compared as a repr, and the script exits 1 if
+the two trees disagree on any. Then, pinned to one CPU, every op runs in
+9 rounds, base and new back to back in alternating order, and each op
+keeps its minimum; the timed ops make no repr. Per group it prints the
+sum of those minima on each side and their ratio, new / base: below 1
+means NEW is faster. On a host whose speed drifts between runs, this
+sizes a change of a few percent that separate benchmark runs cannot.
+"""
+
+from __future__ import annotations
+
+import gc
+import importlib.util
+import json
+import os
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
+from pathlib import Path
+from time import perf_counter
+
+HERE = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE / "perfbench"))
+import workloads  # noqa: E402
+
+ROUNDS = 9
+# The modules the ops and workloads.py read.
+SUBMODULES = ("events", "coherence", "corpus")
+
+
+def load(root: Path, name: str):
+    """The package under root/src/probarg, imported as name."""
+    src = root / "src" / "probarg"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for sub in SUBMODULES:
+        importlib.import_module(f"{name}.{sub}")
+    return package
+
+
+@contextmanager
+def as_probarg(package):
+    """workloads imports probarg by name: let that name be package."""
+    name = package.__name__
+    saved = {k: v for k, v in sys.modules.items() if k == "probarg" or k.startswith("probarg.")}
+    sys.modules["probarg"] = package
+    for sub in SUBMODULES:
+        sys.modules[f"probarg.{sub}"] = sys.modules[f"{name}.{sub}"]
+    try:
+        yield
+    finally:
+        for k in [k for k in sys.modules if k == "probarg" or k.startswith("probarg.")]:
+            del sys.modules[k]
+        sys.modules.update(saved)
+
+
+def ops(package):
+    """(group, op) pairs, the op a call with no arguments."""
+    coherence, corpus = package.coherence, package.corpus
+    with as_probarg(package):
+        pool = [
+            (index % 2, *workloads.assess_inputs(workloads.assess_item(n, index)))
+            for n in workloads.ASSESS_SIZES
+            for index in range(workloads.ASSESS_POOL)
+        ]
+        chains = [
+            (n, workloads.chain_inputs(n, t))
+            for n in workloads.CHAIN_SIZES
+            for t in workloads.CHAIN_THETAS
+        ]
+
+    def assess(odd, a, q, atoms):
+        if not odd:
+            return coherence.check_coherence(a, atoms)
+        try:
+            bounds = coherence.propagate(a, q, atoms)
+        except coherence.IncoherentPremises as err:
+            return err.certificate
+        return bounds, coherence.classify(bounds)
+
+    def report(theta):
+        got = corpus.agreement_report(coherence.ClassificationConfig(theta=Fraction(theta)))
+        text = json.dumps(corpus.report_structured(got), indent=2, sort_keys=True)
+        return corpus.report_text(got) + text
+
+    named = [("pool", lambda item=item: assess(*item)) for item in pool]
+    named += [
+        (f"chain n = {n}", lambda args=args: coherence.propagate(*args)) for n, args in chains
+    ]
+    named += [("corpus report", lambda t=t: report(t)) for t in workloads.CORPUS_THETAS]
+    return named
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # one CPU
+    trees = [
+        ops(load(Path(root).resolve(), f"probarg_{side}"))
+        for root, side in zip(argv, ("base", "new"))
+    ]
+    pairs = [(group, base, new) for (group, base), (_, new) in zip(*trees)]
+    for group, base, new in pairs:
+        if repr(base()) != repr(new()):
+            print(f"{group}: the two trees give different results")
+            return 1
+    best = [[float("inf")] * 2 for _ in pairs]
+    for r in range(ROUNDS):
+        gc.collect()
+        for times, (_, *op) in zip(best, pairs):
+            for side in (r % 2, 1 - r % 2):
+                t0 = perf_counter()
+                op[side]()
+                times[side] = min(times[side], perf_counter() - t0)
+    sums = {}
+    for (group, _, _), times in zip(pairs, best):
+        total = sums.setdefault(group, [0.0, 0.0])
+        total[0] += times[0]
+        total[1] += times[1]
+    print(f"sum over each group's ops of the op's min of {ROUNDS} rounds, interleaved")
+    print(f"{'group':<16} {'base ms':>10} {'new ms':>10} {'new/base':>9}")
+    for group, (base, new) in sums.items():
+        print(f"{group:<16} {base * 1e3:>10.2f} {new * 1e3:>10.2f} {new / base:>9.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
