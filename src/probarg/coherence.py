@@ -22,8 +22,8 @@ per-world system's pivots on fewer cells, and a witness puts each class's
 mass on its representative (see _Layer). Rows, objectives and deeper
 domains read one bit per class. The entry rows are "<=" rows with rhs 0
 in coprime ints, already in the form of a tableau row, so a layer builds
-its region's initial tableau itself (Region.from_tableau) and no row is
-checked or normalised twice.
+its region's initial tableau itself (Region.from_tableau), with no row
+checked or normalised.
 
 The solver path takes as few solves as the answer allows:
 - A layer first drops the worlds that a row with no negative
@@ -92,7 +92,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .events import ConditionalObject, declared, tabulator, truth_table
-from .linprog import LE, Region, solve_lp
+from .linprog import Region, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -265,7 +265,8 @@ class _Layer:
     objectives and deeper domains read one bit per class. m_cols: per
     entry, the columns where m holds, as an int mask (bit k for column k),
     the mask linprog's supports use. homogeneous: the entry rows, each a
-    "<=" row with rhs 0 in coprime ints, 0 where m fails:
+    pair (row, k) of the coefficients of a "<=" row with rhs 0 in coprime
+    ints, 0 where m fails, and its slack coefficient k:
 
     - lo*m <= e, for lo = a/b: a - b where e holds, a where m holds and e
       fails, slack coefficient b;
@@ -276,8 +277,7 @@ class _Layer:
     -hi) scaled by its denominator, so the tableau and every pivot are
     those of the rational rows. A unit slack on the int row would change
     the slack's unit and, through Dantzig's rule, some pivots. region()
-    builds the initial tableau from them, with no second check (see
-    region).
+    builds the initial tableau from them (see region).
 
     One column per class makes the pivots of one column per world. Twin
     worlds, two of one class, have equal columns in every row and
@@ -386,29 +386,28 @@ class _Layer:
                 cuts.append((-c, d - c, d))
             for off, on, k in cuts:
                 row = [(on if e & w else off) if m & w else 0 for w in classes]
-                self.homogeneous.append((row, LE, 0, k))
+                self.homogeneous.append((row, k))
 
     def region(self) -> Region:
-        """The layer's masses summing to 1 under its rows, the region of
-        Region([([1] * n, EQ, 1)] + homogeneous, n) over the n classes.
+        """The layer's masses summing to 1 under its rows, {x >= 0 :
+        sum(x) == 1, row . x <= 0 for each (row, k) of homogeneous} over
+        the n classes.
 
-        The layer builds its initial tableau itself (Region.from_tableau):
-        sum(x) == 1 first, the one row that needs an artificial, then each
-        entry row with its own slack column, the row's slack coefficient k
-        there. Its rows need no second check: each is a "<=" row with rhs 0
-        in ints, which Region would not negate, and is coprime with its k:
-        a row lo*m <= e holds a where m holds and e fails and has k = b,
-        with gcd(a, b) = 1, and a row e <= hi*m holds d - c where e holds
-        and has k = d, with gcd(d - c, d) = gcd(c, d) = 1; sum(x) == 1 is
-        coprime too. So the tableau is the one Region builds from those
-        rows, with no row checked, negated or divided again. A layer with
-        no class has the row sum(x) == 1 over no column, and Region's
-        empty-row rule makes no start for it."""
+        The layer builds the initial tableau that Region.from_tableau
+        takes: sum(x) == 1 first, the one row that needs an artificial,
+        then each entry row with its own slack column, the row's slack
+        coefficient k there, basic. Each row is in that form as built: its
+        rhs is 0, so it needs no negation, and it is coprime with its k: a
+        row lo*m <= e holds a where m holds and e fails and has k = b, with
+        gcd(a, b) = 1, and a row e <= hi*m holds d - c where e holds and has
+        k = d, with gcd(d - c, d) = gcd(c, d) = 1; sum(x) == 1 is coprime
+        too. A layer with no class has the row sum(x) == 1 over no column,
+        and linprog's empty-row rule makes no start for it."""
         n = len(self.classes)
         s = len(self.homogeneous)
         tableau = [[1] * n + [0] * s + [1]]
         tail = [0] * (s + 1)
-        for j, (row, _, _, k) in enumerate(self.homogeneous, n):
+        for j, (row, k) in enumerate(self.homogeneous, n):
             row = row + tail
             row[j] = k
             tableau.append(row)

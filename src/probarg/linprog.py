@@ -1,46 +1,39 @@
 """Exact linear programming over rationals.
 
-One two-phase simplex. Ints in; Fractions only in results. Every
-coefficient, rhs, slack unit and objective is a Python int, and a Region
-or solve_lp given any other value raises TypeError. All arithmetic is on
-ints. A result's value is summed in ints, c_b * rhs_b * (L/d_b) over the
-priced basic rows with L the lcm of their d_b, and kept as that int
-numerator over L: its numerator says whether it is 0 with no Fraction,
-and the value becomes one Fraction only when it is read. Its support() is
-an int mask of the variables positive at the optimum. Its solution, the
-basic values x_b = rhs/d as Fractions, is likewise built only when it is
-read.
+One simplex, over one tableau form. Ints in; Fractions only in results.
+Every tableau entry and objective coefficient is a Python int, and
+solve_lp given an objective with any other value raises TypeError. All
+arithmetic is on ints. A result's value is summed in ints,
+c_b * rhs_b * (L/d_b) over the priced basic rows with L the lcm of their
+d_b, and kept as that int numerator over L: its numerator says whether it
+is 0 with no Fraction, and the value becomes one Fraction only when it is
+read. Its support() is an int mask of the variables positive at the
+optimum. Its solution, the basic values x_b = rhs/d as Fractions, is
+likewise built only when it is read.
 
-- Rows are normalised so each slack can start basic: a row with rhs < 0,
-  and a homogeneous ">=" row (rhs 0), is negated. Only "==" rows and ">="
-  rows with rhs > 0 need an artificial.
-- A row may give the coefficient of its slack as a fourth item (1 when
-  left out); a row of any other length raises ValueError. Such a row is
-  the tableau row its rational form would give.
-- Region(rows, n) checks and normalises each row and builds the initial
-  tableau from them: the variables' columns, one slack column per "<="
-  or ">=" row, the rhs, and no artificial column. Region.from_tableau
-  takes an initial tableau that its caller built, and checks nothing. The
-  zero-layer systems of coherence build theirs: sum(x) == 1, then each
-  entry row, a "<=" row with rhs 0 in coprime ints with its bound's
-  denominator as the slack coefficient, so no row needs a check, a
-  negation or a gcd. Either way the start below is the same routine.
-- With exactly one artificial row, the start is one pivot, with no phase
-  1, when some column is positive in that row and <= 0 in every other row
-  (a crash basis; Bixby 1992; see _crash). Otherwise phase 1 runs, on the
+- A Region is built from its initial tableau by its caller
+  (Region.from_tableau), which checks nothing: one row per constraint,
+  with the variables' columns, one column per slack, the rhs, and no
+  artificial column. Each row is divided by its gcd, has rhs >= 0 and
+  starts basic in its own slack, but for at most one, the artificial row,
+  whose artificial has no column. The zero-layer systems of coherence
+  build theirs: sum(x) == 1, the artificial row, then each entry row, a
+  "<=" row with rhs 0 in coprime ints with its bound's denominator as the
+  slack coefficient. A slack coefficient k sets the unit of its slack,
+  and the entering rule compares the slack's reduced cost with the
+  others.
+- With one artificial row, the start is one pivot, with no phase 1, when
+  some column is positive in that row and <= 0 in every other row (a
+  crash basis; Bixby 1992; see _crash). Otherwise phase 1 runs, on the
   artificial's own row: while the artificial is basic, phase 1's reduced
   costs are a positive multiple of that row, and phase 1 ends when it
   leaves. So the tableau has no artificial column and phase 1 no cost
   row (see Region._start); every entering and leaving choice is the one
-  a cost row would give. The zero-layer systems always have one
-  artificial, for sum(x) == 1. With several artificials, phase 1
-  maximizes minus their sum over artificial columns and a cost row.
-- Each tableau row is divided once by the gcd of its entries, but for a
-  row with an artificial when there are several: its unit artificial
-  coefficient leaves it as it is. The
-  reduced-cost row of an objective, phase 1's included, is summed in ints:
-  each basic row a_i with basic coefficient d_i enters scaled by L/d_i,
-  with L the lcm of those d_i, and the sum is then made coprime.
+  a cost row would give. A tableau with more than one artificial row
+  makes no start: _start raises ValueError.
+- The reduced-cost row of an objective, phase 1's included, is summed in
+  ints: each basic row a_i with basic coefficient d_i enters scaled by
+  L/d_i, with L the lcm of those d_i, and the sum is then made coprime.
 - A pivot on entry p of the pivot row replaces every other row r whose
   entry f in the pivot column is nonzero by p*r - f*(pivot row), divided
   by the gcd of its entries; the pivot row itself and the rows
@@ -53,21 +46,18 @@ read.
   rhs/d; the reduced-cost row is a positive multiple of the rational one.
   The ratio test compares rhs_i*a_k with rhs_k*a_i. Every entering and
   leaving choice is therefore the one the rational tableau makes.
-- A Region holds one system of rows and makes its start once, on its
-  first solve. Every solve_lp over the region starts from that basic
-  feasible tableau and runs phase 2 only. A row list passed to solve_lp
-  becomes a one-use region. Region.support() is the int mask of the
-  variables positive at one feasible point, or None when the rows are
-  infeasible: after a crash start, every column that allowed it; else
-  the start vertex's. Region.singletons() is the mask of the crash
+- A Region makes its start once, on its first solve. Every solve_lp over
+  the region starts from that basic feasible tableau and runs phase 2
+  only. Region.support() is the int mask of the variables positive at one
+  feasible point, or None when the rows are infeasible: after a crash
+  start, every column that allowed it; else the start vertex's. Region.singletons() is the mask of the crash
   columns, each of which alone is a feasible point, and 0 after a
   phase-1 start. Neither needs a solve. The start vertex itself is the
   solution of solve_lp([0] * n, region), which makes no pivot.
-- A region with an "==" or ">=" row whose rhs is positive and whose
-  coefficients are all 0 is infeasible, and is known to be so with no
-  start: no crash and no phase 1 (the empty-row rule of LP presolve;
-  Andersen and Andersen 1995): a region with no column and the row
-  sum(x) == 1 is one.
+- A region whose artificial row has rhs > 0 and no nonzero coefficient
+  on the variables is infeasible, and is known to be so with no start: no crash and no phase
+  1 (the empty-row rule of LP presolve; Andersen and Andersen 1995): a
+  region with no column and the row sum(x) == 1 is one.
 - Region.charnes_cooper(optimum) derives, from the optimal tableau of
   maximizing c over {sum(x) == 1, H x <= 0}, a started region for
   {c . y == 1, H y <= 0}: one rank-one update of the rows in ints, on the
@@ -88,10 +78,6 @@ from math import gcd, lcm
 from ._value import Value
 
 ZERO = Fraction(0)
-
-LE = "<="
-GE = ">="
-EQ = "=="
 
 # Degenerate pivots in a row after which Bland's rule takes over.
 DEGENERATE_RUN = 8
@@ -149,62 +135,10 @@ class LPResult(Value):
 
 
 class Region:
-    """The polyhedron {x >= 0 : rows} over n variables, started once.
-
-    rows: list of (coeffs, relation, rhs) with relation in {"<=", ">=", "=="}
-    and ints for numbers. A "<=" or ">=" row may end with a fourth item, an
-    int k > 0, the coefficient of its slack s (1 when left out; an "=="
-    row has no slack, and a fourth item on it, or a k <= 0, raises
-    ValueError):
-    coeffs . x + k*s == rhs for "<=", and coeffs . x - k*s == rhs for ">=".
-    Scaling a row and its k together changes nothing, but k sets the unit
-    of the slack, and the entering rule compares the slack's reduced cost
-    with the others. len() is the number of rows. A region is never
-    changed by a solve, so it can serve any number of objectives.
-
-    Region checks each row (ints, arity, at most four items, a slack unit
-    only on "<=" and ">=" rows and > 0), negates a row with rhs < 0 and a
-    homogeneous ">=" row, and builds the initial tableau in the form
-    from_tableau takes; _start starts from it on the first solve.
-    """
-
-    def __init__(self, rows, n):
-        checked = []
-        for coeffs, rel, rhs, *slack in rows:
-            if len(slack) > 1:
-                raise ValueError("a row has at most four items: coeffs, relation, rhs, slack unit")
-            gcd(*coeffs, rhs, *slack)  # TypeError on any value but an int
-            if len(coeffs) != n:
-                raise ValueError("constraint arity mismatch")
-            if slack and rel == EQ:
-                raise ValueError("an '==' row has no slack")
-            if slack and slack[0] <= 0:
-                raise ValueError("a slack unit must be > 0")
-            if rhs < 0 or (rhs == 0 and rel == GE):
-                coeffs = [-v for v in coeffs]
-                rhs = -rhs
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            checked.append((coeffs, rel, rhs, slack[0] if slack else 1))
-        # The initial tableau (see from_tableau). With several artificials,
-        # a row of one is not divided by its gcd: the start gives it a unit
-        # artificial column.
-        n_slack = sum(1 for _, rel, _, _ in checked if rel != EQ)
-        n_art = sum(1 for _, rel, _, _ in checked if rel != LE)
-        zeros = [0] * n_slack
-        tableau, basis = [], []
-        si, ai = n, n + n_slack
-        for coeffs, rel, rhs, k in checked:
-            row = [*coeffs, *zeros, rhs]
-            if rel != EQ:
-                row[si] = k if rel == LE else -k
-                si += 1
-            if rel == LE:
-                basis.append(si - 1)
-            else:
-                basis.append(ai)
-                ai += 1
-            tableau.append(_coprime(row) if rel == LE or n_art == 1 else row)
-        self._hold(n, tableau, basis)
+    """The polyhedron {x >= 0 : rows} over n variables, given by its
+    initial tableau (from_tableau) and started once, on its first solve
+    (_start). len() is the number of rows. A region is never changed by a
+    solve, so it can serve any number of objectives."""
 
     @classmethod
     def from_tableau(cls, n, tableau, basis) -> "Region":
@@ -214,27 +148,24 @@ class Region:
 
         tableau: one int row per constraint, each with n columns for the
         variables, then one column per slack, then its rhs, and no column
-        for an artificial. basis: per row its basic column, a slack whose
-        coefficient in that row is positive and 0 in every other row, or,
-        for the j-th row (from 0) that needs an artificial, n_real + j,
-        n_real being the number of columns before the rhs. Every rhs
-        is >= 0, and a row is divided by its gcd unless several rows need
-        an artificial, each of which the start gives a unit column. This
-        is what Region(rows, n) builds from its rows."""
-        region = cls.__new__(cls)
-        region._hold(n, tableau, basis)
-        return region
+        for an artificial; each row divided by its gcd, with rhs >= 0.
+        basis: per row its basic column, a slack whose coefficient in that
+        row is positive and 0 in every other row, or, for the one row that
+        needs an artificial, if any, n_real, the number of columns before
+        the rhs. The start (_start) raises ValueError for a tableau with
+        more than one such row.
 
-    def _hold(self, n, tableau, basis):
-        """Keep the initial tableau. A row with an artificial, rhs > 0 and
-        no nonzero coefficient on the n variables is an empty row, and
-        makes no start (see _start)."""
-        self.n = n
-        self._tableau, self._basis = tableau, basis
+        A row with an artificial, rhs > 0 and no nonzero coefficient on
+        the n variables is an empty row: it holds at no point, and the
+        region makes no start (see _start)."""
+        region = cls.__new__(cls)
+        region.n = n
+        region._tableau, region._basis = tableau, basis
         n_real = len(tableau[0]) - 1 if tableau else n
         for row, b in zip(tableau, basis):
             if b >= n_real and row[-1] and not any(row[:n]):
-                self._start = None
+                region._start = None
+        return region
 
     def __len__(self):
         return len(self._tableau)
@@ -319,29 +250,31 @@ class Region:
         """A basic feasible (integer tableau, basis) with no artificial
         column, or None when the rows are infeasible.
 
-        An "==" or ">=" row with rhs > 0 and no nonzero coefficient holds at
-        no point: coeffs . x is 0, and a ">=" row's slack would be negative
-        (the empty-row rule of LP presolve; Andersen and Andersen 1995).
-        Region sets _start to None for it when it takes its initial
-        tableau (_hold), so no start is made: no crash, no phase 1.
+        An artificial row with rhs > 0 and no nonzero coefficient on the
+        variables holds at no point: its variables contribute 0, and its
+        slack, if it has one, would be negative (the empty-row rule of LP
+        presolve; Andersen and Andersen 1995). from_tableau sets _start to
+        None for it, so no start is made: no crash, no phase 1.
 
-        With one artificial, the tableau has no column for it: its row i
-        has the basis index n_real, past every real column, which also
-        makes it lose every tie of the ratio test, as its column did. While
-        it is basic, phase 1's reduced costs (maximize minus the
-        artificial) are row i's entries with 0 at the artificial's own
-        column (_reduced_costs), and each pivot changes row i and that cost
-        row alike, up to a positive factor; so row i prices the columns,
-        with the same choices. Once the artificial leaves, every real
-        column prices at 0, so phase 1 ends there (_simplex with costs=i).
-        If instead it ends with the artificial basic, rhs_i > 0 means no
-        feasible point, and rhs_i = 0 an artificial to evict."""
+        The one artificial, if any, has no column: its row i has the basis
+        index n_real, past every real column, which also makes it lose
+        every tie of the ratio test, as its column would. While it is
+        basic, phase 1's reduced costs (maximize minus the artificial) are
+        row i's entries with 0 at the artificial's own column
+        (_reduced_costs), and each pivot changes row i and that cost row
+        alike, up to a positive factor; so row i prices the columns, with
+        the same choices. Once the artificial leaves, every real column
+        prices at 0, so phase 1 ends there (_simplex with costs=i). If
+        instead it ends with the artificial basic, rhs_i > 0 means no
+        feasible point, and rhs_i = 0 an artificial to evict. A tableau
+        with more than one artificial row raises ValueError."""
         n = self.n
         tableau, basis = self._tableau[:], self._basis[:]
         n_real = len(tableau[0]) - 1 if tableau else n
         artificials = [i for i, b in enumerate(basis) if b >= n_real]
-        n_art = len(artificials)
-        if n_art == 1:
+        if len(artificials) > 1:
+            raise ValueError("a region starts with at most one artificial row")
+        if artificials:
             i = artificials[0]
             crash = _crash(tableau, basis, n, i)
             if crash is not None:
@@ -352,36 +285,18 @@ class Region:
             if basis[i] == n_real and tableau[i][-1]:
                 return None
             _evict_artificials(tableau, basis, n_real)
-        elif n_art:
-            # Phase 1 maximizes minus the sum of the artificials, over a
-            # unit column for each.
-            tableau = [
-                row[:-1] + [int(b == a) for a in range(n_real, n_real + n_art)] + row[-1:]
-                for row, b in zip(tableau, basis)
-            ]
-            phase1 = [0] * n_real + [-1] * n_art + [0]
-            tableau.append(_reduced_costs(tableau, basis, phase1))
-            if _simplex(tableau, basis) != "optimal":
-                raise RuntimeError("phase 1 unexpectedly unbounded")
-            if tableau.pop()[-1] != 0:
-                return None
-            _evict_artificials(tableau, basis, n_real)
-            tableau = [row[:n_real] + row[-1:] for row in tableau]
         return tableau, basis
 
 
 def solve_lp(objective, rows, maximize=True) -> LPResult:
-    """Optimize objective . x subject to rows, x >= 0.
+    """Optimize objective . x over the region rows, with x >= 0.
 
     objective: sequence of int coefficients (one per variable).
-    rows: a Region, or a list of (coeffs, relation, rhs) rows as Region
-    takes them.
+    rows: a Region over as many variables.
     """
     n = len(objective)
     g = gcd(*objective) or 1  # TypeError on any value but an int
-    if not isinstance(rows, Region):
-        rows = Region(rows, n)
-    elif rows.n != n:
+    if rows.n != n:
         raise ValueError("objective arity mismatch")
     start = rows._start
     if start is None:

@@ -9,8 +9,6 @@ it splits, so the tests require the same classes in the same order, the
 same m_cols and the same rows from both. Nothing in src/ imports it.
 """
 
-from probarg.linprog import LE
-
 
 def presolved(entries, tables, domain, extra=()):
     """(classes, m_cols, homogeneous) of the layer with _Layer's arguments."""
@@ -62,5 +60,5 @@ def presolved(entries, tables, domain, extra=()):
             cuts.append((-c, d - c, d))
         for off_e, in_e, k in cuts:
             row = [(in_e if e & w else off_e) if m & w else 0 for w in classes]
-            homogeneous.append((row, LE, 0, k))
+            homogeneous.append((row, k))
     return classes, m_cols, homogeneous

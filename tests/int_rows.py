@@ -15,7 +15,7 @@ def int_row(coeffs, rel, rhs):
     (L*coeffs/g, rel, L*rhs/g, L/g), where L is the lcm of the
     denominators and g = gcd(L*coeffs, L*rhs, L). Divided by k it is the
     rational row again, so its slack has the rational row's unit. An "=="
-    row has no slack, and Region refuses a unit on one: it comes as
+    row has no slack, and rows_region refuses a unit on one: it comes as
     (L*coeffs/g, rel, L*rhs/g) with g = gcd(L*coeffs, L*rhs), a positive
     multiple of the rational row."""
     values = [Fraction(v) for v in [*coeffs, rhs]]

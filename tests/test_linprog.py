@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import bland_reference
 from int_rows import int_objective, int_row, int_rows
-from probarg.linprog import EQ, GE, LE, LPResult, Region, solve_lp
+from general_rows import EQ, GE, LE, rows_region, solve_rows
+from probarg.linprog import DEGENERATE_RUN, LPResult, Region, solve_lp
 
 
 def positive(x):
@@ -34,7 +35,7 @@ def reads_agree(objective, res):
 
 def test_simple_max():
     # max x + y s.t. x + 2y <= 4, 3x + y <= 6
-    res = solve_lp([1, 1], [([1, 2], LE, 4), ([3, 1], LE, 6)])
+    res = solve_rows([1, 1], [([1, 2], LE, 4), ([3, 1], LE, 6)])
     assert res.status == "optimal"
     assert res.value == F(14, 5)
     assert res.solution == [F(8, 5), F(6, 5)]
@@ -43,7 +44,7 @@ def test_simple_max():
 
 def test_min_with_equality():
     # min x + y s.t. x + y + z == 1, x >= 1/3
-    res = solve_lp(
+    res = solve_rows(
         [1, 1, 0],
         int_rows([([1, 1, 1], EQ, 1), ([1, 0, 0], GE, F(1, 3))]),
         maximize=False,
@@ -54,25 +55,25 @@ def test_min_with_equality():
 
 
 def test_infeasible():
-    res = solve_lp([1], [([1], GE, 2), ([1], LE, 1)])
+    res = solve_rows([1], [([1], GE, 2), ([1], LE, 1)])
     assert res.status == "infeasible"
 
 
 def test_unbounded():
-    res = solve_lp([1], [([1], GE, 0)])
+    res = solve_rows([1], [([1], GE, 0)])
     assert res.status == "unbounded"
 
 
 def test_negative_rhs_normalization():
     # -x <= -2 is x >= 2
-    res = solve_lp([1], [([-1], LE, -2), ([1], LE, 5)])
+    res = solve_rows([1], [([-1], LE, -2), ([1], LE, 5)])
     assert res.status == "optimal"
     assert res.value == 5
     assert reads_agree([1], res)
 
 
 def test_degenerate_redundant_equalities():
-    res = solve_lp([1, 1], [([1, 1], EQ, 1), ([2, 2], EQ, 2)])
+    res = solve_rows([1, 1], [([1, 1], EQ, 1), ([2, 2], EQ, 2)])
     assert res.status == "optimal"
     assert res.value == 1
     assert reads_agree([1, 1], res)
@@ -81,7 +82,7 @@ def test_degenerate_redundant_equalities():
 def test_exact_rationals_survive():
     objective, scale = int_objective([F(1, 3), F(1, 7)])
     assert (objective, scale) == ([7, 3], 21)
-    res = solve_lp(objective, int_rows([([1, 1], EQ, 1), ([1, 0], LE, F(2, 5))]))
+    res = solve_rows(objective, int_rows([([1, 1], EQ, 1), ([1, 0], LE, F(2, 5))]))
     assert res.status == "optimal"
     # put 2/5 on the better coefficient, the rest on the other
     assert res.value / scale == F(1, 3) * F(2, 5) + F(1, 7) * F(3, 5)
@@ -91,11 +92,41 @@ def test_exact_rationals_survive():
 
 def test_determinism():
     rows = [([1, 2, 1], LE, 4), ([1, 1, 3], GE, 1), ([1, 1, 1], EQ, 2)]
-    a = solve_lp([3, 1, 2], rows)
-    b = solve_lp([3, 1, 2], rows)
+    a = solve_rows([3, 1, 2], rows)
+    b = solve_rows([3, 1, 2], rows)
     assert a == b
     assert reads_agree([3, 1, 2], a)
 
+
+
+# --- the simplex core, on tableaux in the form the package builds -----------
+
+
+def slack_region(n, rows):
+    """Region.from_tableau of "<=" rows (coeffs, rhs, k) in ints, each with
+    rhs >= 0 and coprime with its slack unit k: one slack column per row,
+    at k, and every slack basic, so the start makes no pivot."""
+    s = len(rows)
+    tableau = []
+    for i, (coeffs, rhs, k) in enumerate(rows):
+        slacks = [0] * s
+        slacks[i] = k
+        tableau.append([*coeffs, *slacks, rhs])
+    return Region.from_tableau(n, tableau, list(range(n, n + s)))
+
+
+# Beale's LP (1955): max 3/4 x0 - 20 x1 + 1/2 x2 - 6 x3 over three "<="
+# rows with rhs >= 0. It cycles under Dantzig's rule alone.
+BEALE_ROWS = [
+    ([F(1, 4), -8, -1, 9], LE, 0),
+    ([F(1, 2), -12, F(-1, 2), 3], LE, 0),
+    ([0, 0, 1, 0], LE, 1),
+]
+BEALE_OBJECTIVE = [F(3, 4), -20, F(1, 2), -6]
+
+
+def beale_region():
+    return slack_region(4, [(c, rhs, k) for c, _, rhs, k in int_rows(BEALE_ROWS)])
 
 
 def test_beale_cycling_example_terminates(monkeypatch):
@@ -114,16 +145,74 @@ def test_beale_cycling_example_terminates(monkeypatch):
         pivot(*args)
 
     monkeypatch.setattr(linprog, "_pivot", counted)
-    rows = [
-        ([F(1, 4), -8, -1, 9], LE, 0),
-        ([F(1, 2), -12, F(-1, 2), 3], LE, 0),
-        ([0, 0, 1, 0], LE, 1),
-    ]
-    objective, scale = int_objective([F(3, 4), -20, F(1, 2), -6])
-    res = solve_lp(objective, int_rows(rows))
+    objective, scale = int_objective(BEALE_OBJECTIVE)
+    res = solve_lp(objective, beale_region())
     assert res.status == "optimal"
     assert res.value / scale == F(5, 4)
     assert reads_agree(objective, res)
+
+
+def test_bland_rule_takes_over_after_a_degenerate_run(monkeypatch):
+    """On Beale's LP the first DEGENERATE_RUN pivots are degenerate and
+    each enters the first column of largest reduced cost (Dantzig), where
+    Bland's rule, the smallest improving index, would enter another at
+    some of them; after six of them the basis is the start's again, the
+    cycle. From then on until the first nondegenerate pivot, which it includes, each
+    pivot enters Bland's column, which is not Dantzig's at some of them;
+    after it, Dantzig's again."""
+    from probarg import linprog
+
+    pivot, log = linprog._pivot, []
+
+    def recorded(tableau, basis, row, col):
+        cost = tableau[-1][:-1]
+        dantzig = max(range(len(cost)), key=lambda j: (cost[j], -j))
+        bland = next(j for j, v in enumerate(cost) if v > 0)
+        log.append((col, dantzig, bland, tableau[row][-1] == 0, tuple(basis)))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(linprog, "_pivot", recorded)
+    assert solve_lp(int_objective(BEALE_OBJECTIVE)[0], beale_region()).status == "optimal"
+    entering, dantzig, bland, degenerate, bases = (list(v) for v in zip(*log))
+    run = DEGENERATE_RUN
+    assert all(degenerate[:run]) and entering[:run] == dantzig[:run] != bland[:run]
+    assert bases[6] == bases[0]
+    end = degenerate.index(False, run) + 1
+    assert entering[run:end] == bland[run:end] != dantzig[run:end]
+    assert entering[end:] == dantzig[end:]
+
+
+def test_dantzig_takes_the_lowest_index_of_equal_reduced_costs():
+    """Over x0 + x1 + x2 <= 1, of columns with equal largest reduced cost
+    the lowest enters, and the optimum it reaches is that column alone.
+    coherence's merged columns rely on it: a class's twin worlds never
+    enter."""
+    region = slack_region(3, [([1, 1, 1], 1, 1)])
+    assert solve_lp([1, 1, 1], region).solution == [1, 0, 0]
+    assert solve_lp([0, 1, 1], region).solution == [0, 1, 0]
+    assert solve_lp([1, 2, 2], region).solution == [0, 1, 0]
+    assert solve_lp([1, 1, 2], region).solution == [0, 0, 1]
+
+
+def test_a_start_takes_at_most_one_artificial_row():
+    """A tableau with two rows that need an artificial, x0 + x1 == 1 and
+    x0 + 2 x1 == 2, is not in the form the start takes: the start raises
+    ValueError, on the first solve or read of a support, and makes no
+    pivot. With one such row it starts."""
+    from probarg import linprog
+
+    tableau = [[1, 1, 1], [1, 2, 2]]
+    with mock.patch.object(linprog, "_pivot", wraps=linprog._pivot) as pivot:
+        for read in (
+            lambda region: solve_lp([1, 0], region),
+            lambda region: region.support(),
+            lambda region: region.singletons(),
+        ):
+            with pytest.raises(ValueError, match="at most one artificial row"):
+                read(Region.from_tableau(2, tableau, [2, 3]))
+    assert pivot.call_count == 0
+    assert solve_lp([1, 0], Region.from_tableau(2, tableau[:1], [2])).value == 1
+    assert solve_lp([1, 0], Region.from_tableau(2, tableau[1:], [2])).value == 2
 
 
 # Large coprime denominators and big numerators make the integer tableau
@@ -166,7 +255,7 @@ def test_matches_bland_reference(system, data, maximize):
     n, rows = system
     objective = data.draw(st.lists(COEFF, min_size=n, max_size=n))
     ints, scale = int_objective(objective)
-    got = solve_lp(ints, int_rows(rows), maximize)
+    got = solve_rows(ints, int_rows(rows), maximize)
     ref = bland_reference.solve_lp(objective, rows, maximize)
     assert got.status == ref.status
     if got.status == "optimal":
@@ -184,19 +273,19 @@ def test_region_reuse_equals_fresh_solves(system, data):
         st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=4)
     )
     rows = int_rows(rows)
-    region = Region(rows, n)
+    region = rows_region(rows, n)
     assert len(region) == len(rows)
     for objective in objectives + objectives[:1]:
         objective = int_objective(objective)[0]
         for maximize in (True, False):
-            assert solve_lp(objective, region, maximize) == solve_lp(
+            assert solve_lp(objective, region, maximize) == solve_rows(
                 objective, rows, maximize
             )
 
 
 def test_only_ints_are_accepted():
-    # A Fraction, a str or a float raises TypeError when the region is
-    # built, as a coefficient, an rhs or a slack unit, and when solve_lp
+    # A Fraction, a str or a float raises TypeError when rows_region builds
+    # a region, as a coefficient, an rhs or a slack unit, and when solve_lp
     # gets it in an objective.
     rows = [([2, 1, 0], LE, 4, 1), ([1, 3, 1], GE, 3), ([1, 1, 1], EQ, 3), ([0, -1, 2], LE, -1)]
     objective = [3, -1, 2]
@@ -207,15 +296,15 @@ def test_only_ints_are_accepted():
             [([2, 1, 0], LE, 4, bad)],
         ):
             with pytest.raises(TypeError):
-                Region(spoiled + rows[1:], 3)
-        region = Region(rows, 3)
+                rows_region(spoiled + rows[1:], 3)
+        region = rows_region(rows, 3)
         with pytest.raises(TypeError):
             solve_lp([3, bad, 2], region)
         with pytest.raises(TypeError):
-            solve_lp([3, bad, 2], rows)
+            solve_rows([3, bad, 2], rows)
     # An all-int system still gives Fraction results.
     for maximize in (True, False):
-        got = solve_lp(objective, rows, maximize)
+        got = solve_rows(objective, rows, maximize)
         assert got.status == "optimal"
         assert all(type(v) is F for v in got.solution + [got.value])
         assert satisfies([row[:3] for row in rows], got.solution)
@@ -237,13 +326,13 @@ def test_int_row_is_the_rational_row_times_its_slack_unit(coeffs, rel, rhs):
 
 
 def test_an_equality_row_takes_no_slack_unit():
-    """A slack unit on an "==" row is a caller error: Region and solve_lp
-    raise ValueError, and int_row gives an "==" row none."""
+    """A slack unit on an "==" row is a caller error: rows_region and
+    solve_rows raise ValueError, and int_row gives an "==" row none."""
     for k in (1, 2):
         with pytest.raises(ValueError, match="an '==' row has no slack"):
-            Region([([1, 1], EQ, 1, k)], 2)
+            rows_region([([1, 1], EQ, 1, k)], 2)
         with pytest.raises(ValueError, match="an '==' row has no slack"):
-            solve_lp([1, 0], [([1, 1], EQ, 1, k), ([1, 0], LE, 1)])
+            solve_rows([1, 0], [([1, 1], EQ, 1, k), ([1, 0], LE, 1)])
     assert int_row([F(1, 2), F(1, 2)], EQ, F(1, 2)) == ([1, 1], EQ, 1)
     assert int_row([2, 4], EQ, 6) == ([1, 2], EQ, 3)
     assert int_row([F(1, 2), 0], LE, F(1, 2)) == ([1, 0], LE, 1, 2)
@@ -252,28 +341,28 @@ def test_an_equality_row_takes_no_slack_unit():
 def test_a_slack_unit_must_be_positive():
     """A slack unit k <= 0 is a caller error. With k = -1, x0 + x1 <= 1
     would become x0 + x1 + s == 1 with s free to grow, and max x0 would
-    come back unbounded; with k = 0 the row would become "==". Region and
-    solve_lp raise ValueError."""
+    come back unbounded; with k = 0 the row would become "==". rows_region and
+    solve_rows raise ValueError."""
     for k in (0, -1, -2):
         for rel in (LE, GE):
             with pytest.raises(ValueError, match="a slack unit must be > 0"):
-                Region([([1, 1], rel, 1, k)], 2)
+                rows_region([([1, 1], rel, 1, k)], 2)
         with pytest.raises(ValueError, match="a slack unit must be > 0"):
-            solve_lp([1, 0], [([1, 1], LE, 1, k)])
-    assert solve_lp([1, 0], [([1, 1], LE, 1, 3)]).value == 1
+            solve_rows([1, 0], [([1, 1], LE, 1, k)])
+    assert solve_rows([1, 0], [([1, 1], LE, 1, 3)]).value == 1
 
 
 def test_a_row_has_at_most_four_items():
     """A row is (coeffs, relation, rhs) and maybe a slack unit; a fifth
     item is a caller error, not something to drop: ([1, 1], "<=", 1, 2, 5)
-    was read as ([1, 1], "<=", 1, 2), and max x0 came back 1. Region and
-    solve_lp raise ValueError."""
+    was read as ([1, 1], "<=", 1, 2), and max x0 came back 1. rows_region and
+    solve_rows raise ValueError."""
     for row in (([1, 1], LE, 1, 2, 5), ([1, 1], EQ, 1, 1, 1), ([1, 1], GE, 1, 1, 1, 1)):
         with pytest.raises(ValueError, match="at most four items"):
-            Region([row], 2)
+            rows_region([row], 2)
         with pytest.raises(ValueError, match="at most four items"):
-            solve_lp([1, 0], [([1, 0], LE, 1), row])
-    assert solve_lp([1, 0], [([1, 1], LE, 1, 2)]).value == 1
+            solve_rows([1, 0], [([1, 0], LE, 1), row])
+    assert solve_rows([1, 0], [([1, 1], LE, 1, 2)]).value == 1
 
 
 def unbuilt(*args):
@@ -300,7 +389,7 @@ def test_an_empty_row_is_infeasible_with_no_tableau(monkeypatch, rows, n):
     from probarg import linprog
 
     assert bland_reference.solve_lp([1] * n, rows).status == "infeasible"
-    region = Region(rows, n)
+    region = rows_region(rows, n)
     for name in ("_coprime", "_crash", "_simplex"):
         monkeypatch.setattr(linprog, name, unbuilt)
     assert region.support() is None and region.singletons() == 0
@@ -322,7 +411,7 @@ def test_an_empty_row_that_holds_leaves_the_region_feasible(rows, n, best):
     or without columns."""
     objective = [1] + [0] * (n - 1) if n else []
     assert bland_reference.solve_lp(objective, rows).value == best
-    region = Region(rows, n)
+    region = rows_region(rows, n)
     assert region.support() is not None
     assert solve_lp(objective, region).value == best
 
@@ -342,7 +431,7 @@ def test_all_int_systems_match_bland_reference(n, data, maximize):
         )
     )
     objective = data.draw(st.lists(INT, min_size=n, max_size=n))
-    got = solve_lp(objective, rows, maximize)
+    got = solve_rows(objective, rows, maximize)
     ref = bland_reference.solve_lp(objective, rows, maximize)
     assert got.status == ref.status
     if got.status == "optimal":
@@ -352,7 +441,7 @@ def test_all_int_systems_match_bland_reference(n, data, maximize):
 
 
 def test_region_arity_checked():
-    region = Region([([1, 1], LE, 1)], 2)
+    region = slack_region(2, [([1, 1], 1, 1)])
     with pytest.raises(ValueError, match="arity"):
         solve_lp([1, 1, 1], region)
 
@@ -371,13 +460,13 @@ def normalized_systems(draw):
 @given(normalized_systems(), st.data())
 def test_charnes_cooper_start_equals_rebuilt_region(system, data):
     n, homogeneous = system
-    region = Region([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
+    region = rows_region([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
     c = int_objective(data.draw(st.lists(COEFF, min_size=n, max_size=n)))[0]
     best = solve_lp(c, region)
     if best.status != "optimal" or best.value <= 0:
         return
     derived = region.charnes_cooper(best)
-    rebuilt = Region(int_rows(homogeneous + [(c, EQ, 1)]), n)
+    rebuilt = rows_region(int_rows(homogeneous + [(c, EQ, 1)]), n)
     assert isinstance(derived, Region)
     assert (len(derived), derived.n) == (len(rebuilt), rebuilt.n)
     # The start is feasible for the rebuilt rows: it is their phase-1 point.
@@ -394,18 +483,18 @@ def test_charnes_cooper_start_equals_rebuilt_region(system, data):
 
 def test_charnes_cooper_needs_a_positive_maximum_over_the_region():
     rows = [([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)]
-    region = Region(rows, 3)
+    region = rows_region(rows, 3)
     c = [0, 1, 1]
     with pytest.raises(ValueError, match="maximum over this region"):
         region.charnes_cooper(solve_lp(c, region, maximize=False))
     with pytest.raises(ValueError, match="maximum over this region"):
-        region.charnes_cooper(solve_lp(c, Region(rows, 3)))
+        region.charnes_cooper(solve_lp(c, rows_region(rows, 3)))
     with pytest.raises(ValueError, match="maximum over this region"):
         region.charnes_cooper(LPResult("optimal", F(1), [F(0), F(1), F(0)]))
     with pytest.raises(ValueError, match="positive maximum"):
         region.charnes_cooper(solve_lp([-1, 0, 0], region))
     for bad in ([([1, 2, 1], EQ, 1)], [([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 1)]):
-        other = Region(bad, 3)
+        other = rows_region(bad, 3)
         with pytest.raises(ValueError, match="first row|homogeneous"):
             other.charnes_cooper(solve_lp(c, other))
     best = solve_lp(c, region)
@@ -419,16 +508,16 @@ def test_value_is_built_on_its_first_read():
     denominator. Reading numerator builds no Fraction; value is built once,
     on its first read, and the result's fields, == and repr are those of a
     result built with the value."""
-    res = solve_lp([1, 1], [([1, 2], LE, 4), ([3, 1], LE, 6)])
+    res = solve_rows([1, 1], [([1, 2], LE, 4), ([3, 1], LE, 6)])
     with mock.patch("probarg.linprog.Fraction", wraps=F) as built:
         assert res.numerator > 0 and built.call_count == 0
         assert res.value == F(14, 5) and built.call_count == 1
         assert res.value == F(14, 5) and built.call_count == 1
     assert res == LPResult("optimal", F(14, 5), [F(8, 5), F(6, 5)])
     assert repr(res) == repr(LPResult("optimal", F(14, 5), [F(8, 5), F(6, 5)]))
-    assert solve_lp([-1, 0], [([1, 1], LE, 1)]).numerator == 0
-    assert solve_lp([1, 1], [([1, 1], GE, 1)], maximize=False).numerator > 0
-    assert solve_lp([-1, -1], [([1, 1], GE, 1)]).numerator < 0
+    assert solve_rows([-1, 0], [([1, 1], LE, 1)]).numerator == 0
+    assert solve_rows([1, 1], [([1, 1], GE, 1)], maximize=False).numerator > 0
+    assert solve_rows([-1, -1], [([1, 1], GE, 1)]).numerator < 0
     with pytest.raises(AttributeError, match="numerator"):
         LPResult("optimal", F(1), [F(1)]).numerator
 
@@ -439,14 +528,14 @@ def test_vertex_is_the_phase1_point():
     from probarg import linprog
 
     rows = [([2, 1, 0], LE, 4), ([1, 3, 1], GE, 3), ([1, 1, 1], EQ, 3)]
-    region = Region(rows, 3)
+    region = rows_region(rows, 3)
     support = region.support()
     with mock.patch.object(linprog, "_pivot", wraps=linprog._pivot) as pivot:
         x = solve_lp([0, 0, 0], region).solution
     assert pivot.call_count == 0
     assert satisfies(rows, x)
     assert support == positive(x)
-    infeasible = Region([([1, 1], LE, 1), ([1, 1], GE, 2)], 2)
+    infeasible = rows_region([([1, 1], LE, 1), ([1, 1], GE, 2)], 2)
     assert infeasible.support() is None
     assert solve_lp([0, 0], infeasible).status == "infeasible"
 
@@ -530,7 +619,7 @@ def test_crash_start_matches_bland_reference(system, data):
     eq = next(c for c, rel, _ in rows if rel == EQ)
     columns = crash_columns(eq, le_rows)
     assert bool(columns) == (case != "none")
-    region = Region(int_rows(rows), n)
+    region = rows_region(int_rows(rows), n)
     start, crashed = started(region)
     assert crashed == (case != "none")
     if start is None:
@@ -566,11 +655,11 @@ def test_crash_start_matches_bland_reference(system, data):
 def test_a_crash_start_at_rhs_0_shows_no_positive_column():
     """x + y == 0 starts in one pivot, but only x = y = 0 is feasible, so
     neither column that allowed the pivot is positive anywhere."""
-    region = Region([([1, 1], EQ, 0), ([-1, 0], LE, 0)], 2)
+    region = rows_region([([1, 1], EQ, 0), ([-1, 0], LE, 0)], 2)
     assert started(region)[1]
     assert solve_lp([0, 0], region).solution == [0, 0]
     assert region.support() == region.singletons() == 0
-    region = Region([([1, 1], EQ, 2), ([-1, 0], LE, 0)], 2)
+    region = rows_region([([1, 1], EQ, 2), ([-1, 0], LE, 0)], 2)
     assert region.support() == region.singletons() == 0b11
 
 
@@ -580,18 +669,18 @@ def test_singletons_are_the_crash_columns():
     y <= x too, no column allows it: phase 1 starts the region at x = y =
     1/2, a point that singletons() does not show, and an infeasible region
     shows none either. singletons() starts the region itself."""
-    region = Region([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3)
+    region = rows_region([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3)
     assert region.singletons() == 0b110
-    assert started(Region([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3))[1]
+    assert started(rows_region([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3))[1]
     for j in (1, 2):
         point = [F(k == j) for k in range(3)]
         assert satisfies([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], point)
     rows = [([1, 1], EQ, 1), ([1, -1], LE, 0), ([-1, 1], LE, 0)]
-    region = Region(rows, 2)
+    region = rows_region(rows, 2)
     start, crashed = started(region)
     assert start is not None and not crashed
     assert region.singletons() == 0 and region.support() == 0b11
-    assert Region([([1, 1], EQ, 1), ([1, 1], GE, 2)], 2).singletons() == 0
+    assert rows_region([([1, 1], EQ, 1), ([1, 1], GE, 2)], 2).singletons() == 0
 
 
 def test_a_fair_share_take_the_crash_start():
@@ -601,7 +690,7 @@ def test_a_fair_share_take_the_crash_start():
     @given(one_artificial_systems())
     def run(system):
         _, n, rows = system
-        taken.append(started(Region(int_rows(rows), n))[1])
+        taken.append(started(rows_region(int_rows(rows), n))[1])
 
     run()
     assert len(taken) >= 100
@@ -623,7 +712,7 @@ def crash_layer_systems(draw):
 @given(crash_layer_systems(), st.data())
 def test_charnes_cooper_from_a_crash_start_equals_rebuilt_region(system, data):
     n, homogeneous = system
-    region = Region([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
+    region = rows_region([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
     assert started(region)[1]
     c = int_objective(data.draw(st.lists(COEFF, min_size=n, max_size=n)))[0]
     best = solve_lp(c, region)
@@ -636,7 +725,7 @@ def test_charnes_cooper_from_a_crash_start_equals_rebuilt_region(system, data):
         e = int_objective(e)[0]
         for maximize in (True, False):
             got = solve_lp(e, derived, maximize)
-            ref = solve_lp(e, Region(int_rows(rebuilt), n), maximize)
+            ref = solve_lp(e, rows_region(int_rows(rebuilt), n), maximize)
             assert (got.status, got.value) == (ref.status, ref.value)
             if got.status == "optimal":
                 assert satisfies(rebuilt, got.solution)
@@ -658,6 +747,6 @@ def test_crash_start_checks_its_invariant(monkeypatch):
         tableau[row] = [-v for v in tableau[row]]
 
     monkeypatch.setattr(linprog, "_pivot", broken)
-    region = Region([([2, 1], EQ, 1), ([1, -1], LE, 0)], 2)
+    region = rows_region([([2, 1], EQ, 1), ([1, -1], LE, 0)], 2)
     with pytest.raises(RuntimeError, match="crash start broke the tableau invariant"):
         region.support()

@@ -35,6 +35,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from class_presolve_reference import presolved
+from general_rows import EQ, LE, rows_region
 from int_rows import int_row
 from oracles import (
     assessment_polytope_rows,
@@ -67,7 +68,7 @@ from probarg.events import (
     eval_classical,
     is_satisfiable,
 )
-from probarg.linprog import EQ, Region, solve_lp
+from probarg.linprog import solve_lp
 
 NAMES = ("A", "B", "C", "D")
 TENTHS = [F(k, 10) for k in range(11)]
@@ -218,6 +219,19 @@ def columns(mask):
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
+def layer_rows(layer):
+    """The layer's entry rows, (row, k) pairs, as the "<=" rows with rhs 0
+    that rows_region takes."""
+    return [(row, LE, 0, k) for row, k in layer.homogeneous]
+
+
+def homogeneous_row(row):
+    """The rational row . x <= 0 as _Layer.homogeneous holds a row: its
+    coprime int coefficients and slack unit, made by int_row."""
+    coeffs, _, _, k = int_row(row, "<=", 0)
+    return coeffs, k
+
+
 def forced_by_fixpoint(layer, region):
     """The forced-zero set by the max-sum fixpoint alone, without probes."""
     candidates = list(range(len(layer.entries)))
@@ -263,7 +277,7 @@ def warm_bounds(region, max_m, e_row):
 def rebuilt_bounds(layer, m_row, e_row):
     """min/max of e/m over the layer: the Charnes-Cooper region rebuilt
     from its rows and run through its own phase 1."""
-    region = Region(layer.homogeneous + [(m_row, EQ, 1)], len(layer.classes))
+    region = rows_region(layer_rows(layer) + [(m_row, EQ, 1)], len(layer.classes))
     lo = solve_lp(e_row, region, maximize=False)
     hi = solve_lp(e_row, region, maximize=True)
     return region, lo.value, hi.value
@@ -287,7 +301,7 @@ def propagate_by_rebuilding(layer, region, q, atoms, levels=None):
     if solve_lp(m_row, region, maximize=False).value > 0:
         return Bounds(lo, hi)
     n = len(layer.classes)
-    pinned = Region([([1] * n, EQ, 1)] + layer.homogeneous + [(m_row, EQ, 0)], n)
+    pinned = rows_region([([1] * n, EQ, 1)] + layer_rows(layer) + [(m_row, EQ, 0)], n)
     forced = forced_by_fixpoint(layer, pinned)
     deeper = descend_by_rebuilding(layer, forced, q, atoms, levels)
     return Bounds(min(lo, deeper.lo), max(hi, deeper.hi))
@@ -389,8 +403,9 @@ def full_layer(atoms):
     lowest world, then given to linprog in int form (int_row).
     It takes _Layer's arguments and its columns (_Layer.classes), and reads
     of the tables only the deeper layers' domains (_Layer.deeper). Its
-    ">=" rows are not in the form of the tableau _Layer builds, so its
-    region goes through Region's checks and normalisation of each row."""
+    ">=" rows are not in the form of the tableau _Layer builds, so it
+    keeps them as rows, and its region goes through rows_region's checks
+    and normalisation of each row."""
     dicts = constituents(atoms)
 
     class FullLayer(coherence._Layer):
@@ -398,7 +413,7 @@ def full_layer(atoms):
             super().__init__(entries, tables, domain, extra)
             worlds = representatives(self)
             n = len(worlds)
-            self.m_cols, self.homogeneous = [], []
+            self.m_cols, self.rows = [], []
             for entry in entries:
                 m_cols, lo_row, hi_row = 0, [F(0)] * n, [F(0)] * n
                 for k, w in enumerate(worlds):
@@ -410,11 +425,11 @@ def full_layer(atoms):
                             lo_row[k] += 1
                             hi_row[k] -= 1
                 self.m_cols.append(m_cols)
-                self.homogeneous += [int_row(lo_row, ">=", 0), int_row(hi_row, ">=", 0)]
+                self.rows += [int_row(lo_row, ">=", 0), int_row(hi_row, ">=", 0)]
 
         def region(self):
             n = len(self.classes)
-            return Region([([1] * n, EQ, 1)] + self.homogeneous, n)
+            return rows_region([([1] * n, EQ, 1)] + self.rows, n)
 
     return FullLayer
 
@@ -580,8 +595,8 @@ def test_slack_has_the_rational_rows_unit():
     a = Assessment((AssessmentEntry(ConditionalObject(C), F(3, 5), F(9, 10)),))
     q = ConditionalObject(And(Atom("B"), C), Atom("A"))
     layer, _ = coherence._level0(a, ("A", "B", "C"))
-    rows = [(by_world(layer, row), rel, rhs, k) for row, rel, rhs, k in layer.homogeneous]
-    assert rows == [([3, -2] * 4, "<=", 0, 5), ([-9, 1] * 4, "<=", 0, 10)]
+    rows = [(by_world(layer, row), k) for row, k in layer.homogeneous]
+    assert rows == [([3, -2] * 4, 5), ([-9, 1] * 4, 10)]
     compare_layers(a, q, ("A", "B", "C"))
 
 
@@ -667,7 +682,7 @@ def world_layer(atoms):
                 worlds = [w for w in worlds if w not in pinned]
             self.classes = [1 << w for w in worlds]
             self.m_cols = m_cols
-            self.homogeneous = [int_row(row, "<=", 0) for row in rows]
+            self.homogeneous = [homogeneous_row(row) for row in rows]
 
         def premise_rows(self, worlds):
             """Per entry its m_cols over worlds, and the rows lo*m - e <= 0
@@ -829,7 +844,7 @@ def test_pinned_layer_forces_what_the_pinned_row_forces():
             positive += 1
             continue
         n = len(layer.classes)
-        rows = Region([([1] * n, EQ, 1)] + layer.homogeneous + [(m_row, EQ, 0)], n)
+        rows = rows_region([([1] * n, EQ, 1)] + layer_rows(layer) + [(m_row, EQ, 0)], n)
         forced = forced_by_fixpoint(layer, rows)
         assert coherence._forced_zero(pinned, pinned_region) == forced
         assert forced_by_fixpoint(pinned, pinned_region) == forced
@@ -865,7 +880,7 @@ class KeptLayer(coherence._Layer):
                 [0 if h is None else entry.lo - h for h in held],
                 [0 if h is None else h - entry.hi for h in held],
             )
-            self.homogeneous += [int_row(row, "<=", 0) for row in rows if any(v > 0 for v in row)]
+            self.homogeneous += [homogeneous_row(row) for row in rows if any(v > 0 for v in row)]
 
 
 def small_kinded_problems(seed, count):
@@ -1283,9 +1298,9 @@ def test_descent_skips_the_upper_side():
 #
 # _Layer.region() builds its initial tableau itself and hands it to
 # Region.from_tableau, which checks nothing. Here every region a layer
-# builds is checked against Region(rows, n) over the same rows, which
-# checks and normalises each row and builds the tableau its own way: the
-# same initial tableau, the same start, supports and singletons.
+# builds is checked against rows_region (general_rows) over the same rows,
+# which checks and normalises each row and builds the tableau its own way:
+# the same initial tableau, the same start, supports and singletons.
 
 
 def layers_with_regions(fn, full):
@@ -1337,14 +1352,14 @@ def start_kind(region):
 
 def check_layer_regions(a, q, atoms, kinds):
     """Every region the layers of check_coherence and propagate build
-    equals Region([sum row] + layer.homogeneous, n); kinds counts the
+    equals rows_region([sum row] + layer_rows(layer), n); kinds counts the
     layers by kind and the starts by how they start."""
     full = (1 << (1 << len(atoms))) - 1
     made = layers_with_regions(lambda: check_coherence(a, atoms), full)
     made += layers_with_regions(lambda: propagate(a, q, atoms), full)
     for kind, layer in made:
         n = len(layer.classes)
-        general = Region([([1] * n, EQ, 1)] + layer.homogeneous, n)
+        general = rows_region([([1] * n, EQ, 1)] + layer_rows(layer), n)
         region = layer.region()
         assert (region._tableau, region._basis) == (general._tableau, general._basis)
         how = start_kind(region)
@@ -1361,7 +1376,7 @@ def test_layer_tableau_is_the_rows_tableau():
     """300 seeded kinded_problem and 300 random_problem sets, the 800
     random-assess pool items and the chain over 3..8 atoms: each level-0,
     deeper and pinned layer's region has the initial tableau, the start,
-    the supports and the row count of Region over its rows. Every kind of
+    the supports and the row count of rows_region over its rows. Every kind of
     layer and of start occurs: these inputs build 2812 level-0, 1048
     deeper and 207 pinned layers' regions, of which 1812 take the crash
     start, 756 phase 1 and 16 are found infeasible by phase 1, and 1483
