@@ -61,8 +61,8 @@ The solver path takes as few solves as the answer allows:
   proves it: a point with m_q > 0 and ratio e_q / m_q of 0 proves lo = 0,
   one with ratio 1 proves hi = 1, as every ratio lies in [0, 1]. The
   points are the crash columns, each a feasible point alone
-  (Region.singletons()), and the max m optimum. Where the crash columns
-  prove both sides, the bounds are [0, 1] with no solve at all.
+  (Region.singletons()). Where they prove both sides, the bounds are
+  [0, 1] with no solve at all.
 - The Charnes-Cooper program for a side no point proves starts from the
   optimal tableau of maximizing the query's antecedent mass
   (Region.charnes_cooper), which propagate solves anyway, so it runs no
@@ -141,9 +141,6 @@ class Assessment(Value):
         for e in self.entries:
             out |= e.obj.atoms()
         return out
-
-    def extended(self, obj, lo, hi) -> "Assessment":
-        return Assessment(self.entries + (AssessmentEntry(obj, lo, hi),))
 
 
 class Bounds(Value):
@@ -355,12 +352,8 @@ class _Layer:
             if not pinned:
                 break
             live ^= pinned
-        # A table splits only the live worlds, and none of them where it
-        # holds on all or none of them, or as an earlier table does.
         classes = [live] if live else []
-        for t in dict.fromkeys([t & live for pair in (*tables, extra) for t in pair]):
-            if not t or t == live:
-                continue
+        for t in [t for pair in (*tables, extra) for t in pair]:
             parts = []
             for c in classes:
                 inside = c & t
@@ -640,23 +633,21 @@ def _propagate_layer(layer, region, q) -> Bounds:
     query's (m, e) tables and region is layer.region().
 
     The order: the sides of the layer's own interval that feasible points
-    at hand prove (below); where one is still unknown, max m, and the
-    sides its optimal vertex proves; the Charnes-Cooper lower bound where
-    it is unknown, and the upper one where it is unknown and the lower one
-    is 0; where the interval is not [0, 1], the pinned layer, that of the
-    points with m_q = 0, whose start decides whether min m = 0; where it is
-    feasible, the descent with the entries it forces, and otherwise the
-    upper bound, solved if it is still unknown.
+    at hand prove (below); where one is still unknown, max m, then the
+    Charnes-Cooper lower bound where it is unknown, and the upper one where
+    it is unknown and the lower one is 0; where the interval is not [0, 1],
+    the pinned layer, that of the points with m_q = 0, whose start decides
+    whether min m = 0; where it is feasible, the descent with the entries
+    it forces, and otherwise the upper bound, solved if it is still
+    unknown.
 
     A feasible point with m_q > 0 whose ratio e_q / m_q is 0 proves lo =
     0, and one whose ratio is 1 proves hi = 1, since every ratio lies in
-    [0, 1]. The points are supports, int masks over the columns, and the
-    columns tell q's tables apart, so a point's ratio is 0 when its
-    support meets m_q and misses e_q, and 1 when it meets m_q only inside
-    e_q (e_q lies inside m_q). Each crash column alone is a feasible point
-    (Region.singletons()): one in e_q proves hi = 1, one in m_q but not in
-    e_q proves lo = 0, and with both the interval is [0, 1] with no solve.
-    The max m vertex is a point with m_q > 0 when max m is.
+    [0, 1]. Each crash column alone is a feasible point
+    (Region.singletons()), and the columns tell q's tables apart: one in
+    e_q has ratio 1 and proves hi = 1, one in m_q but not in e_q has ratio
+    0 and proves lo = 0, and with both the interval is [0, 1] with no
+    solve.
 
     The answer is the join of the own intervals of the layers visited, and
     that join is the deepest one's: each layer's own interval holds the
@@ -689,12 +680,6 @@ def _propagate_layer(layer, region, q) -> Bounds:
         if not max_m.numerator:
             forced = _forced_zero(layer, region, [max_m.support()])
             return _descend(layer, forced, q)
-        vertex = max_m.support()
-        if not vertex & e_cols:
-            lo = ZERO
-        if not vertex & m_only:
-            hi = ONE
-    if lo is None or hi is None:
         scaled = region.charnes_cooper(max_m)
         e_row = _mass_row(q[1], layer.classes)
         if lo is None:

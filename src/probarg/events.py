@@ -9,8 +9,8 @@ The worlds over n declared atoms are the 2^n constituents, indexed 0 ..
 2^n - 1 in constituents() order. truth_table(f, names) gives a formula the
 int whose bit j is its value at world j: an atom's table is a block
 pattern, and the connectives are bit operations on their operands' tables.
-The solver works on these tables only; eval_classical, which evaluates a
-formula at one valuation, serves the rest of the package.
+The solver and prevision work on these tables; eval_classical evaluates
+a formula at one valuation, and eval3 a conditional object there.
 """
 
 from __future__ import annotations
@@ -179,10 +179,7 @@ def tabulator(names):
     """truth_table over names as a function of the formula, for many
     formulas over one atom set: each atom's table and the table of Top are
     made once. names must have passed declared() (or be empty); a formula
-    with an atom not among them raises KeyError.
-
-    A formula's class picks its bit operation, looked up by the exact
-    class; an instance of a subclass of a formula class takes its base's."""
+    with an atom not among them raises KeyError."""
     n = len(names)
     full = (1 << (1 << n)) - 1
     size = full.bit_length()
@@ -203,39 +200,26 @@ def _table(f, atoms, full):
     """truth_table over atoms (atom name -> its table) and full, the table
     of Top. A function of the module, not a closure that calls itself,
     which would make a reference cycle per tabulator."""
-    kind = f.__class__
-    if kind not in _KINDS:
-        kind = next((k for k in _KINDS if isinstance(f, k)), None)
-    if kind is Atom:
+    if isinstance(f, Atom):
         return atoms[f.name]
-    if kind is Not:
+    if isinstance(f, Not):
         return full ^ _table(f.operand, atoms, full)
-    if kind is And:
+    if isinstance(f, And):
         return _table(f.left, atoms, full) & _table(f.right, atoms, full)
-    if kind is Or:
+    if isinstance(f, Or):
         return _table(f.left, atoms, full) | _table(f.right, atoms, full)
-    if kind is MaterialImp:
+    if isinstance(f, MaterialImp):
         return (full ^ _table(f.left, atoms, full)) | _table(f.right, atoms, full)
-    if kind is Top:
+    if isinstance(f, Top):
         return full
-    if kind is Bottom:
+    if isinstance(f, Bottom):
         return 0
     raise TypeError(f"not a formula: {f!r}")
-
-
-# The formula classes tabulator dispatches on, in its isinstance order.
-_KINDS = (Atom, Not, And, Or, MaterialImp, Top, Bottom)
 
 
 def is_satisfiable(f: Formula, atomset=None) -> bool:
     names = sorted(atoms_of(f)) if atomset is None else list(atomset)
     return truth_table(f, names) != 0
-
-
-def equivalent(f: Formula, g: Formula, atomset=None) -> bool:
-    """Truth-table equivalence over the union of the formulas' atoms."""
-    names = sorted(atoms_of(f) | atoms_of(g)) if atomset is None else list(atomset)
-    return truth_table(f, names) == truth_table(g, names)
 
 
 class TruthValue3(enum.Enum):

@@ -14,13 +14,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .coherence import as_fraction
-from .events import (
-    And,
-    Formula,
-    constituents,
-    eval_classical,
-    is_satisfiable,
-)
+from .events import And, Formula, declared, is_satisfiable, truth_table
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -35,11 +29,13 @@ class ConditionalRandomQuantity(Value):
     __slots__ = ("atomset", "values", "consequent", "antecedent", "mu")
 
     def value_at(self, valuation) -> Fraction:
-        if all(k in valuation for k in self.atomset):
-            for bits, val in zip(constituents(self.atomset), self.values):
-                if all(valuation[k] == bits[k] for k in self.atomset):
-                    return val
-        raise KeyError(f"valuation not over atoms {self.atomset}")
+        world = 0
+        for k in self.atomset:
+            v = valuation.get(k)
+            if v not in (False, True):
+                raise KeyError(f"valuation not over atoms {self.atomset}")
+            world = 2 * world + bool(v)
+        return self.values[world]
 
 
 def crq_of(c: Formula, b: Formula, mu, atomset) -> ConditionalRandomQuantity:
@@ -48,17 +44,16 @@ def crq_of(c: Formula, b: Formula, mu, atomset) -> ConditionalRandomQuantity:
     if not (ZERO <= mu <= ONE):
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     atomset = tuple(atomset)
-    if not is_satisfiable(b, atomset):
+    m = truth_table(b, atomset)
+    if not m:
         raise ValueError(f"conditioning event is unsatisfiable: {b}")
-    values = []
-    for v in constituents(atomset):
-        if not eval_classical(b, v):
-            values.append(mu)
-        elif eval_classical(c, v):
-            values.append(ONE)
-        else:
-            values.append(ZERO)
-    return ConditionalRandomQuantity(atomset, tuple(values), c, b, mu)
+    # declared() refuses an empty atom set, which truth_table() takes
+    e = truth_table(c, declared(atomset))
+    values = tuple(
+        mu if not m >> w & 1 else ONE if e >> w & 1 else ZERO
+        for w in range(1 << len(atomset))
+    )
+    return ConditionalRandomQuantity(atomset, values, c, b, mu)
 
 
 def nested_prevision(c: Formula, b: Formula, a: Formula, p_cb, atomset) -> Fraction:
@@ -71,14 +66,11 @@ def nested_prevision(c: Formula, b: Formula, a: Formula, p_cb, atomset) -> Fract
     atomset = tuple(atomset)
     if is_satisfiable(And(a, b), atomset):
         raise ValueError("incompatibility precondition violated: a and b are compatible")
-    if not is_satisfiable(a, atomset):
+    on = truth_table(a, atomset)
+    if not on:
         raise ValueError(f"conditioning event is unsatisfiable: {a}")
     quantity = crq_of(c, b, p_cb, atomset)
-    on_a = [
-        val
-        for v, val in zip(constituents(atomset), quantity.values)
-        if eval_classical(a, v)
-    ]
+    on_a = [val for w, val in enumerate(quantity.values) if on >> w & 1]
     # The quantity is constant on a's worlds, so any admissible conditional
     # averaging yields the same number; uniform weights make that explicit.
     prevision = sum(on_a, ZERO) / len(on_a)
