@@ -91,7 +91,7 @@ import enum
 from fractions import Fraction
 
 from ._value import Value
-from .events import ConditionalObject, declared, tabulator, truth_table
+from .events import ConditionalObject, declared, tabulator
 from .linprog import Region, solve_lp
 
 ZERO = Fraction(0)
@@ -574,12 +574,6 @@ def _zero_layers(layer, region, support=None):
         region = layer.region()
         support = None
         level += 1
-
-
-def structural_bounds(q: ConditionalObject):
-    """[0,0] / [1,1] fast path for logically settled conditionals, else None."""
-    names = sorted(q.atoms())
-    return _settled(*_tables(q, lambda f: truth_table(f, names)))
 
 
 def _settled(m, e):

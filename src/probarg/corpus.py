@@ -205,50 +205,55 @@ def agreement_report(cfg: ClassificationConfig = ClassificationConfig()) -> Agre
     """Predicted vs modal observed categories for every task and reading.
 
     The coherent-response share of a task is the observed percentage of the
-    category predicted under the conditional-event reading.
+    category predicted under the conditional-event reading. Each (task,
+    reading, theta) cell is evaluated once, at cfg.theta and at every theta
+    of THETA_GRID.
     """
     tasks = builtin_tasks()
+    modes = {task.abbrev: task.modal_observed() for task in tasks}
     cache = {}
-    rows = []
-    match_counts = {i: 0 for i in Interpretation}
-    ce_shares = []
-    for task in tasks:
-        modal, ties = task.modal_observed()
-        for interp in Interpretation:
-            pred = evaluate_task(task, interp, cfg, cache)
-            match = (not ties) and pred.category == modal
-            if match:
-                match_counts[interp] += 1
-            rows.append(
-                AgreementRow(
-                    task=task.abbrev,
-                    interpretation=interp,
-                    bounds=pred.bounds,
-                    category=pred.category,
-                    modal_observed=modal,
-                    match=match,
-                    observed_share_of_predicted=_share_of(task, pred.category),
-                )
-            )
-            if interp is CE:
-                ce_shares.append(_share_of(task, pred.category))
-    sensitivity = {}
-    for theta in THETA_GRID:
+    preds = {}
+    for theta in dict.fromkeys((cfg.theta, *THETA_GRID)):
         theta_cfg = ClassificationConfig(theta=theta, tau_high=cfg.tau_high, tau_low=cfg.tau_low)
-        counts = {i: 0 for i in Interpretation}
         for task in tasks:
-            modal, ties = task.modal_observed()
             for interp in Interpretation:
-                pred = evaluate_task(task, interp, theta_cfg, cache)
-                if (not ties) and pred.category == modal:
-                    counts[interp] += 1
-        sensitivity[theta] = counts
+                preds[theta, task.abbrev, interp] = evaluate_task(task, interp, theta_cfg, cache)
+
+    def matches(theta):
+        """(task, interpretation, prediction, match) for each cell at theta;
+        match when the predicted category is the task's modal response,
+        never on a tied mode."""
+        for task in tasks:
+            modal, ties = modes[task.abbrev]
+            for interp in Interpretation:
+                pred = preds[theta, task.abbrev, interp]
+                yield task, interp, pred, not ties and pred.category == modal
+
+    def match_counts(theta):
+        counts = {i: 0 for i in Interpretation}
+        for _, interp, _, match in matches(theta):
+            counts[interp] += match
+        return counts
+
+    rows = tuple(
+        AgreementRow(
+            task=task.abbrev,
+            interpretation=interp,
+            bounds=pred.bounds,
+            category=pred.category,
+            modal_observed=modes[task.abbrev][0],
+            match=match,
+            observed_share_of_predicted=_share_of(task, pred.category),
+        )
+        for task, interp, pred, match in matches(cfg.theta)
+    )
+    ce_shares = [row.observed_share_of_predicted for row in rows if row.interpretation is CE]
     return AgreementReport(
         theta=cfg.theta,
-        rows=tuple(rows),
-        match_counts=match_counts,
+        rows=rows,
+        match_counts=match_counts(cfg.theta),
         mean_coherent_share=sum(ce_shares, Fraction(0)) / len(ce_shares),
-        theta_sensitivity=sensitivity,
+        theta_sensitivity={theta: match_counts(theta) for theta in THETA_GRID},
     )
 
 

@@ -305,35 +305,6 @@ def parse_formula(text: str) -> Formula:
     return form
 
 
-# --- pretty printing (round-trips through parse) -----------------------------
-
-
-def _format_stmt(s: SurfaceStatement) -> str:
-    if isinstance(s, If):
-        return f"if({s.antecedent}, {s.consequent})"
-    if isinstance(s, NegIf):
-        return f"not_if({s.antecedent}, {s.consequent})"
-    if isinstance(s, Every):
-        return f"every({s.subject}, {s.predicate})"
-    return str(s.formula)
-
-
-def format_spec(spec: ArgumentSpec) -> str:
-    lines = [f"task {spec.name} {{"]
-    lines.append("  atoms: " + ", ".join(spec.atoms))
-    for p in spec.premises:
-        stmt = _format_stmt(p.statement)
-        if isinstance(p.strength, QuiteSure):
-            lines.append(f"  premise: quite_sure({stmt})")
-        elif isinstance(p.strength, Certain):
-            lines.append(f"  premise: certain({stmt})")
-        else:
-            lines.append(f"  premise: P({stmt}) in [{p.strength.lo}, {p.strength.hi}]")
-    lines.append(f"  conclusion: {_format_stmt(spec.conclusion)}")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 # --- lowering ----------------------------------------------------------------
 
 

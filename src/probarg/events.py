@@ -1,16 +1,15 @@
-"""Propositional events, constituents, and three-valued conditional objects.
+"""Propositional events, constituents, and conditional objects.
 
 Formulas are immutable trees over named atoms. A ConditionalObject pairs a
 consequent with an antecedent; with antecedent Top it degenerates to an
-unconditional event. Conditionals evaluate to a third value (VOID) whenever
-their antecedent is false, matching the conditional-event truth conditions.
+unconditional event.
 
 The worlds over n declared atoms are the 2^n constituents, indexed 0 ..
 2^n - 1 in constituents() order. truth_table(f, names) gives a formula the
 int whose bit j is its value at world j: an atom's table is a block
 pattern, and the connectives are bit operations on their operands' tables.
 The solver and prevision work on these tables; eval_classical evaluates
-a formula at one valuation, and eval3 a conditional object there.
+a formula at one valuation.
 """
 
 from __future__ import annotations
@@ -28,15 +27,6 @@ class Formula(Value):
     """Base class for event formulas. Instances are immutable values."""
 
     __slots__ = ()
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
 
 
 class Atom(Formula):
@@ -222,12 +212,6 @@ def is_satisfiable(f: Formula, atomset=None) -> bool:
     return truth_table(f, names) != 0
 
 
-class TruthValue3(enum.Enum):
-    TRUE3 = "true"
-    FALSE3 = "false"
-    VOID = "void"
-
-
 class ConditionalObject(Value):
     """A conditional event: three-valued, void when the antecedent is false.
 
@@ -249,15 +233,6 @@ class ConditionalObject(Value):
         if self.antecedent == TOP:
             return str(self.consequent)
         return f"({self.consequent} | {self.antecedent})"
-
-
-def eval3(obj: ConditionalObject, v: Valuation) -> TruthValue3:
-    """Three-valued evaluation: VOID off the antecedent, classical on it."""
-    if not eval_classical(obj.antecedent, v):
-        return TruthValue3.VOID
-    if eval_classical(obj.consequent, v):
-        return TruthValue3.TRUE3
-    return TruthValue3.FALSE3
 
 
 # --- surface statements and their interpretation-dependent expansion ---

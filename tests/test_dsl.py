@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dsl_format import format_spec
 from probarg.coherence import ClassificationConfig
 from probarg.dsl import (
     MAX_NESTING,
@@ -13,7 +14,6 @@ from probarg.dsl import (
     ParseError,
     PremiseSpec,
     QuiteSure,
-    format_spec,
     lower,
     parse,
     parse_formula,

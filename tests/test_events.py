@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,10 +15,8 @@ from probarg.events import (
     Or,
     Plain,
     TOP,
-    TruthValue3,
     atoms_of,
     constituents,
-    eval3,
     eval_classical,
     expand,
     truth_table,
@@ -80,40 +76,6 @@ class TestEvalClassical:
         assert not eval_classical(Not(A), v)
         assert eval_classical(TOP, v)
         assert not eval_classical(BOTTOM, v)
-
-
-class TestEval3:
-    @pytest.mark.parametrize(
-        "a,c,expected",
-        [
-            (True, True, TruthValue3.TRUE3),
-            (True, False, TruthValue3.FALSE3),
-            (False, True, TruthValue3.VOID),
-            (False, False, TruthValue3.VOID),
-        ],
-    )
-    def test_conditional_event_table(self, a, c, expected):
-        assert eval3(ConditionalObject(C, A), {"A": a, "C": c}) is expected
-
-    def test_unconditional(self):
-        assert eval3(ConditionalObject(C), {"C": False}) is TruthValue3.FALSE3
-
-    def test_void_iff_antecedent_false(self):
-        obj = ConditionalObject(C, A)
-        for v in constituents(["A", "C"]):
-            void = eval3(obj, v) is TruthValue3.VOID
-            assert void == (not eval_classical(A, v))
-
-    def test_agrees_with_classical_on_antecedent(self):
-        obj = ConditionalObject(Or(A, C), And(A, C))
-        for v in constituents(["A", "C"]):
-            if eval_classical(obj.antecedent, v):
-                expected = (
-                    TruthValue3.TRUE3
-                    if eval_classical(obj.consequent, v)
-                    else TruthValue3.FALSE3
-                )
-                assert eval3(obj, v) is expected
 
 
 class TestConditionalObject:
@@ -194,20 +156,6 @@ def _formulas(depth=3):
         ),
         max_leaves=8,
     )
-
-
-@given(_formulas(), _formulas())
-def test_eval3_matches_classical_wherever_defined(cons, ant):
-    worlds = constituents(["A", "C"])
-    if not any(eval_classical(ant, v) for v in worlds):
-        return  # unsatisfiable antecedents are rejected elsewhere
-    obj = ConditionalObject(cons, ant)
-    for v in worlds:
-        t3 = eval3(obj, v)
-        if eval_classical(ant, v):
-            assert (t3 is TruthValue3.TRUE3) == eval_classical(cons, v)
-        else:
-            assert t3 is TruthValue3.VOID
 
 
 @given(_formulas())

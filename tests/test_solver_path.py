@@ -57,7 +57,6 @@ from probarg.coherence import (
     check_coherence,
     classify,
     propagate,
-    structural_bounds,
 )
 from probarg.events import (
     TOP,
@@ -69,12 +68,22 @@ from probarg.events import (
     constituents,
     eval_classical,
     is_satisfiable,
+    truth_table,
 )
 from probarg.linprog import solve_lp
 
 NAMES = ("A", "B", "C", "D")
 TENTHS = [F(k, 10) for k in range(11)]
 WIDEN = (F(0), F(0), F(1, 10), F(1, 4), F(1))
+
+
+def structural_bounds(q):
+    """[0, 0] or [1, 1] where logic alone settles q, read off its tables
+    over its own atoms, else None."""
+    names = sorted(q.atoms())
+    m = truth_table(q.antecedent, names)
+    e = m & truth_table(q.consequent, names)
+    return Bounds(F(0), F(0)) if not e else Bounds(F(1), F(1)) if e == m else None
 
 
 def _formula(rng, atoms, depth):

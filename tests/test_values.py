@@ -121,7 +121,7 @@ def test_every_public_record_is_covered():
         for name in probarg.__all__
         if isinstance(getattr(probarg, name), type)
         and not issubclass(getattr(probarg, name), (BaseException,))
-        and name not in ("Formula", "Interpretation", "ResponseCategory", "TruthValue3")
+        and name not in ("Formula", "Interpretation", "ResponseCategory")
     }
     assert records <= set(VALUES)
 

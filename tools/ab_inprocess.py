@@ -17,10 +17,15 @@ read. The ops come in three groups:
 First each op's result is compared as a repr, and the script exits 1 if
 the two trees disagree on any. Then, pinned to one CPU, every op runs in
 9 rounds, base and new back to back in alternating order, and each op
-keeps its minimum; the timed ops make no repr. Per group it prints the
-sum of those minima on each side and their ratio, new / base: below 1
-means NEW is faster. On a host whose speed drifts between runs, this
-sizes a change of a few percent that separate benchmark runs cannot.
+keeps its minimum; the timed ops make no repr. Per group it sums those
+minima on each side and takes their ratio, new / base: below 1 means NEW
+is faster.
+
+The tree loaded second can read faster than the one loaded first, so the
+script runs this twice, in two child processes: one loads BASE first, the
+other NEW first. It prints both tables, then per group the geometric mean
+of the two ratios. On a host whose speed drifts between runs, this sizes
+a change of a few percent that separate benchmark runs cannot.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from __future__ import annotations
 import gc
 import importlib.util
 import json
+import math
 import os
+import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -40,6 +47,8 @@ sys.path.insert(0, str(HERE / "perfbench"))
 import workloads  # noqa: E402
 
 ROUNDS = 9
+# The two load orders, each run in its own child process.
+ORDERS = ("base-first", "new-first")
 # The modules the ops and workloads.py read.
 SUBMODULES = ("events", "coherence", "corpus")
 
@@ -111,21 +120,19 @@ def ops(package):
     return named
 
 
-def main(argv) -> int:
-    if len(argv) != 2:
-        sys.stderr.write(__doc__)
-        return 2
+def measure(roots, first) -> dict | None:
+    """group -> [base s, new s], the sums of each op's minimum, with the
+    tree at roots[first] loaded first; None when the trees disagree."""
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # one CPU
-    trees = [
-        ops(load(Path(root).resolve(), f"probarg_{side}"))
-        for root, side in zip(argv, ("base", "new"))
-    ]
-    pairs = [(group, base, new) for (group, base), (_, new) in zip(*trees)]
+    sides = ("base", "new")
+    order = (first, 1 - first)
+    loaded = {i: ops(load(Path(roots[i]).resolve(), f"probarg_{sides[i]}")) for i in order}
+    pairs = [(group, base, new) for (group, base), (_, new) in zip(loaded[0], loaded[1])]
     for group, base, new in pairs:
         if repr(base()) != repr(new()):
-            print(f"{group}: the two trees give different results")
-            return 1
+            print(f"{group}: the two trees give different results", file=sys.stderr)
+            return None
     best = [[float("inf")] * 2 for _ in pairs]
     for r in range(ROUNDS):
         gc.collect()
@@ -139,10 +146,37 @@ def main(argv) -> int:
         total = sums.setdefault(group, [0.0, 0.0])
         total[0] += times[0]
         total[1] += times[1]
-    print(f"sum over each group's ops of the op's min of {ROUNDS} rounds, interleaved")
-    print(f"{'group':<16} {'base ms':>10} {'new ms':>10} {'new/base':>9}")
-    for group, (base, new) in sums.items():
-        print(f"{group:<16} {base * 1e3:>10.2f} {new * 1e3:>10.2f} {new / base:>9.4f}")
+    return sums
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[0] in ORDERS:
+        # a child: one load order, its sums as JSON
+        sums = measure(argv[1:], ORDERS.index(argv[0]))
+        print(json.dumps(sums))
+        return 1 if sums is None else 0
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    runs = {}
+    for order in ORDERS:
+        child = subprocess.run(
+            [sys.executable, __file__, order, *argv], stdout=subprocess.PIPE, text=True
+        )
+        if child.returncode != 0:
+            return 1
+        runs[order] = json.loads(child.stdout)
+    ratios = {}
+    for order, sums in runs.items():
+        print(f"{order}: sum over each group's ops of the op's min of {ROUNDS} rounds, interleaved")
+        print(f"{'group':<16} {'base ms':>10} {'new ms':>10} {'new/base':>9}")
+        for group, (base, new) in sums.items():
+            ratios.setdefault(group, []).append(new / base)
+            print(f"{group:<16} {base * 1e3:>10.2f} {new * 1e3:>10.2f} {new / base:>9.4f}")
+        print()
+    print("geometric mean of the two orders' new/base")
+    for group, (a, b) in ratios.items():
+        print(f"{group:<16} {math.sqrt(a * b):>9.4f}")
     return 0
 
 
