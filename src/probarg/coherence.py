@@ -21,9 +21,9 @@ equal columns that never enter the basis, so the merged system makes the
 per-world system's pivots on fewer cells, and a witness puts each class's
 mass on its representative (see _Layer). Rows, objectives and deeper
 domains read one bit per class. The entry rows are "<=" rows with rhs 0
-in coprime ints, already in the form of a tableau row, so a layer builds
-its region's initial tableau itself (Region.from_tableau), with no row
-checked or normalised.
+in coprime ints, each with its slack coefficient, the form linprog's
+Region takes: it lays out the tableau and starts it, with no row checked
+or normalised.
 
 The solver path takes as few solves as the answer allows:
 - A layer first drops the worlds that a row with no negative
@@ -274,7 +274,7 @@ class _Layer:
     -hi) scaled by its denominator, so the tableau and every pivot are
     those of the rational rows. A unit slack on the int row would change
     the slack's unit and, through Dantzig's rule, some pivots. region()
-    builds the initial tableau from them (see region).
+    hands them to linprog's Region (see region).
 
     One column per class makes the pivots of one column per world. Twin
     worlds, two of one class, have equal columns in every row and
@@ -384,27 +384,15 @@ class _Layer:
     def region(self) -> Region:
         """The layer's masses summing to 1 under its rows, {x >= 0 :
         sum(x) == 1, row . x <= 0 for each (row, k) of homogeneous} over
-        the n classes.
+        the n classes, started (see linprog's Region).
 
-        The layer builds the initial tableau that Region.from_tableau
-        takes: sum(x) == 1 first, the one row that needs an artificial,
-        then each entry row with its own slack column, the row's slack
-        coefficient k there, basic. Each row is in that form as built: its
-        rhs is 0, so it needs no negation, and it is coprime with its k: a
-        row lo*m <= e holds a where m holds and e fails and has k = b, with
-        gcd(a, b) = 1, and a row e <= hi*m holds d - c where e holds and has
-        k = d, with gcd(d - c, d) = gcd(c, d) = 1; sum(x) == 1 is coprime
-        too. A layer with no class has the row sum(x) == 1 over no column,
-        and linprog's empty-row rule makes no start for it."""
-        n = len(self.classes)
-        s = len(self.homogeneous)
-        tableau = [[1] * n + [0] * s + [1]]
-        tail = [0] * (s + 1)
-        for j, (row, k) in enumerate(self.homogeneous, n):
-            row = row + tail
-            row[j] = k
-            tableau.append(row)
-        return Region.from_tableau(n, tableau, [n + s, *range(n, n + s)])
+        Each row is in the form Region takes as built: its rhs is 0, and
+        it is coprime with its k: a row lo*m <= e holds a where m holds and
+        e fails and has k = b, with gcd(a, b) = 1, and a row e <= hi*m
+        holds d - c where e holds and has k = d, with gcd(d - c, d) =
+        gcd(c, d) = 1. A layer with no class has the row sum(x) == 1 over
+        no column, and linprog's empty-row rule makes no start for it."""
+        return Region(len(self.classes), self.homogeneous)
 
     def antecedent_mass(self, indices):
         """Objective: the summed antecedent mass of the given entries."""

@@ -199,6 +199,8 @@ class _Parser:
             premises.append(self.parse_premise(declared))
         self.expect("conclusion")
         self.expect(":")
+        if self.peek().text == "every":
+            self.fail("'every' is a premise form, not a conclusion")
         conclusion = self.parse_stmt(declared)
         self.expect("}")
         return ArgumentSpec(name, tuple(atoms), tuple(premises), conclusion)

@@ -11,26 +11,22 @@ read. Its support() is an int mask of the variables positive at the
 optimum. Its solution, the basic values x_b = rhs/d as Fractions, is
 likewise built only when it is read.
 
-- A Region is built from its initial tableau by its caller
-  (Region.from_tableau), which checks nothing: one row per constraint,
-  with the variables' columns, one column per slack, the rhs, and no
-  artificial column. Each row is divided by its gcd, has rhs >= 0 and
-  starts basic in its own slack, but for at most one, the artificial row,
-  whose artificial has no column. The zero-layer systems of coherence
-  build theirs: sum(x) == 1, the artificial row, then each entry row, a
-  "<=" row with rhs 0 in coprime ints with its bound's denominator as the
-  slack coefficient. A slack coefficient k sets the unit of its slack,
-  and the entering rule compares the slack's reduced cost with the
-  others.
-- With one artificial row, the start is one pivot, with no phase 1, when
-  some column is positive in that row and <= 0 in every other row (a
-  crash basis; Bixby 1992; see _crash). Otherwise phase 1 runs, on the
-  artificial's own row: while the artificial is basic, phase 1's reduced
-  costs are a positive multiple of that row, and phase 1 ends when it
-  leaves. So the tableau has no artificial column and phase 1 no cost
-  row (see Region._start); every entering and leaving choice is the one
-  a cost row would give. A tableau with more than one artificial row
-  makes no start: _start raises ValueError.
+- A Region is the masses of one zero layer, {x >= 0 : sum(x) == 1,
+  H x <= 0}: Region(n, rows) takes the layer's rows, each the int
+  coefficients of a "<=" row with rhs 0, coprime with its slack
+  coefficient k, and builds the one tableau form itself, with no row
+  checked: sum(x) == 1, the artificial row, first, then each row with its
+  own slack column, k there, basic; the variables' columns, the slack
+  columns and the rhs, and no artificial column. A slack coefficient k
+  sets the unit of its slack, and the entering rule compares the slack's
+  reduced cost with the others.
+- The start is one pivot, with no phase 1, when some column is positive
+  in the artificial row and <= 0 in every other row (a crash basis;
+  Bixby 1992; see _crash). Otherwise phase 1 runs, on the artificial's
+  own row: while the artificial is basic, phase 1's reduced costs are a
+  positive multiple of that row, and phase 1 ends when it leaves. So the
+  tableau has no artificial column and phase 1 no cost row (see _start);
+  every entering and leaving choice is the one a cost row would give.
 - The reduced-cost row of an objective, phase 1's included, is summed in
   ints: each basic row a_i with basic coefficient d_i enters scaled by
   L/d_i, with L the lcm of those d_i, and the sum is then made coprime.
@@ -46,20 +42,21 @@ likewise built only when it is read.
   rhs/d; the reduced-cost row is a positive multiple of the rational one.
   The ratio test compares rhs_i*a_k with rhs_k*a_i. Every entering and
   leaving choice is therefore the one the rational tableau makes.
-- A Region makes its start once, on its first solve. Every solve_lp over
+- A Region makes its start once, when it is built. Every solve_lp over
   the region starts from that basic feasible tableau and runs phase 2
   only. Region.support() is the int mask of the variables positive at one
   feasible point, or None when the rows are infeasible: after a crash
-  start, every column that allowed it; else the start vertex's. Region.singletons() is the mask of the crash
-  columns, each of which alone is a feasible point, and 0 after a
-  phase-1 start. Neither needs a solve. The start vertex itself is the
-  solution of solve_lp([0] * n, region), which makes no pivot.
-- A region whose artificial row has rhs > 0 and no nonzero coefficient
-  on the variables is infeasible, and is known to be so with no start: no crash and no phase
-  1 (the empty-row rule of LP presolve; Andersen and Andersen 1995): a
-  region with no column and the row sum(x) == 1 is one.
+  start, every column that allowed it; else the start vertex's.
+  Region.singletons() is the mask of the crash columns, each of which
+  alone is a feasible point, and 0 after a phase-1 start. Neither needs a
+  solve. The start vertex itself is the solution of
+  solve_lp([0] * n, region), which makes no pivot.
+- A region with no column has the row sum(x) == 1 over no column, which
+  holds at no point: it is infeasible, and is known to be so with no
+  start, no crash and no phase 1 (the empty-row rule of LP presolve;
+  Andersen and Andersen 1995). It is the region of a layer with no class.
 - Region.charnes_cooper(optimum) derives, from the optimal tableau of
-  maximizing c over {sum(x) == 1, H x <= 0}, a started region for
+  maximizing c over a region {sum(x) == 1, H x <= 0}, a started region for
   {c . y == 1, H y <= 0}: one rank-one update of the rows in ints, on the
   same basis, with no phase 1 (see its docstring for the derivation).
 - The reduced-cost row lives in the tableau and is updated by each pivot.
@@ -72,7 +69,6 @@ likewise built only when it is read.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from ._value import Value
@@ -100,7 +96,7 @@ class LPResult(Value):
         self.status = status  # "optimal" | "infeasible" | "unbounded"
         self.value = value
         self.solution = solution
-        # (region, objective, maximize, tableau with its cost row, basis)
+        # (region, maximize, tableau with its cost row, basis)
         self._optimum = None
 
     def __getattr__(self, name):
@@ -112,7 +108,7 @@ class LPResult(Value):
             self.value = Fraction(*self._ratio)
             return self.value
         if name == "solution":
-            region, _, _, tableau, basis = self._optimum
+            region, _, tableau, basis = self._optimum
             self.solution = _point(tableau, basis, region.n)
             return self.solution
         raise AttributeError(name)
@@ -130,74 +126,75 @@ class LPResult(Value):
         bit j is set when x_j > 0."""
         if self._optimum is None:
             raise ValueError("support() reads the tableau of a solve_lp optimum")
-        region, _, _, tableau, basis = self._optimum
+        region, _, tableau, basis = self._optimum
         return _support(tableau, basis, region.n)
 
 
 class Region:
-    """The polyhedron {x >= 0 : rows} over n variables, given by its
-    initial tableau (from_tableau) and started once, on its first solve
-    (_start). len() is the number of rows. A region is never changed by a
-    solve, so it can serve any number of objectives."""
+    """The polyhedron {x >= 0 : sum(x) == 1, row . x <= 0 for each (row, k)
+    of rows} over n variables, the masses of one zero layer, started when
+    it is built (_start). len() is 1 + the number of rows. A region is
+    never changed by a solve, so it can serve any number of objectives."""
+
+    def __init__(self, n, rows):
+        """rows: pairs (row, k), the n int coefficients of a "<=" row with
+        rhs 0 and its slack coefficient k > 0, each row coprime with its k;
+        nothing is checked. coherence's layers build theirs (see _Layer in
+        coherence).
+
+        The initial tableau is sum(x) == 1, the one row that needs an
+        artificial, then each row with its own slack column, k there,
+        basic: no row needs a negation, as its rhs is 0, nor a division by
+        its gcd. A region with no column has the row sum(x) == 1 over no
+        column, which holds at no point (the empty-row rule of LP presolve;
+        Andersen and Andersen 1995), and makes no start."""
+        s = len(rows)
+        tableau = [[1] * n + [0] * s + [1]]
+        tail = [0] * (s + 1)
+        for j, (row, k) in enumerate(rows, n):
+            row = row + tail
+            row[j] = k
+            tableau.append(row)
+        self.n, self._size = n, s + 1
+        self._base = _start(tableau, [n + s, *range(n, n + s)], n) if n else None
 
     @classmethod
-    def from_tableau(cls, n, tableau, basis) -> "Region":
-        """The region of an initial tableau that its caller built, taken
-        as it is: no row is checked, negated or divided by its gcd.
-        coherence's layers build theirs (see _Layer.region in coherence).
-
-        tableau: one int row per constraint, each with n columns for the
-        variables, then one column per slack, then its rhs, and no column
-        for an artificial; each row divided by its gcd, with rhs >= 0.
-        basis: per row its basic column, a slack whose coefficient in that
-        row is positive and 0 in every other row, or, for the one row that
-        needs an artificial, if any, n_real, the number of columns before
-        the rhs. The start (_start) raises ValueError for a tableau with
-        more than one such row.
-
-        A row with an artificial, rhs > 0 and no nonzero coefficient on
-        the n variables is an empty row: it holds at no point, and the
-        region makes no start (see _start)."""
+    def _started(cls, n, base, size):
+        """The region over n variables whose start its caller made: base is
+        (tableau, basis, singletons) as _start returns it, or None when the
+        rows are infeasible, and size is len() of the region."""
         region = cls.__new__(cls)
-        region.n = n
-        region._tableau, region._basis = tableau, basis
-        n_real = len(tableau[0]) - 1 if tableau else n
-        for row, b in zip(tableau, basis):
-            if b >= n_real and row[-1] and not any(row[:n]):
-                region._start = None
+        region.n, region._size, region._base = n, size, base
         return region
 
     def __len__(self):
-        return len(self._tableau)
-
-    # The columns of a crash start, each a feasible point alone (_crash).
-    _singletons = 0
+        return self._size
 
     def support(self):
         """Variables positive at one feasible point, as an int mask (bit j
         for x_j), or None when the rows are infeasible: those positive at
         the start vertex and, after a crash start, every column that allowed
         it (see _crash)."""
-        start = self._start
-        return None if start is None else self._singletons | _support(*start, self.n)
+        base = self._base
+        if base is None:
+            return None
+        tableau, basis, singletons = base
+        return singletons | _support(tableau, basis, self.n)
 
     def singletons(self) -> int:
         """The columns j at which the point with x_j > 0 alone, every other
         variable 0, is feasible, as an int mask, read off a crash start:
-        every column that allowed it when its artificial row's rhs is
-        positive (see _crash). 0 after a phase-1 start, when that rhs is 0,
+        every column that allowed it (see _crash). 0 after a phase-1 start
         and when the rows are infeasible; it needs no solve."""
-        return 0 if self._start is None else self._singletons
+        return 0 if self._base is None else self._base[2]
 
     def charnes_cooper(self, optimum) -> "Region":
-        """The region {c . y == 1, this region's other rows}, started from
-        optimum, the solve_lp result of maximizing c over this region, with
-        no phase 1.
-
-        This region must have the rows {sum(x) == 1, H x <= 0} (the first
-        row, then homogeneous ones), and the maximum must be positive.
-        Charnes and Cooper (1962) turn the ratio e.x / c.x over it into the
-        linear objective e.y over the derived region.
+        """The region {c . y == 1, H y <= 0}, started from optimum, the
+        solve_lp result of maximizing c over this region {sum(x) == 1,
+        H x <= 0}, with no phase 1. The maximum must be positive. Charnes
+        and Cooper (1962) turn the ratio e.x / c.x over this region into
+        the linear objective e.y over the derived one. len() of the derived
+        region is this region's.
 
         Rationally, with T the optimal tableau, t its rhs, r the reduced
         costs and M the maximum: T = t*a0 + (H rows), as the rhs vector is
@@ -213,18 +210,12 @@ class Region:
         whole row and goes with the gcd. A row with rhs 0 stays as it is.
         """
         start = optimum._optimum
-        if start is None or start[0] is not self or not start[2]:
+        if start is None or start[0] is not self or not start[1]:
             raise ValueError("optimum is not a solve_lp maximum over this region")
         p, q = optimum._ratio
         if p <= 0:
             raise ValueError("the Charnes-Cooper start needs a positive maximum")
-        first = self._tableau[0]
-        n = self.n
-        if first[-1] != 1 or any(v != 1 for v in first[:n]) or any(first[n:-1]):
-            raise ValueError("the first row must be sum(x) == 1")
-        if any(row[-1] for row in self._tableau[1:]):
-            raise ValueError("the rows after the first must be homogeneous")
-        _, c, _, final, basis = start
+        _, _, final, basis = start
         cost = final[-1]
         k = -cost[-1]
         pk = p * k
@@ -239,53 +230,37 @@ class Region:
             if row[b] <= 0 or row[-1] < 0:
                 raise RuntimeError("Charnes-Cooper start broke the tableau invariant")
             tableau.append(row)
-        # The initial tableau of {c . y == 1, this region's other rows}
-        initial = [[*c, *first[n:-1], 1]] + self._tableau[1:]
-        derived = Region.from_tableau(n, initial, self._basis)
-        derived._start = tableau, basis
-        return derived
+        return Region._started(self.n, (tableau, basis, 0), self._size)
 
-    @cached_property
-    def _start(self):
-        """A basic feasible (integer tableau, basis) with no artificial
-        column, or None when the rows are infeasible.
 
-        An artificial row with rhs > 0 and no nonzero coefficient on the
-        variables holds at no point: its variables contribute 0, and its
-        slack, if it has one, would be negative (the empty-row rule of LP
-        presolve; Andersen and Andersen 1995). from_tableau sets _start to
-        None for it, so no start is made: no crash, no phase 1.
+def _start(tableau, basis, n):
+    """Start the initial tableau of a region in place: (tableau, basis,
+    singletons), basic feasible with no artificial column, or None when the
+    rows are infeasible. singletons is the mask of the crash columns (see
+    _crash), 0 after a phase-1 start.
 
-        The one artificial, if any, has no column: its row i has the basis
-        index n_real, past every real column, which also makes it lose
-        every tie of the ratio test, as its column would. While it is
-        basic, phase 1's reduced costs (maximize minus the artificial) are
-        row i's entries with 0 at the artificial's own column
-        (_reduced_costs), and each pivot changes row i and that cost row
-        alike, up to a positive factor; so row i prices the columns, with
-        the same choices. Once the artificial leaves, every real column
-        prices at 0, so phase 1 ends there (_simplex with costs=i). If
-        instead it ends with the artificial basic, rhs_i > 0 means no
-        feasible point, and rhs_i = 0 an artificial to evict. A tableau
-        with more than one artificial row raises ValueError."""
-        n = self.n
-        tableau, basis = self._tableau[:], self._basis[:]
-        n_real = len(tableau[0]) - 1 if tableau else n
-        artificials = [i for i, b in enumerate(basis) if b >= n_real]
-        if len(artificials) > 1:
-            raise ValueError("a region starts with at most one artificial row")
-        if artificials:
-            i = artificials[0]
-            crash = _crash(tableau, basis, n, i)
-            if crash is not None:
-                self._singletons = crash
-                return tableau, basis
-            # Phase 1 prices with the artificial's row (see above).
-            _simplex(tableau, basis, i)
-            if basis[i] == n_real and tableau[i][-1]:
-                return None
-            _evict_artificials(tableau, basis, n_real)
-        return tableau, basis
+    Row 0 needs the one artificial, and every other row starts basic in
+    its own slack. The artificial has no column: its basis index is
+    n_real, the number of columns before the rhs, past every real column,
+    which also makes it lose every tie of the ratio test, as its column
+    would. While it is basic, phase 1's reduced costs (maximize minus the
+    artificial) are row 0's entries with 0 at the artificial's own column
+    (_reduced_costs), and each pivot changes row 0 and that cost row
+    alike, up to a positive factor; so row 0 prices the columns, with the
+    same choices. Once the artificial leaves, every real column prices at
+    0, so phase 1 ends there (_simplex with costs=0). If instead it ends
+    with the artificial basic, rhs_0 > 0 means no feasible point, and
+    rhs_0 = 0 an artificial to evict."""
+    crash = _crash(tableau, basis, n)
+    if crash is not None:
+        return tableau, basis, crash
+    # Phase 1 prices with the artificial's row (see above).
+    _simplex(tableau, basis, 0)
+    n_real = len(tableau[0]) - 1
+    if basis[0] == n_real and tableau[0][-1]:
+        return None
+    _evict_artificials(tableau, basis, n_real)
+    return tableau, basis, 0
 
 
 def solve_lp(objective, rows, maximize=True) -> LPResult:
@@ -298,10 +273,10 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
     g = gcd(*objective) or 1  # TypeError on any value but an int
     if rows.n != n:
         raise ValueError("objective arity mismatch")
-    start = rows._start
+    start = rows._base
     if start is None:
         return LPResult("infeasible")
-    base, basis = start
+    base, basis, _ = start
     tableau = base[:]
     basis = basis[:]
     cols = len(base[0]) - 1 if base else n
@@ -320,7 +295,7 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
     ]
     big = lcm(*[d for _, _, d in priced])
     res = LPResult("optimal")
-    res._optimum = rows, objective, maximize, tableau, basis
+    res._optimum = rows, maximize, tableau, basis
     res._ratio = sum([c * rhs * (big // d) for c, rhs, d in priced]), big
     del res.value, res.solution  # built on their first read
     return res
@@ -372,32 +347,31 @@ def _coprime(row):
     return [v // g for v in row] if g > 1 else row
 
 
-def _crash(tableau, basis, n, i):
-    """Start a tableau whose one artificial sits in row i in one pivot, when
-    a column allows it: pivot row i on the smallest column j < n that is
-    positive in row i and <= 0 in every other row. Returns None when no
+def _crash(tableau, basis, n):
+    """Start a tableau whose one artificial sits in row 0 in one pivot, when
+    a column allows it: pivot row 0 on the smallest column j < n that is
+    positive in row 0 and <= 0 in every other row. Returns None when no
     column allows it, else the columns positive at some feasible point, as
-    an int mask: every column that allows it when row i's rhs is positive,
+    an int mask: every column that allows it when row 0's rhs is positive,
     none when it is 0.
 
     Every other row is a "<=" row with rhs >= 0 and its slack basic, so the
-    pivot leaves it the rhs p*rhs_r - r_j*rhs_i >= 0 (p: row i's entry at j)
+    pivot leaves it the rhs p*rhs_r - r_j*rhs_0 >= 0 (p: row 0's entry at j)
     and a positive slack coefficient: the start is basic feasible, and the
     artificial, now nonbasic, has no column to drop. No slack column is
-    positive in row i, so j < n loses no candidate. The same holds for
-    each column that allows the pivot: alone, at rhs_i/p > 0, it is a
+    positive in row 0, so j < n loses no candidate. The same holds for
+    each column that allows the pivot: alone, at rhs_0/p > 0, it is a
     feasible point. The feasible set is convex, so the mean of those
     points is feasible too, and positive on each of their columns.
     """
-    art = tableau[i]
+    art = tableau[0]
     columns = [j for j in range(n) if art[j] > 0]
-    for k, row in enumerate(tableau):
-        if k != i:
-            columns = [j for j in columns if row[j] <= 0]
+    for row in tableau[1:]:
+        columns = [j for j in columns if row[j] <= 0]
     if not columns:
         return None
     positive = sum([1 << j for j in columns]) if art[-1] else 0
-    _pivot(tableau, basis, i, columns[0])
+    _pivot(tableau, basis, 0, columns[0])
     if any(row[b] <= 0 or row[-1] < 0 for row, b in zip(tableau, basis)):
         raise RuntimeError("crash start broke the tableau invariant")
     return positive

@@ -1,28 +1,29 @@
 """The general-row front end of probarg.linprog, for the tests.
 
-probarg's layers build their initial tableaux themselves, with one
-artificial row, sum(x) == 1, and hand them to Region.from_tableau. The
-tests also state systems as row lists of every relation: the differential
-tests against the Bland reference, the layer that builds every premise row
-as a ">=" row (FullLayer in test_solver_path), every layer's rows, to
-check the tableau it builds, and the Charnes-Cooper program and the
-pinned row m_q = 0 rebuilt from rows. This module turns such a list into
-a started Region, by a path of its own up to the simplex core:
+probarg's layers hand linprog's Region their rows, and Region builds the
+one tableau form, {sum(x) == 1, H x <= 0}, and starts it. The tests also
+state systems as row lists of every relation: the differential tests
+against the Bland reference, the layer that builds every premise row as a
+">=" row (FullLayer in test_solver_path), every layer's rows, to check
+the tableau it builds, and the Charnes-Cooper program and the pinned row
+m_q = 0 rebuilt from rows. This module turns such a list into a started
+Region, by a path of its own up to the simplex core:
 
 - each row is checked (ints only, arity, at most four items, a slack unit
   only on "<=" and ">=" rows and > 0), and a row with rhs < 0 and a
   homogeneous ">=" row are negated, so each slack can start basic. Only
   "==" rows and ">=" rows with rhs > 0 need an artificial;
-- the initial tableau is the one Region.from_tableau takes: the variables'
-  columns, one slack column per "<=" or ">=" row with its unit there, the
-  rhs, and no artificial column; a row is divided by its gcd unless
-  several rows need an artificial;
-- with no artificial row or one, Region starts the tableau itself (crash
-  start or phase 1 on the artificial's row, see Region._start). With
-  several, phase 1 runs here, over a unit column for each artificial and a
-  cost row that maximizes minus their sum, through linprog's _simplex,
-  _reduced_costs and _evict_artificials, and the region gets that start as
-  a Region.charnes_cooper region gets its own.
+- the initial tableau is in the form linprog's start takes: the
+  variables' columns, one slack column per "<=" or ">=" row with its unit
+  there, the rhs, and no artificial column; a row is divided by its gcd
+  unless several rows need an artificial;
+- with no artificial row, the tableau is its own start. With one, the
+  artificial row goes first and linprog._start starts the tableau (crash
+  start or phase 1 on the artificial's row). With several, phase 1 runs
+  here, over a unit column for each artificial and a cost row that
+  maximizes minus their sum, through linprog's _simplex, _reduced_costs
+  and _evict_artificials. The region gets its start through
+  Region._started, as a Region.charnes_cooper region does.
 
 Nothing in src/ imports it.
 """
@@ -83,16 +84,22 @@ def rows_region(rows, n) -> Region:
         # A row with an artificial, when there are several, keeps its unit
         # artificial coefficient: it is not divided by its gcd.
         tableau.append(linprog._coprime(row) if rel == LE or n_art == 1 else row)
-    region = Region.from_tableau(n, tableau, basis)
-    # from_tableau makes no start for a region with an empty row (see
-    # Region.from_tableau): phase 1 runs only where it would.
-    if n_art > 1 and "_start" not in vars(region):
-        region._start = _phase1(tableau, basis, n_art)
-    return region
+    if n_art == 0:
+        base = tableau, basis, 0
+    elif n_art == 1:
+        # The start takes the artificial row first. No choice of a pivot
+        # reads the order of the rows, only their basic columns.
+        i = next(i for i, (_, rel, _, _) in enumerate(checked) if rel != LE)
+        tableau.insert(0, tableau.pop(i))
+        basis.insert(0, basis.pop(i))
+        base = linprog._start(tableau, basis, n)
+    else:
+        base = _phase1(tableau, basis, n_art)
+    return Region._started(n, base, len(rows))
 
 
 def _phase1(tableau, basis, n_art):
-    """A basic feasible (tableau, basis) with no artificial column, or None
+    """A basic feasible (tableau, basis, 0) with no artificial column, or None
     when the rows are infeasible: phase 1 maximizes minus the sum of the
     n_art artificials, over a unit column for each."""
     n_real = len(tableau[0]) - 1
@@ -108,7 +115,7 @@ def _phase1(tableau, basis, n_art):
     if tableau.pop()[-1] != 0:
         return None
     linprog._evict_artificials(tableau, basis, n_real)
-    return [row[:n_real] + row[-1:] for row in tableau], basis
+    return [row[:n_real] + row[-1:] for row in tableau], basis, 0
 
 
 def solve_rows(objective, rows, maximize=True):

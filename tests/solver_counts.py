@@ -1,7 +1,9 @@
 """The solver's work on three fixed inputs, as a Markdown table: simplex
-pivots, coherence's solve_lp calls and region starts (tableaux that
-Region._start builds), and of those starts the ones on a region with no
-column, a layer that presolve left with no class.
+pivots, coherence's solve_lp calls, their cells (the region's len() times
+the objective's, summed over the solves, as perfbench's tracer counts
+linprog.cells), region starts (tableaux that linprog._start starts), and
+of those starts the ones on a region with no column, a layer that
+presolve left with no class.
 
 - corpus grid: propagate on every corpus task x reading x THETA_GRID;
 - chain: propagate on p(A0) >= 9/10, p(A_{i+1} | A_i) >= 9/10 with the
@@ -17,7 +19,6 @@ timing moved. Run with
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 from probarg import coherence, linprog
@@ -34,36 +35,59 @@ CHAIN_THETA = Fraction(9, 10)
 
 
 @contextmanager
+def starts():
+    """Every start linprog._start makes while in use, as a list of
+    (tableau, n, kind): the initial tableau it was given, the number of
+    variables, and how it started: "crash", "phase 1" (a phase-1 simplex
+    ran) or "infeasible" (phase 1 found no feasible point)."""
+    made, runs = [], []
+    start, simplex = linprog._start, linprog._simplex
+
+    def counted_simplex(*args):
+        runs.append(None)
+        return simplex(*args)
+
+    def recorded_start(tableau, basis, n):
+        # A start replaces rows, never changes one, so a shallow copy keeps
+        # the initial tableau.
+        initial, before = tableau[:], len(runs)
+        base = start(tableau, basis, n)
+        kind = "infeasible" if base is None else "phase 1" if len(runs) > before else "crash"
+        made.append((initial, n, kind))
+        return base
+
+    linprog._start, linprog._simplex = recorded_start, counted_simplex
+    try:
+        yield made
+    finally:
+        linprog._start, linprog._simplex = start, simplex
+
+
+@contextmanager
 def counting():
-    """Counts, live, of pivots, solves, region starts and starts on a
-    region with no column."""
-    counts = dict.fromkeys(("pivots", "solves", "starts", "empty starts"), 0)
-    pivot, solve, start = linprog._pivot, coherence.solve_lp, linprog.Region._start
+    """Counts of pivots, solves and their cells, live, and of region
+    starts and starts on a region with no column, filled in when the block
+    ends."""
+    counts = dict.fromkeys(("pivots", "solves", "cells", "starts", "empty starts"), 0)
+    pivot, solve = linprog._pivot, coherence.solve_lp
 
     def counted_pivot(*args):
         counts["pivots"] += 1
         return pivot(*args)
 
-    def counted_solve(*args, **kwargs):
+    def counted_solve(objective, rows, *args, **kwargs):
         counts["solves"] += 1
-        return solve(*args, **kwargs)
+        counts["cells"] += len(rows) * len(objective)
+        return solve(objective, rows, *args, **kwargs)
 
-    def counted_start(region):
-        counts["starts"] += 1
-        counts["empty starts"] += region.n == 0
-        return start.func(region)
-
-    started = cached_property(counted_start)
-    started.__set_name__(linprog.Region, "_start")
-    linprog._pivot, coherence.solve_lp, linprog.Region._start = (
-        counted_pivot,
-        counted_solve,
-        started,
-    )
+    linprog._pivot, coherence.solve_lp = counted_pivot, counted_solve
     try:
-        yield counts
+        with starts() as made:
+            yield counts
     finally:
-        linprog._pivot, coherence.solve_lp, linprog.Region._start = pivot, solve, start
+        linprog._pivot, coherence.solve_lp = pivot, solve
+        counts["starts"] = len(made)
+        counts["empty starts"] = sum(1 for _, n, _ in made if n == 0)
 
 
 def corpus_grid():
@@ -108,12 +132,13 @@ def render() -> str:
     lines = [
         "### Solver counts",
         "",
-        "| input | pivots | solves | region starts | starts with no column |",
-        "|---|---:|---:|---:|---:|",
+        "| input | pivots | solves | cells | region starts | starts with no column |",
+        "|---|---:|---:|---:|---:|---:|",
     ]
     for name, c in rows():
         lines.append(
-            f"| {name} | {c['pivots']} | {c['solves']} | {c['starts']} | {c['empty starts']} |"
+            f"| {name} | {c['pivots']} | {c['solves']} | {c['cells']} | {c['starts']} "
+            f"| {c['empty starts']} |"
         )
     return "\n".join(lines) + "\n"
 

@@ -44,6 +44,16 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["eval", "check"])
+    def test_every_conclusion_is_a_located_parse_error(self, tmp_path, command):
+        bad = tmp_path / "every.arg"
+        bad.write_text("task T {\n  atoms: A, C\n  conclusion: every(A, C)\n}\n")
+        code, out, err = run_cli(command, str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}:3:15: 'every' is a premise form, not a conclusion")
+        assert "Traceback" not in err
+
     def test_incoherent_premises_exit_2(self):
         code, _, err = run_cli("eval", str(DATA / "incoherent.arg"))
         assert code == 2

@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -485,8 +484,10 @@ class TestSolveCounts:
     def test_random_assess_pool_counts(self):
         """The random-assess pool, as tests/solver_counts.py runs it: 800
         items over 2..5 atoms, check_coherence on even items and propagate
-        on odd ones. Its pivots, solves and region starts, and the starts on
-        a region with no column, which a layer with no class never makes.
+        on odd ones. Its pivots, solves, their cells (len(region) times
+        len(objective), as perfbench's tracer counts linprog.cells) and
+        region starts, and the starts on a region with no column, which a
+        layer with no class never makes.
         Before the sides of the bounds were read off feasible points they
         were 2292 / 888 / 1115, 424 of the starts on a region with no
         column, and while the max m vertex proved sides too, 2219 / 707 /
@@ -495,7 +496,13 @@ class TestSolveCounts:
 
         with solver_counts.counting() as counts:
             solver_counts.pool()
-        assert counts == {"pivots": 2220, "solves": 742, "starts": 691, "empty starts": 0}
+        assert counts == {
+            "pivots": 2220,
+            "solves": 742,
+            "cells": 22287,
+            "starts": 691,
+            "empty starts": 0,
+        }
 
     def test_random_assess_pool_leaves_no_cyclic_garbage(self):
         """Everything an op makes is freed when the op's last reference
@@ -568,7 +575,6 @@ class TestSolveCounts:
         from probarg import linprog
 
         a, _, atoms = chain(6, F(9, 10))
-        layer, region = coherence._level0(a, atoms)
         calls = _count_calls(monkeypatch)
         simplex, runs = linprog._simplex, []
 
@@ -577,6 +583,7 @@ class TestSolveCounts:
             return simplex(*args)
 
         monkeypatch.setattr(linprog, "_simplex", counted_simplex)
+        layer, region = coherence._level0(a, atoms)
         assert region.support() is not None
         assert (calls["pivot"], runs) == (1, [])
         x = linprog.solve_lp([0] * region.n, region).solution
@@ -591,23 +598,19 @@ class TestSolveCounts:
         assert coherence._level0(a, ["A"])[1].support() is None
         assert check_coherence(a, ["A"]).level == 0
 
-    def test_level0_phase1_runs_once(self, monkeypatch):
-        from probarg import coherence, linprog
+    def test_level0_phase1_runs_once(self):
+        import solver_counts
 
-        started = []
+        from probarg import coherence
 
-        class CountedRegion(linprog.Region):
-            @cached_property
-            def _start(self):
-                started.append(self._tableau)
-                return linprog.Region._start.func(self)
-
-        monkeypatch.setattr(coherence, "Region", CountedRegion)
         a, q, atoms = chain(6, F(9, 10))
-        propagate(a, q, atoms)
+        with solver_counts.starts() as made:
+            propagate(a, q, atoms)
         # propagate's level-0 columns tell the query's tables apart too
-        _, level0 = coherence._level0(a, atoms, q)
-        assert started.count(level0._tableau) == 1
+        with solver_counts.starts() as level0:
+            coherence._level0(a, atoms, q)
+        [(tableau, _, _)] = level0
+        assert [t for t, _, _ in made].count(tableau) == 1
 
 
 class TestPointsOnlyForWitnesses:

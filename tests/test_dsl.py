@@ -96,6 +96,13 @@ class TestParse:
         )
         assert [s.name for s in specs] == ["T1", "T2"]
 
+    def test_every_conclusion_rejected_at_every(self):
+        """every(S, P) is a premise form: as a conclusion it is a
+        ParseError at the every token, not an error when it is lowered."""
+        with pytest.raises(ParseError, match="premise form, not a conclusion") as exc:
+            parse("task T {\n  atoms: A, C\n  conclusion: every(A, C)\n}")
+        assert (exc.value.line, exc.value.col) == (3, 15)
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
             parse("task T {\n  atoms: A\n  conclusion: @\n}")
@@ -122,7 +129,7 @@ MALFORMED = [
     "task T { atoms: A premise: P(A) [0, 1] conclusion: A }",  # missing 'in'
     "task T { atoms: A conclusion: and(A) }",  # arity error
     "task T { atoms: A conclusion: if(A A) }",  # missing comma
-    "task T { atoms: A conclusion: every(A, B) }",  # undeclared predicate
+    "task T { atoms: A premise: certain(every(A, B)) conclusion: A }",  # undeclared predicate
     "task T { atoms: A conclusion: A } trailing",  # junk after last task
     "task T { atoms: A premise: P(A) in [1/0, 1] conclusion: A }",  # zero denominator
     "task T { atoms: A, not conclusion: A }",  # connective as atom name
@@ -196,10 +203,14 @@ FORMULA = st.recursive(
     ),
     max_leaves=6,
 )
-STATEMENT = st.one_of(
+# A conclusion is any statement but every(S, P), which only a premise takes.
+CONCLUSION = st.one_of(
     st.builds(Plain, FORMULA),
     st.builds(If, FORMULA, FORMULA),
     st.builds(NegIf, FORMULA, FORMULA),
+)
+STATEMENT = st.one_of(
+    CONCLUSION,
     st.builds(Every, st.sampled_from(ATOMS), st.sampled_from(ATOMS)),
 )
 UNIT = st.fractions(min_value=0, max_value=1, max_denominator=1000)
@@ -213,7 +224,7 @@ SPEC = st.builds(
     IDENT,
     st.permutations(ATOMS).map(tuple),
     st.lists(st.builds(PremiseSpec, STATEMENT, STRENGTH), max_size=3).map(tuple),
-    STATEMENT,
+    CONCLUSION,
 )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bland_reference
+import solver_counts
 from int_rows import int_objective, int_row, int_rows
 from general_rows import EQ, GE, LE, rows_region, solve_rows
 from probarg.linprog import DEGENERATE_RUN, LPResult, Region, solve_lp
@@ -103,16 +104,10 @@ def test_determinism():
 
 
 def slack_region(n, rows):
-    """Region.from_tableau of "<=" rows (coeffs, rhs, k) in ints, each with
-    rhs >= 0 and coprime with its slack unit k: one slack column per row,
-    at k, and every slack basic, so the start makes no pivot."""
-    s = len(rows)
-    tableau = []
-    for i, (coeffs, rhs, k) in enumerate(rows):
-        slacks = [0] * s
-        slacks[i] = k
-        tableau.append([*coeffs, *slacks, rhs])
-    return Region.from_tableau(n, tableau, list(range(n, n + s)))
+    """rows_region of "<=" rows (coeffs, rhs, k) in ints, each with rhs >= 0
+    and coprime with its slack unit k: one slack column per row, at k, and
+    every slack basic, so the tableau is its own start, with no pivot."""
+    return rows_region([(coeffs, LE, rhs, k) for coeffs, rhs, k in rows], n)
 
 
 # Beale's LP (1955): max 3/4 x0 - 20 x1 + 1/2 x2 - 6 x3 over three "<="
@@ -192,27 +187,6 @@ def test_dantzig_takes_the_lowest_index_of_equal_reduced_costs():
     assert solve_lp([0, 1, 1], region).solution == [0, 1, 0]
     assert solve_lp([1, 2, 2], region).solution == [0, 1, 0]
     assert solve_lp([1, 1, 2], region).solution == [0, 0, 1]
-
-
-def test_a_start_takes_at_most_one_artificial_row():
-    """A tableau with two rows that need an artificial, x0 + x1 == 1 and
-    x0 + 2 x1 == 2, is not in the form the start takes: the start raises
-    ValueError, on the first solve or read of a support, and makes no
-    pivot. With one such row it starts."""
-    from probarg import linprog
-
-    tableau = [[1, 1, 1], [1, 2, 2]]
-    with mock.patch.object(linprog, "_pivot", wraps=linprog._pivot) as pivot:
-        for read in (
-            lambda region: solve_lp([1, 0], region),
-            lambda region: region.support(),
-            lambda region: region.singletons(),
-        ):
-            with pytest.raises(ValueError, match="at most one artificial row"):
-                read(Region.from_tableau(2, tableau, [2, 3]))
-    assert pivot.call_count == 0
-    assert solve_lp([1, 0], Region.from_tableau(2, tableau[:1], [2])).value == 1
-    assert solve_lp([1, 0], Region.from_tableau(2, tableau[1:], [2])).value == 2
 
 
 # Large coprime denominators and big numerators make the integer tableau
@@ -383,17 +357,32 @@ def unbuilt(*args):
 def test_an_empty_row_is_infeasible_with_no_tableau(monkeypatch, rows, n):
     """An "==" or ">=" row with rhs > 0 (after a "<=" row with rhs < 0 is
     negated) and no nonzero coefficient holds at no point: the region is
-    infeasible, as the reference finds, and no start is made from its
-    tableau: no crash, no phase 1. A region with no column and the row
-    sum(x) == 1 is the region of a layer with no class."""
+    infeasible, as the reference finds; it shows no support and no
+    singletons, and a solve over it builds no tableau: no cost row, no
+    simplex."""
     from probarg import linprog
 
     assert bland_reference.solve_lp([1] * n, rows).status == "infeasible"
     region = rows_region(rows, n)
-    for name in ("_coprime", "_crash", "_simplex"):
+    for name in ("_reduced_costs", "_simplex"):
         monkeypatch.setattr(linprog, name, unbuilt)
     assert region.support() is None and region.singletons() == 0
     assert solve_lp([1] * n, region).status == "infeasible"
+
+
+@pytest.mark.parametrize("rows", [[], [([], 1)], [([], 2), ([], 3)]])
+def test_a_region_with_no_column_makes_no_start(monkeypatch, rows):
+    """Region(0, rows) has the row sum(x) == 1 over no column, which holds
+    at no point: the region of a layer with no class. The empty-row rule
+    finds it infeasible with no start: no crash, no phase 1."""
+    from probarg import linprog
+
+    for name in ("_start", "_crash", "_simplex"):
+        monkeypatch.setattr(linprog, name, unbuilt)
+    region = Region(0, rows)
+    assert len(region) == 1 + len(rows)
+    assert region.support() is None and region.singletons() == 0
+    assert solve_lp([], region).status == "infeasible"
 
 
 @pytest.mark.parametrize(
@@ -493,10 +482,6 @@ def test_charnes_cooper_needs_a_positive_maximum_over_the_region():
         region.charnes_cooper(LPResult("optimal", F(1), [F(0), F(1), F(0)]))
     with pytest.raises(ValueError, match="positive maximum"):
         region.charnes_cooper(solve_lp([-1, 0, 0], region))
-    for bad in ([([1, 2, 1], EQ, 1)], [([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 1)]):
-        other = rows_region(bad, 3)
-        with pytest.raises(ValueError, match="first row|homogeneous"):
-            other.charnes_cooper(solve_lp(c, other))
     best = solve_lp(c, region)
     assert best.value == 1
     assert "_optimum" not in repr(best)
@@ -590,21 +575,19 @@ def one_artificial_systems(draw):
     return case, n, draw(st.permutations(rows))
 
 
-def started(region):
-    """region's start, and whether it took the one-pivot crash start: one
-    pivot and no simplex run."""
-    from probarg import linprog
-
-    with mock.patch.object(linprog, "_pivot", wraps=linprog._pivot) as pivot, \
-            mock.patch.object(linprog, "_simplex", wraps=linprog._simplex) as simplex:
-        start = region._start
-    return start, pivot.call_count == 1 and simplex.call_count == 0
+def started(rows, n):
+    """The region of rows over n variables, and whether its start took the
+    one-pivot crash start, with no phase-1 simplex."""
+    with solver_counts.starts() as made:
+        region = rows_region(rows, n)
+    [(_, _, kind)] = made
+    return region, kind == "crash"
 
 
 def assert_basic_feasible(start):
     """Positive basic coefficients, rhs >= 0, and each basic column zero in
     every other row."""
-    tableau, basis = start
+    tableau, basis, _ = start
     assert len(set(basis)) == len(basis)
     for i, (row, b) in enumerate(zip(tableau, basis)):
         assert row[b] > 0 and row[-1] >= 0
@@ -619,8 +602,8 @@ def test_crash_start_matches_bland_reference(system, data):
     eq = next(c for c, rel, _ in rows if rel == EQ)
     columns = crash_columns(eq, le_rows)
     assert bool(columns) == (case != "none")
-    region = rows_region(int_rows(rows), n)
-    start, crashed = started(region)
+    region, crashed = started(int_rows(rows), n)
+    start = region._base
     assert crashed == (case != "none")
     if start is None:
         assert case == "none"
@@ -655,8 +638,8 @@ def test_crash_start_matches_bland_reference(system, data):
 def test_a_crash_start_at_rhs_0_shows_no_positive_column():
     """x + y == 0 starts in one pivot, but only x = y = 0 is feasible, so
     neither column that allowed the pivot is positive anywhere."""
-    region = rows_region([([1, 1], EQ, 0), ([-1, 0], LE, 0)], 2)
-    assert started(region)[1]
+    region, crashed = started([([1, 1], EQ, 0), ([-1, 0], LE, 0)], 2)
+    assert crashed
     assert solve_lp([0, 0], region).solution == [0, 0]
     assert region.support() == region.singletons() == 0
     region = rows_region([([1, 1], EQ, 2), ([-1, 0], LE, 0)], 2)
@@ -668,17 +651,15 @@ def test_singletons_are_the_crash_columns():
     a feasible point, and x does not (it is positive in x - y <= 0). With
     y <= x too, no column allows it: phase 1 starts the region at x = y =
     1/2, a point that singletons() does not show, and an infeasible region
-    shows none either. singletons() starts the region itself."""
-    region = rows_region([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3)
-    assert region.singletons() == 0b110
-    assert started(rows_region([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3))[1]
+    shows none either."""
+    region, crashed = started([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3)
+    assert crashed and region.singletons() == 0b110
     for j in (1, 2):
         point = [F(k == j) for k in range(3)]
         assert satisfies([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], point)
     rows = [([1, 1], EQ, 1), ([1, -1], LE, 0), ([-1, 1], LE, 0)]
-    region = rows_region(rows, 2)
-    start, crashed = started(region)
-    assert start is not None and not crashed
+    region, crashed = started(rows, 2)
+    assert region._base is not None and not crashed
     assert region.singletons() == 0 and region.support() == 0b11
     assert rows_region([([1, 1], EQ, 1), ([1, 1], GE, 2)], 2).singletons() == 0
 
@@ -690,7 +671,7 @@ def test_a_fair_share_take_the_crash_start():
     @given(one_artificial_systems())
     def run(system):
         _, n, rows = system
-        taken.append(started(rows_region(int_rows(rows), n))[1])
+        taken.append(started(int_rows(rows), n)[1])
 
     run()
     assert len(taken) >= 100
@@ -712,8 +693,8 @@ def crash_layer_systems(draw):
 @given(crash_layer_systems(), st.data())
 def test_charnes_cooper_from_a_crash_start_equals_rebuilt_region(system, data):
     n, homogeneous = system
-    region = rows_region([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
-    assert started(region)[1]
+    region, crashed = started([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
+    assert crashed
     c = int_objective(data.draw(st.lists(COEFF, min_size=n, max_size=n)))[0]
     best = solve_lp(c, region)
     if best.value <= 0:
@@ -747,6 +728,5 @@ def test_crash_start_checks_its_invariant(monkeypatch):
         tableau[row] = [-v for v in tableau[row]]
 
     monkeypatch.setattr(linprog, "_pivot", broken)
-    region = rows_region([([2, 1], EQ, 1), ([1, -1], LE, 0)], 2)
     with pytest.raises(RuntimeError, match="crash start broke the tableau invariant"):
-        region.support()
+        rows_region([([2, 1], EQ, 1), ([1, -1], LE, 0)], 2)

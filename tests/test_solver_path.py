@@ -1298,11 +1298,11 @@ def test_descent_skips_the_upper_side():
 
 # --- the tableau a layer builds -------------------------------------------------
 #
-# _Layer.region() builds its initial tableau itself and hands it to
-# Region.from_tableau, which checks nothing. Here every region a layer
+# _Layer.region() hands its rows to linprog's Region, which lays out the
+# tableau and starts it, with no row checked. Here every region a layer
 # builds is checked against rows_region (general_rows) over the same rows,
 # which checks and normalises each row and builds the tableau its own way:
-# the same initial tableau, the same start, supports and singletons.
+# the same rows, the same start, supports and singletons.
 
 
 def layers_with_regions(fn, full):
@@ -1337,36 +1337,41 @@ def layers_with_regions(fn, full):
     return made
 
 
-def start_kind(region):
-    """How region starts: "no class", "infeasible", "crash" or "phase 1".
-    Reads a fresh region, whose start is not made yet."""
-    if region.n == 0:
-        # the empty-row rule: no start at all
-        assert vars(region)["_start"] is None
-        return "no class"
-    runs, simplex = [], linprog._simplex
-    with patched(linprog, "_simplex", lambda *args: runs.append(args) or simplex(*args)):
-        start = region._start
-    if start is None:
-        return "infeasible"
-    return "phase 1" if runs else "crash"
+def recorded_start(build):
+    """build(), a region, and the start it made, as solver_counts.starts()
+    records it: (initial tableau, n, kind), or None when it made none."""
+    import solver_counts
+
+    with solver_counts.starts() as made:
+        region = build()
+    assert len(made) <= 1
+    return region, made[0] if made else None
 
 
 def check_layer_regions(a, q, atoms, kinds):
     """Every region the layers of check_coherence and propagate build
-    equals rows_region([sum row] + layer_rows(layer), n); kinds counts the
-    layers by kind and the starts by how they start."""
+    equals rows_region([sum row] + layer_rows(layer), n): the same initial
+    tableau, start, supports, singletons and len(); kinds counts the layers
+    by kind and the starts by how they start, "no class" for a layer with
+    no class."""
     full = (1 << (1 << len(atoms))) - 1
     made = layers_with_regions(lambda: check_coherence(a, atoms), full)
     made += layers_with_regions(lambda: propagate(a, q, atoms), full)
     for kind, layer in made:
         n = len(layer.classes)
-        general = rows_region([([1] * n, EQ, 1)] + layer_rows(layer), n)
-        region = layer.region()
-        assert (region._tableau, region._basis) == (general._tableau, general._basis)
-        how = start_kind(region)
-        assert how == start_kind(general)
-        assert region._start == general._start
+        region, start = recorded_start(layer.region)
+        general, general_start = recorded_start(
+            lambda: rows_region([([1] * n, EQ, 1)] + layer_rows(layer), n)
+        )
+        if n == 0:
+            # The empty-row rule: no start at all, where the general rows'
+            # start finds sum(x) == 1 over no column infeasible.
+            assert start is None and general_start[2] == "infeasible"
+            how = "no class"
+        else:
+            assert start == general_start
+            how = start[2]
+        assert region._base == general._base
         assert region.support() == general.support()
         assert region.singletons() == general.singletons()
         assert len(region) == len(general) == 1 + len(layer.homogeneous)
