@@ -2,6 +2,8 @@
 
 Subcommands: eval, check, corpus, counterfactual, stats (fisher | mc | holm).
 Exit codes: 0 success, 1 input error, 2 incoherent premises (eval only).
+An input error is a ValueError; main alone prints it as "error: ..." and
+returns 1.
 """
 
 from __future__ import annotations
@@ -20,20 +22,13 @@ from .coherence import (
     classify,
     propagate,
 )
-from .corpus import (
-    CATEGORY_LABELS,
-    agreement_report,
-    report_structured,
-    report_text,
-)
+from .corpus import agreement_report, report_structured, report_text
 from .dsl import ParseError, lower, parse, parse_formula
 from .events import Interpretation, atoms_of, constituents
 
 # The subcommands import json, csv, .stats and .prevision themselves, so that
 # a start-up loads only what its subcommand needs (.prevision is loaded anyway
 # by the package's __init__, for the public API).
-
-INTERP_NAMES = {i.value: i for i in Interpretation}
 
 
 def _rational(text: str) -> Fraction:
@@ -52,47 +47,55 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
+    readings = sorted(i.value for i in Interpretation)
 
     ev = sub.add_parser("eval", help="evaluate tasks from a .arg file")
     ev.add_argument("file")
     ev.add_argument(
         "--interp",
-        choices=sorted(INTERP_NAMES) + ["all"],
+        choices=readings + ["all"],
         default="all",
     )
     ev.add_argument("--theta", type=_rational, default=Fraction(9, 10))
     ev.add_argument("--json", action="store_true")
+    ev.set_defaults(run=_cmd_eval)
 
     ck = sub.add_parser("check", help="coherence verdict for the premise sets")
     ck.add_argument("file")
     ck.add_argument(
         "--interp",
-        choices=sorted(INTERP_NAMES),
+        choices=readings,
         default=Interpretation.CONDITIONAL_EVENT.value,
     )
     ck.add_argument("--theta", type=_rational, default=Fraction(9, 10))
+    ck.set_defaults(run=_cmd_check)
 
     co = sub.add_parser("corpus", help="agreement report for the built-in tasks")
     co.add_argument("--theta", type=_rational, default=Fraction(9, 10))
     co.add_argument("--json", action="store_true")
+    co.set_defaults(run=_cmd_corpus)
 
     cf = sub.add_parser("counterfactual", help="nested prevision demo")
     cf.add_argument("--c", required=True, help="consequent formula")
     cf.add_argument("--b", required=True, help="inner antecedent formula")
     cf.add_argument("--a", required=True, help="outer conditioning formula")
     cf.add_argument("--p", required=True, type=_rational, help="p(c|b)")
+    cf.set_defaults(run=_cmd_counterfactual)
 
     st = sub.add_parser("stats", help="statistical methods")
     st_sub = st.add_subparsers(dest="stats_command", required=True)
     fi = st_sub.add_parser("fisher", help="exact 2x2 Fisher test")
     fi.add_argument("table", help="CSV file, integers, no header")
+    fi.set_defaults(run=_cmd_fisher)
     mc = st_sub.add_parser("mc", help="Monte Carlo r x c test")
     mc.add_argument("table")
     mc.add_argument("--iters", type=int, default=10000)
     mc.add_argument("--seed", type=int, default=42)
+    mc.set_defaults(run=_cmd_mc)
     ho = st_sub.add_parser("holm", help="Holm-Bonferroni correction")
     ho.add_argument("pvals", help="comma-separated p-values")
     ho.add_argument("--alpha", type=_rational, default=Fraction(1, 20))
+    ho.set_defaults(run=_cmd_holm)
     return p
 
 
@@ -101,37 +104,35 @@ def _parse_file(path: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise SystemExit1(f"cannot read {path}: {err}")
+        raise ValueError(f"cannot read {path}: {err}")
     try:
         return parse(text)
     except ParseError as err:
-        raise SystemExit1(f"{path}:{err}")
+        raise ValueError(f"{path}:{err}")
 
 
-class SystemExit1(Exception):
-    pass
+def _lower(path: str, spec, interp: Interpretation, cfg: ClassificationConfig):
+    try:
+        return lower(spec, interp, cfg)
+    except ValueError as err:
+        raise ValueError(f"{path}: task {spec.name} [{interp.value}]: {err}")
 
 
 def _formula_arg(option: str, text: str):
     try:
         return parse_formula(text)
     except ParseError as err:
-        raise SystemExit1(f"{option} {text!r}: {err}")
-
-
-def _interps(selector: str):
-    if selector == "all":
-        return list(Interpretation)
-    return [INTERP_NAMES[selector]]
+        raise ValueError(f"{option} {text!r}: {err}")
 
 
 def _cmd_eval(args) -> int:
     specs = _parse_file(args.file)
     cfg = ClassificationConfig(theta=args.theta)
+    interps = list(Interpretation) if args.interp == "all" else [Interpretation(args.interp)]
     results = []
     for spec in specs:
-        for interp in _interps(args.interp):
-            assessment, query = lower(spec, interp, cfg)
+        for interp in interps:
+            assessment, query = _lower(args.file, spec, interp, cfg)
             try:
                 bounds = propagate(assessment, query, spec.atoms)
             except IncoherentPremises as err:
@@ -147,7 +148,7 @@ def _cmd_eval(args) -> int:
                     "interpretation": interp.value,
                     "lo": str(bounds.lo),
                     "hi": str(bounds.hi),
-                    "category": CATEGORY_LABELS[category],
+                    "category": category.value,
                 }
             )
     if args.json:
@@ -166,9 +167,9 @@ def _cmd_eval(args) -> int:
 def _cmd_check(args) -> int:
     specs = _parse_file(args.file)
     cfg = ClassificationConfig(theta=args.theta)
-    interp = INTERP_NAMES[args.interp]
+    interp = Interpretation(args.interp)
     for spec in specs:
-        assessment, _ = lower(spec, interp, cfg)
+        assessment, _ = _lower(args.file, spec, interp, cfg)
         verdict = check_coherence(assessment, spec.atoms)
         if isinstance(verdict, Coherent):
             masses = ", ".join(str(m) for m in verdict.witness)
@@ -201,12 +202,9 @@ def _cmd_counterfactual(args) -> int:
     a = _formula_arg("--a", args.a)
     atoms = sorted(atoms_of(c) | atoms_of(b) | atoms_of(a))
     if not (0 <= args.p <= 1):
-        raise SystemExit1(f"--p must be in [0, 1], got {args.p}")
-    try:
-        quantity = crq_of(c, b, args.p, atoms)
-        value = nested_prevision(c, b, a, args.p, atoms)
-    except ValueError as err:
-        raise SystemExit1(str(err))
+        raise ValueError(f"--p must be in [0, 1], got {args.p}")
+    quantity = crq_of(c, b, args.p, atoms)
+    value = nested_prevision(c, b, a, args.p, atoms)
     print(f"quantity ({c} | {b}) with void value {args.p} over atoms {', '.join(atoms)}:")
     for v, val in zip(constituents(atoms), quantity.values):
         bits = " ".join(f"{k}={'T' if v[k] else 'F'}" for k in atoms)
@@ -228,45 +226,41 @@ def _read_table(path: str):
                 if row
             ]
     except (OSError, UnicodeDecodeError) as err:
-        raise SystemExit1(f"cannot read {path}: {err}")
+        raise ValueError(f"cannot read {path}: {err}")
     except ValueError as err:
-        raise SystemExit1(f"{path}: malformed integer table: {err}")
+        raise ValueError(f"{path}: malformed integer table: {err}")
     try:
         return ContingencyTable(tuple(tuple(r) for r in rows))
     except ValueError as err:
-        raise SystemExit1(f"{path}: {err}")
+        raise ValueError(f"{path}: {err}")
 
 
-def _cmd_stats(args) -> int:
-    from .stats import fisher_exact_2x2, holm_bonferroni, monte_carlo_rxc
+def _cmd_fisher(args) -> int:
+    from .stats import fisher_exact_2x2
 
-    if args.stats_command == "fisher":
-        table = _read_table(args.table)
-        try:
-            p = fisher_exact_2x2(table)
-        except ValueError as err:
-            raise SystemExit1(str(err))
-        print(f"p = {p} (~{float(p):.6g})")
-        return 0
-    if args.stats_command == "mc":
-        table = _read_table(args.table)
-        try:
-            res = monte_carlo_rxc(table, args.iters, args.seed)
-        except ValueError as err:
-            raise SystemExit1(str(err))
-        print(
-            f"p ~= {res.p_estimate:.6f} +/- {res.halfwidth_99:.6f} "
-            f"(99% half-width, {res.iters} iterations, seed {res.seed})"
-        )
-        return 0
-    try:
-        pvals = [float(x) for x in args.pvals.split(",") if x.strip()]
-        if not pvals:
-            raise SystemExit1("no p-values given")
-        decisions = holm_bonferroni(pvals, args.alpha)
-    except ValueError as err:
-        raise SystemExit1(str(err))
-    for p, rej in zip(pvals, decisions):
+    p = fisher_exact_2x2(_read_table(args.table))
+    print(f"p = {p} (~{float(p):.6g})")
+    return 0
+
+
+def _cmd_mc(args) -> int:
+    from .stats import monte_carlo_rxc
+
+    res = monte_carlo_rxc(_read_table(args.table), args.iters, args.seed)
+    print(
+        f"p ~= {res.p_estimate:.6f} +/- {res.halfwidth_99:.6f} "
+        f"(99% half-width, {res.iters} iterations, seed {res.seed})"
+    )
+    return 0
+
+
+def _cmd_holm(args) -> int:
+    from .stats import holm_bonferroni
+
+    pvals = [float(x) for x in args.pvals.split(",") if x.strip()]
+    if not pvals:
+        raise ValueError("no p-values given")
+    for p, rej in zip(pvals, holm_bonferroni(pvals, args.alpha)):
         print(f"p = {p:g}: {'reject' if rej else 'keep'}")
     return 0
 
@@ -278,15 +272,8 @@ def main(argv=None) -> int:
     except SystemExit as err:
         # argparse exits 2 on usage errors; the contract here is 1
         return 0 if err.code in (0, None) else 1
-    handlers = {
-        "eval": _cmd_eval,
-        "check": _cmd_check,
-        "corpus": _cmd_corpus,
-        "counterfactual": _cmd_counterfactual,
-        "stats": _cmd_stats,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -296,10 +283,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except SystemExit1 as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except (ParseError, ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
 

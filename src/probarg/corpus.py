@@ -27,19 +27,8 @@ MW = Interpretation.MATERIAL_WIDE
 MN = Interpretation.MATERIAL_NARROW
 CJ = Interpretation.CONJUNCTION
 
+# Each task's file in corpus_data is its abbreviation in lower case plus .arg.
 TASK_ORDER = ("AT1", "AT2", "NR", "EIn", "EI", "MP", "NMP", "Prdx")
-
-_CORPUS_FILES = {
-    "AT1": "at1.arg",
-    "AT2": "at2.arg",
-    "NR": "nr.arg",
-    "EIn": "ein.arg",
-    "EI": "ei.arg",
-    "MP": "mp.arg",
-    "NMP": "nmp.arg",
-    "Prdx": "prdx.arg",
-}
-
 
 # (holds, does-not-hold, non-informative) response percentages, n = 63.
 OBSERVED = {
@@ -90,13 +79,6 @@ WESTERN_FOOTNOTE = (
     "Western samples (averages reported elsewhere): AT1 73%, AT2 75%, NR 80%, "
     "EI 73%, EIn 88%, MP 68%, NMP 63%, Prdx 87% coherent responses."
 )
-
-CATEGORY_LABELS = {
-    H: "holds",
-    D: "does_not_hold",
-    N: "non_informative",
-    ResponseCategory.INDETERMINATE: "indeterminate",
-}
 
 THETA_GRID = (Fraction(7, 10), Fraction(4, 5), Fraction(9, 10), Fraction(19, 20))
 
@@ -154,7 +136,7 @@ def builtin_tasks():
     data = os.path.join(os.path.dirname(__file__), "corpus_data")
     records = []
     for abbrev in TASK_ORDER:
-        text = __loader__.get_data(os.path.join(data, _CORPUS_FILES[abbrev])).decode()
+        text = __loader__.get_data(os.path.join(data, f"{abbrev.lower()}.arg")).decode()
         (spec,) = parse(text)
         if spec.name != abbrev:
             raise RuntimeError(f"corpus file for {abbrev} defines task {spec.name}")
@@ -272,8 +254,8 @@ def report_rows_structured(report: AgreementReport):
             "interpretation": row.interpretation.value,
             "lo": str(row.bounds.lo),
             "hi": str(row.bounds.hi),
-            "category": CATEGORY_LABELS[row.category],
-            "modal_observed": CATEGORY_LABELS[row.modal_observed],
+            "category": row.category.value,
+            "modal_observed": row.modal_observed.value,
             "match": row.match,
         }
         for row in report.rows
@@ -310,8 +292,8 @@ def report_text(report: AgreementReport) -> str:
     for row in report.rows:
         lines.append(
             f"{row.task:<5} {row.interpretation.value:<18} "
-            f"{str(row.bounds):<18} {CATEGORY_LABELS[row.category]:<16} "
-            f"{CATEGORY_LABELS[row.modal_observed]:<16} "
+            f"{str(row.bounds):<18} {row.category.value:<16} "
+            f"{row.modal_observed.value:<16} "
             f"{'yes' if row.match else 'no'}"
         )
     lines.append("")

@@ -23,10 +23,10 @@ ONE = Fraction(1)
 class ConditionalRandomQuantity(Value):
     """Numeric rendering of a conditional event: 1 where antecedent and
     consequent hold, 0 where the antecedent holds but the consequent fails,
-    mu on the antecedent's complement. values are aligned with
-    constituents(atomset)."""
+    the void value mu on the antecedent's complement. values are aligned
+    with constituents(atomset)."""
 
-    __slots__ = ("atomset", "values", "consequent", "antecedent", "mu")
+    __slots__ = ("atomset", "values", "consequent", "antecedent")
 
     def value_at(self, valuation) -> Fraction:
         world = 0
@@ -53,7 +53,7 @@ def crq_of(c: Formula, b: Formula, mu, atomset) -> ConditionalRandomQuantity:
         mu if not m >> w & 1 else ONE if e >> w & 1 else ZERO
         for w in range(1 << len(atomset))
     )
-    return ConditionalRandomQuantity(atomset, values, c, b, mu)
+    return ConditionalRandomQuantity(atomset, values, c, b)
 
 
 def nested_prevision(c: Formula, b: Formula, a: Formula, p_cb, atomset) -> Fraction:

@@ -26,6 +26,16 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _unsatisfiable_antecedent(tmp_path):
+    """A task file whose premise's antecedent has no world."""
+    path = tmp_path / "unsat.arg"
+    path.write_text(
+        "task T {\n  atoms: A, C\n  premise: quite_sure(if(and(A, not(A)), C))\n"
+        "  conclusion: C\n}\n"
+    )
+    return path
+
+
 class TestExitCodes:
     def test_eval_ok(self):
         code, out, _ = run_cli("eval", str(DATA / "paradox.arg"))
@@ -124,6 +134,25 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: at most 16 atoms supported, got 17\n"
+
+    def test_lowering_error_names_file_task_and_reading(self, tmp_path):
+        path = _unsatisfiable_antecedent(tmp_path)
+        code, out, err = run_cli("eval", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {path}: task T [conditional_event]: "
+            "antecedent is unsatisfiable: and(A, not(A))\n"
+        )
+
+    def test_unsatisfiable_antecedent_is_top_under_material_wide(self, tmp_path):
+        # the material readings turn the conditional into an unconditional event
+        code, out, err = run_cli(
+            "check", str(_unsatisfiable_antecedent(tmp_path)), "--interp", "material_wide"
+        )
+        assert code == 0
+        assert out.startswith("T: coherent")
+        assert err == ""
 
     def test_check_ok(self):
         code, out, _ = run_cli("check", str(DATA / "paradox.arg"))

@@ -26,6 +26,7 @@ from probarg.events import (
     Atom,
     ConditionalObject,
     Interpretation,
+    MaterialImp,
     Not,
     Or,
     constituents,
@@ -786,6 +787,64 @@ class TestMonotonicity:
         before = propagate(base, q, ["A", "C"])
         after = propagate(extended, q, ["A", "C"])
         assert before.lo <= after.lo <= after.hi <= before.hi
+
+    def test_raising_theta_never_widens(self):
+        """Raising theta shrinks every quite_sure premise [theta, 1], so the
+        coherent extensions only shrink: over theta = k/100, k = 51..100,
+        lo never falls, hi never rises, and premises once incoherent stay
+        so. Checked on every corpus task x reading and on the chain for
+        n = 3..6."""
+        thetas = [F(k, 100) for k in range(51, 101)]
+        series = [
+            [
+                (*lower(task.spec, interp, ClassificationConfig(theta)), task.spec.atoms)
+                for theta in thetas
+            ]
+            for task in builtin_tasks()
+            for interp in Interpretation
+        ]
+        series += [[chain(n, theta) for theta in thetas] for n in range(3, 7)]
+        for problems in series:
+            bounds = []
+            for a, q, atoms in problems:
+                try:
+                    bounds.append(propagate(a, q, atoms))
+                except IncoherentPremises:
+                    bounds.append(None)
+            for before, after in zip(bounds, bounds[1:]):
+                if after is not None:
+                    assert before is not None, (q, atoms)
+                    assert before.lo <= after.lo <= after.hi <= before.hi, (q, atoms)
+
+    def test_reading_order(self):
+        """In every coherent extension p(A and C) = p(C|A) p(A) <= p(C|A)
+        and p(not A or C) - p(C|A) = (1 - p(A))(1 - p(C|A)) >= 0. So under
+        the same premises the bounds of (A and C), (C|A) and (A -> C) are
+        ordered, lo by lo and hi by hi. Checked on every random-assess pool
+        item with coherent premises and on tests/data/paradox.arg."""
+        import solver_counts
+
+        wl = solver_counts.workloads
+        problems = [
+            wl.assess_inputs(wl.assess_item(n, index))
+            for n in wl.ASSESS_SIZES
+            for index in range(wl.ASSESS_POOL)
+        ]
+        (spec,) = parse((Path(__file__).parent / "data" / "paradox.arg").read_text())
+        ce = lower(spec, Interpretation.CONDITIONAL_EVENT, ClassificationConfig())
+        problems.append((*ce, spec.atoms))
+        checked = 0
+        for a, q, atoms in problems:
+            try:
+                cond = propagate(a, q, atoms)
+            except IncoherentPremises:
+                continue
+            conj = propagate(a, ConditionalObject(And(q.antecedent, q.consequent)), atoms)
+            mat = propagate(a, ConditionalObject(MaterialImp(q.antecedent, q.consequent)), atoms)
+            assert conj.lo <= cond.lo <= mat.lo, (q, atoms)
+            assert conj.hi <= cond.hi <= mat.hi, (q, atoms)
+            checked += 1
+        assert checked == 412 + 1
 
 
 class TestClassify:

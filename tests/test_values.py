@@ -317,7 +317,7 @@ class TestRepr:
         assert repr(Incoherent(0, "x")) == "Incoherent(level=0, description='x')"
         assert repr(LPResult("infeasible")) == "LPResult(status='infeasible', value=None, solution=None)"
         assert repr(Certain()) == "Certain()"
-        assert repr(ConditionalRandomQuantity(("A",), (1, 0), A, TOP, F(1, 2))) == (
+        assert repr(ConditionalRandomQuantity(("A",), (1, 0), A, TOP)) == (
             "ConditionalRandomQuantity(atomset=('A',), values=(1, 0), "
-            "consequent=Atom(name='A'), antecedent=Top(), mu=Fraction(1, 2))"
+            "consequent=Atom(name='A'), antecedent=Top())"
         )
