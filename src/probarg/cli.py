@@ -9,6 +9,7 @@ returns 1.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +25,7 @@ from .coherence import (
 )
 from .corpus import agreement_report, report_structured, report_text
 from .dsl import ParseError, lower, parse, parse_formula
-from .events import Interpretation, atoms_of, constituents
+from .events import Interpretation, atoms_of, constituents, is_satisfiable
 
 # The subcommands import json, csv, .stats and .prevision themselves, so that
 # a start-up loads only what its subcommand needs (.prevision is loaded anyway
@@ -200,6 +201,9 @@ def _cmd_counterfactual(args) -> int:
     c = _formula_arg("--c", args.c)
     b = _formula_arg("--b", args.b)
     a = _formula_arg("--a", args.a)
+    for option, text, f in (("--b", args.b, b), ("--a", args.a, a)):
+        if not is_satisfiable(f):
+            raise ValueError(f"{option} {text!r}: conditioning event is unsatisfiable")
     atoms = sorted(atoms_of(c) | atoms_of(b) | atoms_of(a))
     if not (0 <= args.p <= 1):
         raise ValueError(f"--p must be in [0, 1], got {args.p}")
@@ -238,7 +242,11 @@ def _read_table(path: str):
 def _cmd_fisher(args) -> int:
     from .stats import fisher_exact_2x2
 
-    p = fisher_exact_2x2(_read_table(args.table))
+    table = _read_table(args.table)
+    rows, cols = len(table.counts), len(table.counts[0])
+    if (rows, cols) != (2, 2):
+        raise ValueError(f"{args.table}: fisher needs a 2x2 table, got {rows}x{cols}")
+    p = fisher_exact_2x2(table)
     print(f"p = {p} (~{float(p):.6g})")
     return 0
 
@@ -254,10 +262,20 @@ def _cmd_mc(args) -> int:
     return 0
 
 
+def _p_value(text: str) -> float:
+    try:
+        p = float(text)
+        if 0 <= p <= 1:
+            return p
+    except ValueError:
+        pass
+    raise ValueError(f"not a p-value in [0, 1]: {text!r}")
+
+
 def _cmd_holm(args) -> int:
     from .stats import holm_bonferroni
 
-    pvals = [float(x) for x in args.pvals.split(",") if x.strip()]
+    pvals = [_p_value(x.strip()) for x in args.pvals.split(",") if x.strip()]
     if not pvals:
         raise ValueError("no p-values given")
     for p, rej in zip(pvals, holm_bonferroni(pvals, args.alpha)):
@@ -266,6 +284,16 @@ def _cmd_holm(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the CLI on argv, or on the process's own command line when argv
+    is None, and return the exit code.
+
+    Only with argv None, as `python -m probarg` and the console script call
+    it, does main first freeze the heap (gc.freeze()): what start-up and
+    import made lives until exit, so no collection walks it, during the run
+    or at exit. A call with a list, from a test or a library caller, leaves
+    the collector as it is."""
+    if argv is None:
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

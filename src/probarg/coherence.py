@@ -56,7 +56,9 @@ The solver path takes as few solves as the answer allows:
   feasible exactly when min m = 0; the row m_q = 0 would add a second
   artificial row, which always needs phase 1, where the smaller layer can
   take the one-pivot start or be emptied by its presolve. Where it is
-  feasible, the entries it forces to zero go to the deeper layer.
+  feasible, the entries it forces to zero go to the deeper layer. A layer
+  whose domain lies inside q's antecedent builds no pinned layer: its
+  domain would be empty.
 - A side of a layer's bounds is read off a feasible point where one
   proves it: a point with m_q > 0 and ratio e_q / m_q of 0 proves lo = 0,
   one with ratio 1 proves hi = 1, as every ratio lies in [0, 1]. The
@@ -66,9 +68,12 @@ The solver path takes as few solves as the answer allows:
 - The Charnes-Cooper program for a side no point proves starts from the
   optimal tableau of maximizing the query's antecedent mass
   (Region.charnes_cooper), which propagate solves anyway, so it runs no
-  phase 1. The upper side is solved only where the lower one is 0 or the
-  layer does not descend: a layer that descends returns the deeper
-  layer's bounds.
+  phase 1. Where every column lies in q's antecedent, m_q = sum(x) = 1 at
+  every point, and the program is the layer's own region with the
+  denominator sum(x) = 1 (Charnes and Cooper 1962): the sides are solved
+  over it, with no max m solve and no derived region. The upper side is
+  solved only where the lower one is 0 or the layer does not descend: a
+  layer that descends returns the deeper layer's bounds.
 - A layer whose bounds are [0, 1] is the answer: propagate builds no
   pinned layer there and descends no further. Every deeper layer's
   bounds lie in [0, 1], and they hold this layer's, so the answer is
@@ -579,7 +584,8 @@ def _settled(m, e):
 def _ratio_bound(scaled, e_row, maximize):
     """The min or max of e_q / m_q over a layer's points with m_q > 0,
     solved over scaled, the layer region's Charnes-Cooper region
-    (Region.charnes_cooper from the max m optimum).
+    (Region.charnes_cooper from the max m optimum), or the layer's region
+    itself where m_q = sum(x) = 1 at every point.
 
     Charnes-Cooper: scale masses so the antecedent of q carries total mass 1;
     the entry constraints are homogeneous so they survive the scaling, the
@@ -623,6 +629,12 @@ def _propagate_layer(layer, region, q) -> Bounds:
     it forces, and otherwise the upper bound, solved if it is still
     unknown.
 
+    Where every column lies in q's antecedent, m_q = sum(x) = 1 at every
+    point, so max m is 1 with no solve, and the Charnes-Cooper region, that
+    of m_q = 1, is the layer's region: the sides are solved over it. Where
+    the layer's domain lies in q's antecedent, the pinned layer would have
+    no world, so it is not built, and there is no descent.
+
     A feasible point with m_q > 0 whose ratio e_q / m_q is 0 proves lo =
     0, and one whose ratio is 1 proves hi = 1, since every ratio lies in
     [0, 1]. Each crash column alone is a feasible point
@@ -652,18 +664,24 @@ def _propagate_layer(layer, region, q) -> Bounds:
     [0, 1] with any interval there is [0, 1]. The tests read the exact
     bounds, so no answer changes, only the solves that find it.
     """
-    m_cols, e_cols = _columns(q[0], layer.classes), _columns(q[1], layer.classes)
+    classes = layer.classes
+    m_cols, e_cols = _columns(q[0], classes), _columns(q[1], classes)
     m_only = m_cols ^ e_cols
     singles = region.singletons()
     lo = ZERO if singles & m_only else None
     hi = ONE if singles & e_cols else None
     if lo is None or hi is None:
-        max_m = _optimal(solve_lp(_mass_row(q[0], layer.classes), region))
-        if not max_m.numerator:
-            forced = _forced_zero(layer, region, [max_m.support()])
-            return _descend(layer, forced, q)
-        scaled = region.charnes_cooper(max_m)
-        e_row = _mass_row(q[1], layer.classes)
+        if m_cols == (1 << len(classes)) - 1:
+            # m_q = sum(x) = 1 at every point: max m is 1, and the region
+            # is its own Charnes-Cooper region
+            scaled = region
+        else:
+            max_m = _optimal(solve_lp(_mass_row(q[0], classes), region))
+            if not max_m.numerator:
+                forced = _forced_zero(layer, region, [max_m.support()])
+                return _descend(layer, forced, q)
+            scaled = region.charnes_cooper(max_m)
+        e_row = _mass_row(q[1], classes)
         if lo is None:
             lo = _ratio_bound(scaled, e_row, False)
         if lo == ZERO and hi is None:
@@ -674,11 +692,14 @@ def _propagate_layer(layer, region, q) -> Bounds:
     # worlds where q's antecedent fails: min m = 0 exactly when it is
     # feasible. Then values settled only at the deeper layer where q's
     # antecedent turns positive remain coherent too, and its forced set is
-    # that of this pinned layer.
-    pinned = _Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & q[0]))
-    pinned_region = pinned.region()
-    if pinned_region.support() is not None:
-        return _descend(layer, _forced_zero(pinned, pinned_region), q)
+    # that of this pinned layer. A domain inside q's antecedent leaves it
+    # no world, and no point.
+    outside = layer.domain ^ (layer.domain & q[0])
+    if outside:
+        pinned = _Layer(layer.entries, layer.tables, outside)
+        pinned_region = pinned.region()
+        if pinned_region.support() is not None:
+            return _descend(layer, _forced_zero(pinned, pinned_region), q)
     if hi is None:
         hi = _ratio_bound(scaled, e_row, True)
     return Bounds(lo, hi)

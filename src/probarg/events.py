@@ -216,13 +216,14 @@ class ConditionalObject(Value):
     """A conditional event: three-valued, void when the antecedent is false.
 
     Antecedent Top encodes an unconditional event. Bottom-equivalent
-    antecedents are rejected at construction.
+    antecedents are rejected at construction; Top, which holds on every
+    world, needs no truth table to pass.
     """
 
     __slots__ = ("consequent", "antecedent")
 
     def __init__(self, consequent: Formula, antecedent: Formula = TOP):
-        if not is_satisfiable(antecedent):
+        if not isinstance(antecedent, Top) and not is_satisfiable(antecedent):
             raise ValueError(f"antecedent is unsatisfiable: {antecedent}")
         Value.__init__(self, consequent, antecedent)
 

@@ -1,4 +1,5 @@
 import ast
+import gc
 import io
 import json
 import os
@@ -170,6 +171,14 @@ class TestExitCodes:
         assert err.startswith(f"error: --c {formula!r}: 1:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("option", ["--b", "--a"])
+    def test_counterfactual_unsatisfiable_condition_names_its_option(self, option):
+        formulas = {"--b": "B", "--a": "not(B)", option: "and(A, not(A))"}
+        argv = [x for pair in formulas.items() for x in pair]
+        code, out, err = run_cli("counterfactual", "--c", "C", *argv, "--p", "1/2")
+        assert (code, out) == (1, "")
+        assert err == f"error: {option} 'and(A, not(A))': conditioning event is unsatisfiable\n"
+
     def test_check_reports_incoherence_without_failing(self):
         # check is diagnostic: it prints the verdict and exits 0
         code, out, _ = run_cli("check", str(DATA / "incoherent.arg"))
@@ -250,6 +259,20 @@ class TestStatsCommands:
     def test_holm_without_p_values(self, pvals):
         assert run_cli("stats", "holm", pvals) == (1, "", "error: no p-values given\n")
 
+    def test_fisher_names_the_file_and_its_shape(self, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("1,2,3\n4,5,6\n")
+        assert run_cli("stats", "fisher", str(wide)) == (
+            1, "", f"error: {wide}: fisher needs a 2x2 table, got 2x3\n"
+        )
+
+    @pytest.mark.parametrize("pvals", ["abc", "0.01, abc", "0.5,1e", "0.5, 2", "nan"])
+    def test_holm_names_the_entry_that_is_no_p_value(self, pvals):
+        bad = pvals.split(",")[-1].strip()
+        assert run_cli("stats", "holm", pvals) == (
+            1, "", f"error: not a p-value in [0, 1]: {bad!r}\n"
+        )
+
     def test_malformed_table(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,x\n2,3\n")
@@ -312,6 +335,27 @@ def _python(*args):
     return subprocess.run([sys.executable, *args], env=_env(), capture_output=True, check=True)
 
 
+class TestFreeze:
+    """main() freezes the start-up heap only when it reads the process's
+    own command line."""
+
+    def test_main_with_argv_freezes_nothing(self):
+        before = gc.get_freeze_count()
+        assert run_cli("stats", "holm", "0.5")[0] == 0
+        assert run_cli("eval", str(DATA / "nope.arg"))[0] == 1
+        assert gc.get_freeze_count() == before
+
+    def test_main_without_argv_freezes_the_start_up_heap(self):
+        code = (
+            "import gc, sys; from probarg.cli import main; "
+            "sys.argv = ['probarg', 'stats', 'holm', '0.5']; "
+            "before = gc.get_freeze_count(); code = main(); "
+            "print(code, before, gc.get_freeze_count() > 1000)"
+        )
+        res = _python("-c", code)
+        assert res.stdout.decode().split()[-3:] == ["0", "0", "True"]
+
+
 class TestStartup:
     def test_import_loads_no_heavy_modules(self):
         # -S: this environment's site preloads typing through certifi
@@ -349,3 +393,32 @@ class TestStartup:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+
+class TestABCli:
+    """tools/ab_cli.py, which times `python -m probarg corpus` processes
+    from two checkouts."""
+
+    def ab_cli(self, base, new):
+        tool = HERE.parent / "tools" / "ab_cli.py"
+        return subprocess.run(
+            [sys.executable, str(tool), str(base), str(new), "--pairs", "1", "--rounds", "1"],
+            capture_output=True, text=True,
+        )
+
+    def test_one_pair_of_the_tree_against_itself(self):
+        res = self.ab_cli(HERE.parent, HERE.parent)
+        assert (res.returncode, res.stderr) == (0, "")
+        lines = res.stdout.splitlines()
+        assert lines[1].split() == ["side", "q1", "median", "q3"]
+        assert [line.split()[0] for line in lines[2:4]] == ["base", "new"]
+        assert lines[4].endswith(" of 1 pairs")
+
+    def test_output_that_differs_fails(self, tmp_path):
+        fake = tmp_path / "src" / "probarg"
+        fake.mkdir(parents=True)
+        (fake / "__init__.py").write_text("")
+        (fake / "__main__.py").write_text("print('not the report')\n")
+        res = self.ab_cli(HERE.parent, tmp_path)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "error: probarg corpus: the two trees print different output\n"

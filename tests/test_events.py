@@ -90,6 +90,18 @@ class TestConditionalObject:
     def test_top_antecedent_ok(self):
         assert ConditionalObject(C).antecedent == TOP
 
+    def test_top_antecedent_builds_no_truth_table(self, monkeypatch):
+        from probarg import events
+
+        def refuse(*args):
+            raise AssertionError("a Top antecedent was tabulated")
+
+        monkeypatch.setattr(events, "is_satisfiable", refuse)
+        assert ConditionalObject(C).antecedent == TOP
+        assert ConditionalObject(C, TOP).antecedent == TOP
+        with pytest.raises(AssertionError):
+            ConditionalObject(C, A)
+
 
 class TestExpand:
     def test_if_conditional_event(self):
@@ -260,7 +272,7 @@ class TestTruthTable:
             constituents(names)
 
     def test_unsatisfiable_antecedent_rejected(self):
-        with pytest.raises(ValueError, match="antecedent is unsatisfiable"):
+        with pytest.raises(ValueError, match=r"^antecedent is unsatisfiable: and\(A, not\(A\)\)$"):
             ConditionalObject(C, And(A, Not(A)))
-        with pytest.raises(ValueError, match="antecedent is unsatisfiable"):
+        with pytest.raises(ValueError, match="^antecedent is unsatisfiable: bottom$"):
             ConditionalObject(C, BOTTOM)

@@ -1035,8 +1035,10 @@ def test_presolve_pivots_and_solves():
     descents it skips, and check_coherence's do not move. Before the pinned
     layer's start replaced min m, it took 337 pivots and 239 solves at the
     same levels, before it read the sides of the bounds off the crash
-    columns and the max m vertex, 333 pivots and 216 solves, and while it
-    read them off the max m vertex too, 278 pivots and 58 solves."""
+    columns and the max m vertex, 333 pivots and 216 solves, while it
+    read them off the max m vertex too, 278 pivots and 58 solves, and
+    while a layer whose columns all lie in q's antecedent solved max m,
+    59 solves."""
     totals = {}
     for a, q, atoms in small_kinded_problems("presolve-counts", 300):
         for name, fn in (
@@ -1047,7 +1049,7 @@ def test_presolve_pivots_and_solves():
             totals[name] = {k: totals.get(name, {}).get(k, 0) + v for k, v in counts.items()}
     assert totals == {
         "check": {"pivots": 285, "solves": 194, "levels": 124},
-        "propagate": {"pivots": 278, "solves": 59, "levels": 131},
+        "propagate": {"pivots": 278, "solves": 42, "levels": 131},
     }
 
 
@@ -1123,8 +1125,9 @@ def test_only_bounds_and_witnesses_build_fractions():
     for a Charnes-Cooper bound, one per side solved (two per program while
     both sides were always solved), and for a witness, one per positive
     mass. The other solves, those that are neither a side nor a coherent
-    check's witness, build none; they are over a third of all (242 of
-    593, and 305 of 850 while both sides were always solved)."""
+    check's witness, build none: 185 of 567. They were 242 of 593 while a
+    layer whose columns all lie in q's antecedent solved max m, and 305
+    of 850 while both sides were always solved."""
     counts = {"fractions": 0, "sides": 0, "solves": 0, "witnesses": 0}
     rng = random.Random("fraction-free")
     with counted(counts, "fractions", linprog, "Fraction"), counted(
@@ -1143,8 +1146,7 @@ def test_only_bounds_and_witnesses_build_fractions():
             except IncoherentPremises:
                 pass
             assert counts["fractions"] - before == counts["sides"] - sides
-    unbuilt = counts["solves"] - counts["sides"] - counts["witnesses"]
-    assert 3 * unbuilt > counts["solves"], counts
+    assert counts == {"fractions": 539, "sides": 157, "solves": 567, "witnesses": 225}
 
 
 # --- sides read off feasible points ------------------------------------------
@@ -1160,7 +1162,9 @@ def test_only_bounds_and_witnesses_build_fractions():
 def layer_calls(fn):
     """fn() with a record per _propagate_layer call: its layer and region,
     the solve_lp calls it made itself (not in a deeper call), the sides it
-    solved (_ratio_bound's maximize, in order) and whether it descended."""
+    solved (_ratio_bound's maximize, in order), whether it descended, and
+    the Charnes-Cooper regions it derived and pinned layers it built (the
+    layers with no extra tables) itself."""
     calls, stack = [], []
     propagate_layer, solve, ratio_bound, descend = (
         coherence._propagate_layer,
@@ -1168,9 +1172,18 @@ def layer_calls(fn):
         coherence._ratio_bound,
         coherence._descend,
     )
+    derive, build = linprog.Region.charnes_cooper, coherence._Layer.__init__
 
     def traced_layer(layer, region, q):
-        call = {"layer": layer, "region": region, "solves": 0, "sides": [], "descended": False}
+        call = {
+            "layer": layer,
+            "region": region,
+            "solves": 0,
+            "sides": [],
+            "descended": False,
+            "derived": 0,
+            "pinned": 0,
+        }
         calls.append(call)
         stack.append(call)
         try:
@@ -1191,10 +1204,21 @@ def layer_calls(fn):
         stack[-1]["descended"] = True
         return descend(*args)
 
+    def traced_derive(region, optimum):
+        stack[-1]["derived"] += 1
+        return derive(region, optimum)
+
+    def traced_build(layer, entries, tables, domain, extra=()):
+        if stack and not extra:
+            stack[-1]["pinned"] += 1
+        build(layer, entries, tables, domain, extra)
+
     with patched(coherence, "_propagate_layer", traced_layer), patched(
         coherence, "solve_lp", traced_solve
     ), patched(coherence, "_ratio_bound", traced_bound), patched(
         coherence, "_descend", traced_descend
+    ), patched(linprog.Region, "charnes_cooper", traced_derive), patched(
+        coherence._Layer, "__init__", traced_build
     ):
         out = fn()
     return calls, out
@@ -1256,7 +1280,9 @@ def check_sides(a, q, atoms):
         elif not hi_proved:
             taken.add("descent")
         assert call["sides"] == want
-        assert call["solves"] == 1 + len(want) or call["descended"]
+        # max m is 1 with no solve where every column lies in q's antecedent
+        max_m_solves = 0 if m_cols == (1 << len(layer.classes)) - 1 else 1
+        assert call["solves"] == max_m_solves + len(want) or call["descended"]
     return taken
 
 
@@ -1283,7 +1309,8 @@ def test_descent_skips_the_upper_side():
     """p(C | A) in [9/10, 19/20], query (C | A): no crash column holds A,
     so no point proves a side. Level 0 solves max m and lo = 9/10; A may have
     mass 0, so it descends to the layer over A, whose bounds are the
-    answer, and its own upper side is never solved."""
+    answer, and its own upper side is never solved. The layer over A lies
+    in q's antecedent, so it solves both sides with no max m."""
     A, C = Atom("A"), Atom("C")
     a = Assessment((AssessmentEntry(ConditionalObject(C, A), F(9, 10), F(19, 20)),))
     q = ConditionalObject(C, A)
@@ -1292,8 +1319,77 @@ def test_descent_skips_the_upper_side():
     assert bounds == Bounds(F(9, 10), F(19, 20))
     assert [(c["solves"], c["sides"], c["descended"]) for c in calls] == [
         (2, [False], True),
-        (3, [False, True], False),
+        (2, [False, True], False),
     ]
+
+
+# --- a query whose antecedent covers the layer -----------------------------------
+#
+# Where every column of a layer lies in q's antecedent, m_q = sum(x) = 1 at
+# every point: max m is 1 and the layer's region is its own Charnes-Cooper
+# region (Charnes and Cooper 1962, with the denominator sum(x) = 1), so
+# propagate solves the sides over it with no max m solve and derives no
+# region. Where the layer's whole domain lies in q's antecedent, the pinned
+# layer would have no world, and propagate builds none.
+
+
+def covered_problems():
+    """The corpus grid and the random-assess pool's odd items, the
+    propagate inputs of tests/solver_counts.py, as (a, q, atoms)."""
+    import solver_counts
+    from probarg.coherence import ClassificationConfig
+    from probarg.corpus import THETA_GRID, builtin_tasks
+    from probarg.dsl import lower
+    from probarg.events import Interpretation
+
+    workloads = solver_counts.workloads
+    problems = [
+        (*lower(task.spec, interp, ClassificationConfig(theta=theta)), task.spec.atoms)
+        for task in builtin_tasks()
+        for interp in Interpretation
+        for theta in THETA_GRID
+    ]
+    for n in workloads.ASSESS_SIZES:
+        for index in range(1, workloads.ASSESS_POOL, 2):
+            problems.append(workloads.assess_inputs(workloads.assess_item(n, index)))
+    return problems
+
+
+def test_covered_layer_takes_no_max_m_and_no_pinned_layer():
+    """On the corpus grid and the pool's odd items, the coherent ones whose
+    query logic does not settle: the bounds are the rebuilt procedure's;
+    each layer call whose columns all lie in q's antecedent (read with
+    eval_classical) makes no max m solve, its solves being its sides, and
+    derives no Charnes-Cooper region; each whose domain lies in q's
+    antecedent builds no pinned layer. 158 calls are covered, all of them
+    with their domain inside q's antecedent, and 109 of those solve a
+    side; the other calls build 32 pinned layers."""
+    reached = dict.fromkeys(("covered", "covered and solved", "inside", "pinned built"), 0)
+    for a, q, atoms in covered_problems():
+        if structural_bounds(q) is not None or isinstance(check_coherence(a, atoms), Incoherent):
+            continue
+        calls, got = layer_calls(lambda: propagate(a, q, atoms))
+        layer, region = coherence._level0(a, atoms, q)
+        assert got == propagate_by_rebuilding(layer, region, q, atoms)
+        dicts = constituents(atoms)
+        for call in calls:
+            layer = call["layer"]
+            m_row, _ = q_rows(q, atoms, layer)
+            if all(m_row):
+                assert call["derived"] == 0
+                assert call["solves"] == len(call["sides"])
+                reached["covered"] += 1
+                reached["covered and solved"] += bool(call["sides"])
+            if all(eval_classical(q.antecedent, dicts[w]) for w in worlds_of(layer.domain)):
+                assert call["pinned"] == 0
+                reached["inside"] += 1
+            reached["pinned built"] += call["pinned"]
+    assert reached == {
+        "covered": 158,
+        "covered and solved": 109,
+        "inside": 158,
+        "pinned built": 32,
+    }
 
 
 # --- the tableau a layer builds -------------------------------------------------
@@ -1385,10 +1481,12 @@ def test_layer_tableau_is_the_rows_tableau():
     deeper and pinned layer's region has the initial tableau, the start,
     the supports and the row count of rows_region over its rows. Every kind of
     layer and of start occurs: these inputs build 2812 level-0, 1048
-    deeper and 207 pinned layers' regions, of which 1812 take the crash
-    start, 756 phase 1 and 16 are found infeasible by phase 1, and 1483
+    deeper and 67 pinned layers' regions, of which 1812 take the crash
+    start, 756 phase 1 and 16 are found infeasible by phase 1, and 1343
     are of layers with no class (most incoherent sets are emptied by the
-    presolve)."""
+    presolve). They built 207 pinned layers and 1483 with no class while
+    a layer whose domain lies in q's antecedent built its pinned layer,
+    whose domain is empty."""
     import solver_counts
 
     workloads = solver_counts.workloads
@@ -1406,7 +1504,7 @@ def test_layer_tableau_is_the_rows_tableau():
     least = {
         "level 0": 2500,
         "deeper": 900,
-        "pinned": 150,
+        "pinned": 50,
         "crash": 1500,
         "phase 1": 600,
         "infeasible": 10,
