@@ -35,7 +35,12 @@ likewise built only when it is read.
   by the gcd of its entries; the pivot row itself and the rows
   with f = 0 stay as they are. This is integer-preserving elimination
   (Edmonds 1967, Bareiss 1968) with a per-row gcd in place of Bareiss's
-  global divisor, so a pivot touches only the rows it changes.
+  global divisor, so a pivot touches only the rows it changes. The row is
+  formed from p and f divided by gcd(p, f), and is then most often coprime
+  already, which two of its entries show (see _pivot): only when they do
+  not does a pass find the gcd of every entry. Each such row is the row
+  p*r - f*(pivot row) divided by a positive int, and a positive direction
+  has only one coprime int vector, so the rows are the same either way.
 - Invariant: each constraint row is a positive multiple of the row a
   rational tableau with unit basic coefficients holds, so its basic
   coefficient d is positive, its rhs is >= 0 and its basic variable is
@@ -207,7 +212,11 @@ class Region:
         and M = P/Q, row i becomes P*K*row_i + P*rhs_i*r on the columns,
         with rhs rhs_i*K*Q, made coprime. P/Q is the optimum's int ratio,
         not always in lowest terms; a factor common to P and Q scales the
-        whole row and goes with the gcd. A row with rhs 0 stays as it is.
+        whole row and goes with the gcd. The three multipliers P*K,
+        P*rhs_i and rhs_i*K*Q are divided by their common gcd before the
+        row is formed, which leaves the same coprime row; the rhs term must
+        be in that gcd, as gcd(P*K, P*rhs_i) need not divide it. A row with
+        rhs 0 stays as it is.
         """
         start = optimum._optimum
         if start is None or start[0] is not self or not start[1]:
@@ -223,10 +232,11 @@ class Region:
         for row, b in zip(final[:-1], basis):
             rhs = row[-1]
             if rhs:
-                prhs = p * rhs
-                row = _coprime(
-                    [pk * a + prhs * r for a, r in zip(row[:-1], cost)] + [rhs * k * q]
-                )
+                # The multipliers of row, of the cost row and of the rhs.
+                s, t, u = pk, p * rhs, rhs * k * q
+                g = gcd(s, t, u)
+                s, t = s // g, t // g
+                row = _coprime([s * a + t * r for a, r in zip(row[:-1], cost)] + [u // g], b)
             if row[b] <= 0 or row[-1] < 0:
                 raise RuntimeError("Charnes-Cooper start broke the tableau invariant")
             tableau.append(row)
@@ -335,14 +345,16 @@ def _reduced_costs(tableau, basis, c):
         priced = [(row, big // row[b] * c[b]) for row, b in priced]
         c = [big * v for v in c]
         for row, k in priced:
-            for j, v in enumerate(row):
-                if v:
-                    c[j] -= k * v
+            c = [v - k * a for v, a in zip(c, row)]
     return _coprime(c)
 
 
-def _coprime(row):
-    """The int row divided by the gcd of its entries."""
+def _coprime(row, j=0):
+    """The int row divided by the gcd of its entries. When row[j] and the
+    rhs, row[-1], are coprime, so is the row, and it comes back as it is
+    with no pass over its entries."""
+    if gcd(row[j], row[-1]) == 1:
+        return row
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
 
@@ -408,11 +420,10 @@ def _simplex(tableau, basis, costs=-1):
         cost = tableau[costs]
         entering = None
         if degenerate < DEGENERATE_RUN:
-            best = 0
-            for j in range(cols):
-                if cost[j] > best:
-                    best = cost[j]
-                    entering = j
+            # Dantzig: the first of the largest positive reduced costs.
+            best = max(cost[:cols]) if cols else 0
+            if best > 0:
+                entering = cost.index(best)
         else:
             entering = next((j for j in range(cols) if cost[j] > 0), None)
         if entering is None:
@@ -439,13 +450,22 @@ def _simplex(tableau, basis, costs=-1):
 
 def _pivot(tableau, basis, row, col):
     """Pivot on tableau[row][col] > 0. Rows are replaced, never changed in
-    place, so tableaux that start from one Region may share rows."""
+    place, so tableaux that start from one Region may share rows.
+
+    Each changed row is q*r - f*(pivot row), made coprime, with the pivot p
+    and r's entry f in the pivot column both divided by gcd(p, f). Its entry
+    in the leaving variable's column is -f*d, with d the pivot row's basic
+    coefficient, as r is 0 there, so never 0: _coprime tests it against the
+    rhs, and keeps the row with no pass over it when the two are coprime. A
+    leaving artificial has no column: its index is the rhs's, and the test
+    then reads the rhs alone."""
     pr = tableau[row]
     p = pr[col]
+    leaving = basis[row]
     for i, r in enumerate(tableau):
         f = r[col]
         if f and i != row:
-            r = [p * a - f * b for a, b in zip(r, pr)]
-            g = gcd(*r)
-            tableau[i] = [v // g for v in r] if g > 1 else r
+            g = gcd(p, f)
+            q, f = p // g, f // g
+            tableau[i] = _coprime([q * a - f * b for a, b in zip(r, pr)], leaving)
     basis[row] = col

@@ -1,4 +1,4 @@
-"""The solver's work on three fixed inputs, as a Markdown table: simplex
+"""The solver's work on four fixed inputs, as a Markdown table: simplex
 pivots, coherence's solve_lp calls, their cells (the region's len() times
 the objective's, summed over the solves, as perfbench's tracer counts
 linprog.cells), region starts (tableaux that linprog._start starts), and
@@ -9,7 +9,9 @@ presolve left with no class.
 - chain: propagate on p(A0) >= 9/10, p(A_{i+1} | A_i) >= 9/10 with the
   query (A_{n-1} | A0), for n = 3 .. 12;
 - random-assess pool: the 800 items of perfbench/workloads.py (200 per
-  size over 2..5 atoms), check_coherence on even items, propagate on odd.
+  size over 2..5 atoms), check_coherence on even items, propagate on odd;
+- interval chain: the chain with every premise in [8/10, 9/10], for n = 6,
+  8 and 10. Most of its pivots are in the level-0 phase 1.
 
 Counts do not depend on the machine, so a change in them shows why a
 timing moved. Run with
@@ -22,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from probarg import coherence, linprog
-from probarg.coherence import ClassificationConfig, IncoherentPremises
+from probarg.coherence import Assessment, AssessmentEntry, ClassificationConfig, IncoherentPremises
 from probarg.corpus import THETA_GRID, builtin_tasks
 from probarg.dsl import lower
 from probarg.events import Interpretation
@@ -32,6 +34,8 @@ import workloads  # noqa: E402
 
 CHAIN_SIZES = range(3, 13)
 CHAIN_THETA = Fraction(9, 10)
+INTERVAL_SIZES = (6, 8, 10)
+INTERVAL = (Fraction(8, 10), Fraction(9, 10))
 
 
 @contextmanager
@@ -102,6 +106,17 @@ def chain(n):
     coherence.propagate(*workloads.chain_inputs(n, CHAIN_THETA))
 
 
+def interval_chain_inputs(n):
+    """(a, q, atoms) of the chain over n atoms with every premise in
+    INTERVAL."""
+    a, q, atoms = workloads.chain_inputs(n, INTERVAL[0])
+    return Assessment(tuple(AssessmentEntry(e.obj, *INTERVAL) for e in a.entries)), q, atoms
+
+
+def interval_chain(n):
+    coherence.propagate(*interval_chain_inputs(n))
+
+
 def pool():
     for n in workloads.ASSESS_SIZES:
         for index in range(workloads.ASSESS_POOL):
@@ -120,6 +135,10 @@ def rows():
     runs = [("corpus grid", corpus_grid)]
     runs += [(f"chain n = {n}, θ = 9/10", lambda n=n: chain(n)) for n in CHAIN_SIZES]
     runs.append(("random-assess pool", pool))
+    runs += [
+        (f"interval chain n = {n}, [8/10, 9/10]", lambda n=n: interval_chain(n))
+        for n in INTERVAL_SIZES
+    ]
     out = []
     for name, run in runs:
         with counting() as counts:

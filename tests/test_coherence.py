@@ -507,6 +507,25 @@ class TestSolveCounts:
             "empty starts": 0,
         }
 
+    def test_interval_chain_counts(self):
+        """The chain with every premise in [8/10, 9/10], as
+        tests/solver_counts.py runs it: pivots, solves, cells and region
+        starts per size. Most of the pivots are in the level-0 phase 1:
+        no crash start is possible, as every premise reads 0 or 1 on a
+        single world, never a value in [8/10, 9/10]."""
+        import solver_counts
+
+        got = {}
+        for n in solver_counts.INTERVAL_SIZES:
+            with solver_counts.counting() as counts:
+                solver_counts.interval_chain(n)
+            got[n] = counts
+        assert got == {
+            6: {"pivots": 16, "solves": 3, "cells": 2184, "starts": 1, "empty starts": 0},
+            8: {"pivots": 27, "solves": 3, "cells": 11424, "starts": 1, "empty starts": 0},
+            10: {"pivots": 49, "solves": 3, "cells": 56448, "starts": 1, "empty starts": 0},
+        }
+
     def test_random_assess_pool_leaves_no_cyclic_garbage(self):
         """Everything an op makes is freed when the op's last reference
         goes, with no wait for the cycle collector. A reference cycle per

@@ -104,6 +104,36 @@ class TestEvaluateTask:
         assert (mp.bounds.lo, mp.bounds.hi) == (F(81, 100), 1)
 
 
+# Coherent intervals as closed forms in theta (Pfeifer & Kleiter 2009),
+# for premises each at least theta: a ground truth that owes nothing to
+# the LP.
+CLOSED_FORMS = {
+    "MP": {
+        CE: lambda t: (t * t, 1),
+        MW: lambda t: (2 * t - 1, 1),
+        MN: lambda t: (2 * t - 1, 1),
+        CJ: lambda t: (t, 1),
+    },
+    "Prdx": {
+        CE: lambda t: (0, 1),
+        MW: lambda t: (t, 1),
+        MN: lambda t: (t, 1),
+        CJ: lambda t: (0, 1 - t),
+    },
+}
+
+
+@pytest.mark.parametrize("abbrev", CLOSED_FORMS)
+def test_closed_forms_at_every_theta(tasks, abbrev):
+    """Modus ponens and the paradox under each reading, at every theta =
+    k/1000 in (1/2, 1]: the bounds are exactly the closed form's."""
+    for interp, form in CLOSED_FORMS[abbrev].items():
+        for k in range(501, 1001):
+            theta = F(k, 1000)
+            bounds = evaluate_task(tasks[abbrev], interp, ClassificationConfig(theta=theta)).bounds
+            assert (bounds.lo, bounds.hi) == form(theta), (interp, theta)
+
+
 @pytest.fixture(scope="module")
 def report():
     return agreement_report()

@@ -10,7 +10,8 @@ read. The ops come in three groups:
 - pool: each item of the random-assess pool (800 items over 2..5 atoms),
   check_coherence on even items, propagate and classify on odd ones;
 - chain n: propagate on the chain over n = 3..6 atoms, at each of the
-  chain-scale thetas;
+  chain-scale thetas, and over n = 8 and 10 atoms, at every sixth of them:
+  the scale curve past the benchmark's largest chain;
 - corpus report: the agreement report and its text and JSON renderings,
   at each of the corpus-cli thetas.
 
@@ -24,8 +25,9 @@ is faster.
 The tree loaded second can read faster than the one loaded first, so the
 script runs this twice, in two child processes: one loads BASE first, the
 other NEW first. It prints both tables, then per group the geometric mean
-of the two ratios. On a host whose speed drifts between runs, this sizes
-a change of a few percent that separate benchmark runs cannot.
+of the two ratios, and under them the spread an A/A run reads. On a host
+whose speed drifts between runs, this sizes a change of a few percent that
+separate benchmark runs cannot.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ sys.path.insert(0, str(HERE / "perfbench"))
 import workloads  # noqa: E402
 
 ROUNDS = 9
+# The chains past chain-scale's sizes, each at a few of its thetas.
+SCALE_SIZES = (8, 10)
+SCALE_THETAS = workloads.CHAIN_THETAS[::6]
+# What a run of a tree against itself reads, and the note printed with it.
+AA_NOTE = """An A/A run (one tree against itself) reads 0.97-1.02 on each group. The
+pool group can still stray: one pool ratio outside 0.95-1.05 from a single
+run is not evidence; repeat the run."""
 # The two load orders, each run in its own child process.
 ORDERS = ("base-first", "new-first")
 # The modules the ops and workloads.py read.
@@ -97,6 +106,7 @@ def ops(package):
             for n in workloads.CHAIN_SIZES
             for t in workloads.CHAIN_THETAS
         ]
+        chains += [(n, workloads.chain_inputs(n, t)) for n in SCALE_SIZES for t in SCALE_THETAS]
 
     def assess(odd, a, q, atoms):
         if not odd:
@@ -177,6 +187,8 @@ def main(argv) -> int:
     print("geometric mean of the two orders' new/base")
     for group, (a, b) in ratios.items():
         print(f"{group:<16} {math.sqrt(a * b):>9.4f}")
+    print()
+    print(AA_NOTE)
     return 0
 
 
