@@ -20,7 +20,10 @@ query's), represented by the class's lowest world. Twin worlds would give
 equal columns that never enter the basis, so the merged system makes the
 per-world system's pivots on fewer cells, and a witness puts each class's
 mass on its representative (see _Layer). Rows, objectives and deeper
-domains read one bit per class. The entry rows are "<=" rows with rhs 0
+domains read one bit per class. A set of columns is a world mask, the
+mask of their representatives, so it is read off the tables with mask
+operations: the columns where a table holds are the table & the mask of
+all representatives. The entry rows are "<=" rows with rhs 0
 in coprime ints, each with its slack coefficient, the form linprog's
 Region takes: it lays out the tableau and starts it, with no row checked
 or normalised.
@@ -37,16 +40,19 @@ The solver path takes as few solves as the answer allows:
   and e holds somewhere; x >= 0 implies the rows it skips, and skipping
   them changes no pivot (see _Layer). For "quite sure" premises that is
   one row each.
-- A layer's region starts in one pivot, with no phase 1, when all the
-  mass can sit on one constituent: at it each entry is void, true with
-  hi = 1, or false with lo = 0 (for "quite sure" premises, every
-  conditional true or void). Its feasibility is read from its start, with
+- A layer's region needs no phase 1 when all the mass can sit on one
+  constituent, a crash point: at it each entry is void, true with hi = 1,
+  or false with lo = 0 (for "quite sure" premises, every conditional true
+  or void). The crash points are read off the tables as the columns where
+  no row built is positive (_Layer.singles), and Region lays out the
+  start that the one pivot on the lowest of them gives, with no scan of
+  the tableau and no pivot. Its feasibility is read from its start, with
   no solve.
 - An entry is forced to zero when its antecedent has zero mass at every
   feasible point. Positive mass at any one feasible point proves it is
-  not. The probes are supports, int masks over the columns: the start's
-  (Region.support(), which after a one-pivot start holds every column
-  that allowed it), the witness solve's or max m's. Only the entries no
+  not. The probes are supports as world masks: the crash points and the
+  start vertex's (Region.support(), mapped to the representatives), the
+  witness solve's or max m's. Only the entries no
   probe clears go to the max-sum fixpoint of _forced_zero, which solves
   only while one of them has an antecedent column. The forced set is a
   property of the polytope, so probes change no level and no verdict.
@@ -62,8 +68,8 @@ The solver path takes as few solves as the answer allows:
 - A side of a layer's bounds is read off a feasible point where one
   proves it: a point with m_q > 0 and ratio e_q / m_q of 0 proves lo = 0,
   one with ratio 1 proves hi = 1, as every ratio lies in [0, 1]. The
-  points are the crash columns, each a feasible point alone
-  (Region.singletons()). Where they prove both sides, the bounds are
+  points are the crash points, each a feasible point alone
+  (_Layer.singles). Where they prove both sides, the bounds are
   [0, 1] with no solve at all.
 - The Charnes-Cooper program for a side no point proves starts from the
   optimal tableau of maximizing the query's antecedent mass
@@ -154,6 +160,15 @@ class Bounds(Value):
     def __init__(self, lo: Fraction, hi: Fraction):
         lo, hi = unit_interval(lo, hi, "bounds")
         Value.__init__(self, lo, hi)
+
+    @classmethod
+    def _exact(cls, lo, hi) -> "Bounds":
+        """The bounds [lo, hi] the solver makes, exact Fractions with 0 <=
+        lo <= hi <= 1; nothing is checked."""
+        bounds = cls.__new__(cls)
+        object.__setattr__(bounds, "lo", lo)
+        object.__setattr__(bounds, "hi", hi)
+        return bounds
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -264,9 +279,12 @@ class _Layer:
     ordered by their lowest world, the class's representative. These are the
     constituents generated by the family (Gilio 2002; Biazzo and Gilio
     2000): every table holds on all of a class or on none of it, so rows,
-    objectives and deeper domains read one bit per class. m_cols: per
-    entry, the columns where m holds, as an int mask (bit k for column k),
-    the mask linprog's supports use. homogeneous: the entry rows, each a
+    objectives and deeper domains read one bit per class. reps: the
+    representatives, in column order, and cols: their mask. A set of
+    columns is a world mask, an int whose bit r is set for the column whose
+    representative is world r; a support read off the tableau, bit k for
+    column k, maps to it through reps (worlds). m_cols: per entry, the
+    columns where m holds, m & cols. homogeneous: the entry rows, each a
     pair (row, k) of the coefficients of a "<=" row with rhs 0 in coprime
     ints, 0 where m fails, and its slack coefficient k:
 
@@ -293,6 +311,13 @@ class _Layer:
     gcds, and with them the whole tableau on the representatives, are
     those of the per-world system. world_masses puts each class's mass on
     its representative, which is the per-world solution.
+
+    singles: the crash points, the columns where no row built is
+    positive, as a world mask: a row lo*m <= e is positive exactly where m
+    holds and e fails, and a row e <= hi*m exactly where e holds. Each
+    alone is a feasible point. The lowest of them is the crash column that
+    region() names, the column linprog's crash start pivots on (Bixby
+    1992), and with none the region starts by phase 1.
 
     A row is built only when it has a positive coefficient: lo*m <= e when
     lo > 0 and e fails on some column where m holds, e <= hi*m when hi < 1
@@ -369,22 +394,33 @@ class _Layer:
                 else:
                     parts.append(c)
             classes = parts
-        classes.sort(key=lambda c: c & -c)
-        self.classes = classes
+        # each class by its lowest world, its representative
+        ordered = sorted(zip([(c & -c).bit_length() - 1 for c in classes], classes))
+        self.reps = [r for r, _ in ordered]
+        self.classes = classes = [c for _, c in ordered]
+        cols = 0
+        for r in self.reps:
+            cols |= 1 << r
+        self.cols = cols
         self.m_cols = []
         self.homogeneous = []
+        # the worlds where some row built is positive
+        blocked = 0
         for (m, e), (a, b, c, d), (on_e, off_e) in zip(tables, bounds, held):
-            self.m_cols.append(_columns(m, classes))
+            self.m_cols.append(m & cols)
             # (coefficient where m holds and e fails, where e holds, slack
             # coefficient) of each row built
             cuts = []
             if a and off_e:
                 cuts.append((a, a - b, b))
+                blocked |= off_e
             if c < d and on_e:
                 cuts.append((-c, d - c, d))
+                blocked |= on_e
             for off, on, k in cuts:
                 row = [(on if e & w else off) if m & w else 0 for w in classes]
                 self.homogeneous.append((row, k))
+        self.singles = cols ^ (cols & blocked)
 
     def region(self) -> Region:
         """The layer's masses summing to 1 under its rows, {x >= 0 :
@@ -395,19 +431,31 @@ class _Layer:
         it is coprime with its k: a row lo*m <= e holds a where m holds and
         e fails and has k = b, with gcd(a, b) = 1, and a row e <= hi*m
         holds d - c where e holds and has k = d, with gcd(d - c, d) =
-        gcd(c, d) = 1. A layer with no class has the row sum(x) == 1 over
-        no column, and linprog's empty-row rule makes no start for it."""
-        return Region(len(self.classes), self.homogeneous)
+        gcd(c, d) = 1. Its crash column, the lowest of singles, is the
+        number of columns below that world; a layer with no crash column
+        starts by phase 1. A layer with no class has the row sum(x) == 1
+        over no column, and linprog's empty-row rule makes no start for
+        it."""
+        singles = self.singles
+        crash = (self.cols & ((singles & -singles) - 1)).bit_count() if singles else None
+        return Region(len(self.reps), self.homogeneous, crash)
+
+    def worlds(self, support):
+        """A support read off the layer's tableau, an int mask over its
+        columns (bit k for column k), as a mask of worlds: bit reps[k]."""
+        reps, mask = self.reps, 0
+        while support:
+            low = support & -support
+            mask |= 1 << reps[low.bit_length() - 1]
+            support ^= low
+        return mask
 
     def antecedent_mass(self, indices):
         """Objective: the summed antecedent mass of the given entries."""
-        objective = [0] * len(self.classes)
+        objective = [0] * len(self.reps)
         for i in indices:
-            cols = self.m_cols[i]
-            while cols:
-                low = cols & -cols
-                objective[low.bit_length() - 1] += 1
-                cols ^= low
+            m = self.m_cols[i]
+            objective = [v + (m >> r & 1) for v, r in zip(objective, self.reps)]
         return objective
 
     def deeper(self, forced, extra=()):
@@ -423,8 +471,8 @@ class _Layer:
         domain's highest: each class's mass on its representative, 0 on
         every other world."""
         masses = [ZERO] * self.domain.bit_length()
-        for c, v in zip(self.classes, x):
-            masses[(c & -c).bit_length() - 1] = v
+        for r, v in zip(self.reps, x):
+            masses[r] = v
         return masses
 
 
@@ -442,18 +490,13 @@ def _mass_row(table, classes):
     return [1 if table & c else 0 for c in classes]
 
 
-def _columns(table, classes):
-    """The classes where table holds, as an int mask over the columns (bit
-    k for classes[k]), the mask linprog's supports use."""
-    return sum([1 << k for k, c in enumerate(classes) if table & c])
-
-
 def _forced_zero(layer, region, probes=(), res=None):
     """Indices of entries whose conditioning event has zero mass at every
-    point of the layer system (region). probes: supports (int masks over
-    the columns, linprog's support()) of points of region already at hand.
-    res, when given, is a solve already made of the first round: the summed
-    antecedent mass of all entries, maximized over region.
+    point of the layer system (region). probes: supports of points of
+    region already at hand, as world masks (_Layer.worlds of linprog's
+    support()). res, when given, is a solve already made of the first
+    round: the summed antecedent mass of all entries, maximized over
+    region.
 
     An iterative fixpoint: maximize the summed antecedent mass over the
     current candidate set; a maximum of zero proves every candidate forced
@@ -463,7 +506,8 @@ def _forced_zero(layer, region, probes=(), res=None):
     solution gives it positive mass. Positive antecedent mass at any one
     feasible point proves an entry is not forced, so before any solve the
     entries positive at a probe, then at region's start vertex, are
-    dropped. The forced set is a property of the polytope, so the probes
+    dropped; the start's probe holds the crash points too (singles). The
+    forced set is a property of the polytope, so the probes
     change only how many solves find it. An entry with no antecedent
     column (m_cols 0, its classes pinned by the layer's presolve) has zero
     mass everywhere: once only such entries are left, they are the forced
@@ -473,16 +517,16 @@ def _forced_zero(layer, region, probes=(), res=None):
     if res is not None:
         if not res.numerator:
             return candidates
-        probes = [*probes, res.support()]
+        probes = [*probes, layer.worlds(res.support())]
     for support in probes:
         candidates = _zero_at(layer, candidates, support)
     if candidates:
-        candidates = _zero_at(layer, candidates, region.support())
+        candidates = _zero_at(layer, candidates, layer.singles | layer.worlds(region.support()))
     while any(layer.m_cols[i] for i in candidates):
         res = _optimal(solve_lp(layer.antecedent_mass(candidates), region))
         if not res.numerator:
             return candidates
-        candidates = _zero_at(layer, candidates, res.support())
+        candidates = _zero_at(layer, candidates, layer.worlds(res.support()))
     return candidates
 
 
@@ -575,9 +619,9 @@ def _settled(m, e):
     include its own. The antecedent is satisfiable by construction, so m is
     not 0."""
     if not e:
-        return Bounds(ZERO, ZERO)
+        return Bounds._exact(ZERO, ZERO)
     if e == m:
-        return Bounds(ONE, ONE)
+        return Bounds._exact(ONE, ONE)
     return None
 
 
@@ -637,8 +681,8 @@ def _propagate_layer(layer, region, q) -> Bounds:
 
     A feasible point with m_q > 0 whose ratio e_q / m_q is 0 proves lo =
     0, and one whose ratio is 1 proves hi = 1, since every ratio lies in
-    [0, 1]. Each crash column alone is a feasible point
-    (Region.singletons()), and the columns tell q's tables apart: one in
+    [0, 1]. Each crash point of the layer alone is a feasible point
+    (layer.singles), and the columns tell q's tables apart: one in
     e_q has ratio 1 and proves hi = 1, one in m_q but not in e_q has ratio
     0 and proves lo = 0, and with both the interval is [0, 1] with no
     solve.
@@ -664,21 +708,19 @@ def _propagate_layer(layer, region, q) -> Bounds:
     [0, 1] with any interval there is [0, 1]. The tests read the exact
     bounds, so no answer changes, only the solves that find it.
     """
-    classes = layer.classes
-    m_cols, e_cols = _columns(q[0], classes), _columns(q[1], classes)
-    m_only = m_cols ^ e_cols
-    singles = region.singletons()
-    lo = ZERO if singles & m_only else None
+    classes, cols, singles = layer.classes, layer.cols, layer.singles
+    m_cols, e_cols = q[0] & cols, q[1] & cols
+    lo = ZERO if singles & (m_cols ^ e_cols) else None
     hi = ONE if singles & e_cols else None
     if lo is None or hi is None:
-        if m_cols == (1 << len(classes)) - 1:
+        if m_cols == cols:
             # m_q = sum(x) = 1 at every point: max m is 1, and the region
             # is its own Charnes-Cooper region
             scaled = region
         else:
             max_m = _optimal(solve_lp(_mass_row(q[0], classes), region))
             if not max_m.numerator:
-                forced = _forced_zero(layer, region, [max_m.support()])
+                forced = _forced_zero(layer, region, [layer.worlds(max_m.support())])
                 return _descend(layer, forced, q)
             scaled = region.charnes_cooper(max_m)
         e_row = _mass_row(q[1], classes)
@@ -687,7 +729,7 @@ def _propagate_layer(layer, region, q) -> Bounds:
         if lo == ZERO and hi is None:
             hi = _ratio_bound(scaled, e_row, True)
     if lo == ZERO and hi == ONE:
-        return Bounds(lo, hi)
+        return Bounds._exact(lo, hi)
     # The points with m_q = 0 are, as x >= 0, those of the layer over the
     # worlds where q's antecedent fails: min m = 0 exactly when it is
     # feasible. Then values settled only at the deeper layer where q's
@@ -702,7 +744,7 @@ def _propagate_layer(layer, region, q) -> Bounds:
             return _descend(layer, _forced_zero(pinned, pinned_region), q)
     if hi is None:
         hi = _ratio_bound(scaled, e_row, True)
-    return Bounds(lo, hi)
+    return Bounds._exact(lo, hi)
 
 
 def _descend(layer, forced, q) -> Bounds:

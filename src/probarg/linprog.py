@@ -20,13 +20,16 @@ likewise built only when it is read.
   columns and the rhs, and no artificial column. A slack coefficient k
   sets the unit of its slack, and the entering rule compares the slack's
   reduced cost with the others.
-- The start is one pivot, with no phase 1, when some column is positive
-  in the artificial row and <= 0 in every other row (a crash basis;
-  Bixby 1992; see _crash). Otherwise phase 1 runs, on the artificial's
-  own row: while the artificial is basic, phase 1's reduced costs are a
-  positive multiple of that row, and phase 1 ends when it leaves. So the
-  tableau has no artificial column and phase 1 no cost row (see _start);
-  every entering and leaving choice is the one a cost row would give.
+- The start needs no phase 1 when some column is <= 0 in every row but
+  sum(x) == 1: the point with all the mass on that column is feasible (a
+  crash basis; Bixby 1992). The caller names the lowest such column, the
+  crash column, and Region lays out the tableau that the one pivot on it
+  gives, with no pivot and no gcd (see _crash_start). Otherwise phase 1
+  runs, on the artificial's own row: while the artificial is basic,
+  phase 1's reduced costs are a positive multiple of that row, and phase
+  1 ends when it leaves. So the tableau has no artificial column and
+  phase 1 no cost row (see _start); every entering and leaving choice is
+  the one a cost row would give.
 - The reduced-cost row of an objective, phase 1's included, is summed in
   ints: each basic row a_i with basic coefficient d_i enters scaled by
   L/d_i, with L the lcm of those d_i, and the sum is then made coprime.
@@ -49,13 +52,10 @@ likewise built only when it is read.
   leaving choice is therefore the one the rational tableau makes.
 - A Region makes its start once, when it is built. Every solve_lp over
   the region starts from that basic feasible tableau and runs phase 2
-  only. Region.support() is the int mask of the variables positive at one
-  feasible point, or None when the rows are infeasible: after a crash
-  start, every column that allowed it; else the start vertex's.
-  Region.singletons() is the mask of the crash columns, each of which
-  alone is a feasible point, and 0 after a phase-1 start. Neither needs a
-  solve. The start vertex itself is the solution of
-  solve_lp([0] * n, region), which makes no pivot.
+  only. Region.support() is the int mask of the variables positive at the
+  start vertex, or None when the rows are infeasible; it needs no solve.
+  The start vertex itself is the solution of solve_lp([0] * n, region),
+  which makes no pivot.
 - A region with no column has the row sum(x) == 1 over no column, which
   holds at no point: it is infeasible, and is known to be so with no
   start, no crash and no phase 1 (the empty-row rule of LP presolve;
@@ -138,36 +138,43 @@ class LPResult(Value):
 class Region:
     """The polyhedron {x >= 0 : sum(x) == 1, row . x <= 0 for each (row, k)
     of rows} over n variables, the masses of one zero layer, started when
-    it is built (_start). len() is 1 + the number of rows. A region is
+    it is built. len() is 1 + the number of rows. A region is
     never changed by a solve, so it can serve any number of objectives."""
 
-    def __init__(self, n, rows):
+    def __init__(self, n, rows, crash=None):
         """rows: pairs (row, k), the n int coefficients of a "<=" row with
         rhs 0 and its slack coefficient k > 0, each row coprime with its k;
         nothing is checked. coherence's layers build theirs (see _Layer in
-        coherence).
+        coherence). crash: the crash column, the lowest column that is <= 0
+        in every row, or None when there is none.
 
         The initial tableau is sum(x) == 1, the one row that needs an
         artificial, then each row with its own slack column, k there,
         basic: no row needs a negation, as its rhs is 0, nor a division by
-        its gcd. A region with no column has the row sum(x) == 1 over no
-        column, which holds at no point (the empty-row rule of LP presolve;
-        Andersen and Andersen 1995), and makes no start."""
+        its gcd. With a crash column, the tableau is laid out as the one
+        pivot on it leaves it (_crash_start); without one, phase 1 starts
+        the initial tableau (_start). A region with no column has the row
+        sum(x) == 1 over no column, which holds at no point (the empty-row
+        rule of LP presolve; Andersen and Andersen 1995), and makes no
+        start."""
         s = len(rows)
+        self.n, self._size = n, s + 1
+        if crash is not None:
+            self._base = _crash_start(n, rows, crash)
+            return
         tableau = [[1] * n + [0] * s + [1]]
         tail = [0] * (s + 1)
         for j, (row, k) in enumerate(rows, n):
             row = row + tail
             row[j] = k
             tableau.append(row)
-        self.n, self._size = n, s + 1
-        self._base = _start(tableau, [n + s, *range(n, n + s)], n) if n else None
+        self._base = _start(tableau, [n + s, *range(n, n + s)]) if n else None
 
     @classmethod
     def _started(cls, n, base, size):
         """The region over n variables whose start its caller made: base is
-        (tableau, basis, singletons) as _start returns it, or None when the
-        rows are infeasible, and size is len() of the region."""
+        (tableau, basis) as _start returns it, or None when the rows are
+        infeasible, and size is len() of the region."""
         region = cls.__new__(cls)
         region.n, region._size, region._base = n, size, base
         return region
@@ -176,22 +183,13 @@ class Region:
         return self._size
 
     def support(self):
-        """Variables positive at one feasible point, as an int mask (bit j
-        for x_j), or None when the rows are infeasible: those positive at
-        the start vertex and, after a crash start, every column that allowed
-        it (see _crash)."""
+        """Variables positive at the start vertex, as an int mask (bit j for
+        x_j), or None when the rows are infeasible. After a crash start it is
+        the crash column alone; it needs no solve."""
         base = self._base
         if base is None:
             return None
-        tableau, basis, singletons = base
-        return singletons | _support(tableau, basis, self.n)
-
-    def singletons(self) -> int:
-        """The columns j at which the point with x_j > 0 alone, every other
-        variable 0, is feasible, as an int mask, read off a crash start:
-        every column that allowed it (see _crash). 0 after a phase-1 start
-        and when the rows are infeasible; it needs no solve."""
-        return 0 if self._base is None else self._base[2]
+        return _support(*base, self.n)
 
     def charnes_cooper(self, optimum) -> "Region":
         """The region {c . y == 1, H y <= 0}, started from optimum, the
@@ -240,14 +238,13 @@ class Region:
             if row[b] <= 0 or row[-1] < 0:
                 raise RuntimeError("Charnes-Cooper start broke the tableau invariant")
             tableau.append(row)
-        return Region._started(self.n, (tableau, basis, 0), self._size)
+        return Region._started(self.n, (tableau, basis), self._size)
 
 
-def _start(tableau, basis, n):
-    """Start the initial tableau of a region in place: (tableau, basis,
-    singletons), basic feasible with no artificial column, or None when the
-    rows are infeasible. singletons is the mask of the crash columns (see
-    _crash), 0 after a phase-1 start.
+def _start(tableau, basis):
+    """Start the initial tableau of a region, which no column starts in one
+    pivot, in place by phase 1: (tableau, basis), basic feasible with no
+    artificial column, or None when the rows are infeasible.
 
     Row 0 needs the one artificial, and every other row starts basic in
     its own slack. The artificial has no column: its basis index is
@@ -261,16 +258,40 @@ def _start(tableau, basis, n):
     0, so phase 1 ends there (_simplex with costs=0). If instead it ends
     with the artificial basic, rhs_0 > 0 means no feasible point, and
     rhs_0 = 0 an artificial to evict."""
-    crash = _crash(tableau, basis, n)
-    if crash is not None:
-        return tableau, basis, crash
     # Phase 1 prices with the artificial's row (see above).
     _simplex(tableau, basis, 0)
     n_real = len(tableau[0]) - 1
     if basis[0] == n_real and tableau[0][-1]:
         return None
     _evict_artificials(tableau, basis, n_real)
-    return tableau, basis, 0
+    return tableau, basis
+
+
+def _crash_start(n, rows, j):
+    """The started tableau of Region(n, rows) whose crash column is j, laid
+    out with no pivot: (tableau, basis), the tableau the pivot on row 0 at
+    column j gives.
+
+    Row 0, sum(x) == 1, is all ones with rhs 1, so the pivot (p = 1) turns
+    each other row r, whose entry f = r[j] must be <= 0, into r - f on the
+    variables' columns with rhs -f >= 0, and leaves its slack entry k > 0:
+    the start is basic feasible, and the artificial, now nonbasic, has no
+    column to drop. That row is already coprime: a common divisor of its
+    entries divides its rhs f and its k, and so every entry of (r, k),
+    which is coprime. A column with f > 0 in some row does not allow the
+    crash, and raises RuntimeError.
+    """
+    s = len(rows)
+    tableau = [[1] * n + [0] * s + [1]]
+    tail = [0] * (s + 1)
+    for i, (row, k) in enumerate(rows, n):
+        f = row[j]
+        if f > 0:
+            raise RuntimeError("crash start broke the tableau invariant")
+        row = [a - f for a in row] + tail if f else row + tail
+        row[i], row[-1] = k, -f
+        tableau.append(row)
+    return tableau, [j, *range(n, n + s)]
 
 
 def solve_lp(objective, rows, maximize=True) -> LPResult:
@@ -286,7 +307,7 @@ def solve_lp(objective, rows, maximize=True) -> LPResult:
     start = rows._base
     if start is None:
         return LPResult("infeasible")
-    base, basis, _ = start
+    base, basis = start
     tableau = base[:]
     basis = basis[:]
     cols = len(base[0]) - 1 if base else n
@@ -357,36 +378,6 @@ def _coprime(row, j=0):
         return row
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
-
-
-def _crash(tableau, basis, n):
-    """Start a tableau whose one artificial sits in row 0 in one pivot, when
-    a column allows it: pivot row 0 on the smallest column j < n that is
-    positive in row 0 and <= 0 in every other row. Returns None when no
-    column allows it, else the columns positive at some feasible point, as
-    an int mask: every column that allows it when row 0's rhs is positive,
-    none when it is 0.
-
-    Every other row is a "<=" row with rhs >= 0 and its slack basic, so the
-    pivot leaves it the rhs p*rhs_r - r_j*rhs_0 >= 0 (p: row 0's entry at j)
-    and a positive slack coefficient: the start is basic feasible, and the
-    artificial, now nonbasic, has no column to drop. No slack column is
-    positive in row 0, so j < n loses no candidate. The same holds for
-    each column that allows the pivot: alone, at rhs_0/p > 0, it is a
-    feasible point. The feasible set is convex, so the mean of those
-    points is feasible too, and positive on each of their columns.
-    """
-    art = tableau[0]
-    columns = [j for j in range(n) if art[j] > 0]
-    for row in tableau[1:]:
-        columns = [j for j in columns if row[j] <= 0]
-    if not columns:
-        return None
-    positive = sum([1 << j for j in columns]) if art[-1] else 0
-    _pivot(tableau, basis, 0, columns[0])
-    if any(row[b] <= 0 or row[-1] < 0 for row, b in zip(tableau, basis)):
-        raise RuntimeError("crash start broke the tableau invariant")
-    return positive
 
 
 def _evict_artificials(tableau, basis, n_real):

@@ -1,9 +1,12 @@
 """The solver's work on four fixed inputs, as a Markdown table: simplex
 pivots, coherence's solve_lp calls, their cells (the region's len() times
 the objective's, summed over the solves, as perfbench's tracer counts
-linprog.cells), region starts (tableaux that linprog._start starts), and
-of those starts the ones on a region with no column, a layer that
-presolve left with no class.
+linprog.cells), region starts (tableaux that linprog._start starts by
+phase 1, and crash starts, which linprog._crash_start lays out), and of
+those starts the ones on a region with no column, a layer that presolve
+left with no class. A laid-out crash start counts as one pivot, the pivot
+whose tableau it lays out; perfbench's tracer, which counts _pivot calls,
+does not count it.
 
 - corpus grid: propagate on every corpus task x reading x THETA_GRID;
 - chain: propagate on p(A0) >= 9/10, p(A_{i+1} | A_i) >= 9/10 with the
@@ -23,6 +26,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+import general_rows
 from probarg import coherence, linprog
 from probarg.coherence import Assessment, AssessmentEntry, ClassificationConfig, IncoherentPremises
 from probarg.corpus import THETA_GRID, builtin_tasks
@@ -40,56 +44,71 @@ INTERVAL = (Fraction(8, 10), Fraction(9, 10))
 
 @contextmanager
 def starts():
-    """Every start linprog._start makes while in use, as a list of
-    (tableau, n, kind): the initial tableau it was given, the number of
-    variables, and how it started: "crash", "phase 1" (a phase-1 simplex
-    ran) or "infeasible" (phase 1 found no feasible point)."""
-    made, runs = [], []
-    start, simplex = linprog._start, linprog._simplex
+    """Every region start made while in use, as a list of (tableau, n,
+    kind): the initial tableau, the number of variables, and how it
+    started: "crash" (one pivot, laid out by linprog._crash_start or, for
+    general rows, made by general_rows.crash), "phase 1" (linprog._start
+    ran a phase-1 simplex) or "infeasible" (phase 1 found no feasible
+    point)."""
+    made = []
+    start, crash_start, crash = linprog._start, linprog._crash_start, general_rows.crash
 
-    def counted_simplex(*args):
-        runs.append(None)
-        return simplex(*args)
-
-    def recorded_start(tableau, basis, n):
+    def recorded_start(tableau, basis):
         # A start replaces rows, never changes one, so a shallow copy keeps
-        # the initial tableau.
-        initial, before = tableau[:], len(runs)
-        base = start(tableau, basis, n)
-        kind = "infeasible" if base is None else "phase 1" if len(runs) > before else "crash"
-        made.append((initial, n, kind))
+        # the initial tableau. Every row but row 0 has a slack column, so
+        # the tableau has n + len(tableau) - 1 columns before the rhs.
+        initial, n = tableau[:], len(tableau[0]) - len(tableau)
+        base = start(tableau, basis)
+        made.append((initial, n, "infeasible" if base is None else "phase 1"))
         return base
 
-    linprog._start, linprog._simplex = recorded_start, counted_simplex
+    def recorded_crash_start(n, rows, j):
+        made.append((general_rows.layer_tableau(n, rows)[0], n, "crash"))
+        return crash_start(n, rows, j)
+
+    def recorded_crash(tableau, basis, n):
+        initial = tableau[:]
+        positive = crash(tableau, basis, n)
+        if positive is not None:
+            made.append((initial, n, "crash"))
+        return positive
+
+    linprog._start, linprog._crash_start = recorded_start, recorded_crash_start
+    general_rows.crash = recorded_crash
     try:
         yield made
     finally:
-        linprog._start, linprog._simplex = start, simplex
+        linprog._start, linprog._crash_start, general_rows.crash = start, crash_start, crash
 
 
 @contextmanager
 def counting():
     """Counts of pivots, solves and their cells, live, and of region
     starts and starts on a region with no column, filled in when the block
-    ends."""
+    ends. A laid-out crash start counts as one pivot."""
     counts = dict.fromkeys(("pivots", "solves", "cells", "starts", "empty starts"), 0)
-    pivot, solve = linprog._pivot, coherence.solve_lp
+    pivot, crash_start, solve = linprog._pivot, linprog._crash_start, coherence.solve_lp
 
     def counted_pivot(*args):
         counts["pivots"] += 1
         return pivot(*args)
+
+    def counted_crash_start(*args):
+        counts["pivots"] += 1
+        return crash_start(*args)
 
     def counted_solve(objective, rows, *args, **kwargs):
         counts["solves"] += 1
         counts["cells"] += len(rows) * len(objective)
         return solve(objective, rows, *args, **kwargs)
 
-    linprog._pivot, coherence.solve_lp = counted_pivot, counted_solve
+    linprog._pivot, linprog._crash_start = counted_pivot, counted_crash_start
+    coherence.solve_lp = counted_solve
     try:
         with starts() as made:
             yield counts
     finally:
-        linprog._pivot, coherence.solve_lp = pivot, solve
+        linprog._pivot, linprog._crash_start, coherence.solve_lp = pivot, crash_start, solve
         counts["starts"] = len(made)
         counts["empty starts"] = sum(1 for _, n, _ in made if n == 0)
 

@@ -78,6 +78,34 @@ class TestAssessment:
         assert (got.lo, got.hi) == (F(1, 4), 1)
         assert type(got.lo) is type(got.hi) is F
 
+    def test_solver_bounds_skip_the_check(self, monkeypatch):
+        """The bounds propagate makes, exact Fractions in [0, 1] with lo <=
+        hi, are not checked again (Bounds._exact); each equals, hashes and
+        prints as the checked Bounds of its ends. The corpus grid's inputs
+        are lowered, and so checked, before the count starts."""
+        from probarg.corpus import THETA_GRID
+
+        problems = [
+            (*lower(task.spec, interp, ClassificationConfig(theta=theta)), task.spec.atoms)
+            for task in builtin_tasks()
+            for interp in Interpretation
+            for theta in THETA_GRID
+        ]
+        checked, check = [], coherence.unit_interval
+
+        def counted(lo, hi, what):
+            checked.append(what)
+            return check(lo, hi, what)
+
+        monkeypatch.setattr(coherence, "unit_interval", counted)
+        results = [propagate(*problem) for problem in problems]
+        assert checked == []
+        for got in results:
+            made = Bounds(got.lo, got.hi)
+            assert type(got.lo) is type(got.hi) is F
+            assert got == made and hash(got) == hash(made) and repr(got) == repr(made)
+        assert len(checked) == len(results)
+
 
 class TestCheckCoherence:
     def test_additivity_violation(self):
@@ -397,21 +425,27 @@ def chain(n, theta):
 
 
 def _count_calls(monkeypatch):
-    """Counts of simplex pivots and of coherence's solve_lp calls, live."""
+    """Counts of simplex pivots and of coherence's solve_lp calls, live. A
+    crash start that linprog lays out counts as the one pivot it lays out."""
     from probarg import coherence, linprog
 
     calls = {"pivot": 0, "solve": 0}
-    pivot, solve = linprog._pivot, coherence.solve_lp
+    pivot, crash_start, solve = linprog._pivot, linprog._crash_start, coherence.solve_lp
 
     def counted_pivot(*args):
         calls["pivot"] += 1
         pivot(*args)
+
+    def counted_crash_start(*args):
+        calls["pivot"] += 1
+        return crash_start(*args)
 
     def counted_solve(*args, **kwargs):
         calls["solve"] += 1
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(linprog, "_pivot", counted_pivot)
+    monkeypatch.setattr(linprog, "_crash_start", counted_crash_start)
     monkeypatch.setattr(coherence, "solve_lp", counted_solve)
     return calls
 
@@ -426,21 +460,7 @@ class TestSolveCounts:
         pivots in 3 solves before the upper bound was read off the crash
         column, the all-true world, which holds q's antecedent and
         consequent: now max m and the lower bound."""
-        from probarg import coherence, linprog
-
-        calls = {"pivot": 0, "solve": 0}
-        pivot, solve = linprog._pivot, coherence.solve_lp
-
-        def counted_pivot(*args):
-            calls["pivot"] += 1
-            pivot(*args)
-
-        def counted_solve(*args, **kwargs):
-            calls["solve"] += 1
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(linprog, "_pivot", counted_pivot)
-        monkeypatch.setattr(coherence, "solve_lp", counted_solve)
+        calls = _count_calls(monkeypatch)
         b = propagate(*chain(6, F(9, 10)))
         assert (b.lo, b.hi) == (F(497051, 900000), 1)
         assert calls == {"pivot": 7, "solve": 2}
@@ -458,24 +478,11 @@ class TestSolveCounts:
         unsolved, with the [0, 1] answers found with no solve. It took 152
         solves while the max m vertex proved sides too, and 156 while a
         layer whose columns all lie in q's antecedent solved max m."""
-        from probarg import coherence, linprog
         from probarg.corpus import THETA_GRID, builtin_tasks
         from probarg.dsl import lower
         from probarg.events import Interpretation
 
-        calls = {"pivot": 0, "solve": 0}
-        pivot, solve = linprog._pivot, coherence.solve_lp
-
-        def counted_pivot(*args):
-            calls["pivot"] += 1
-            pivot(*args)
-
-        def counted_solve(*args, **kwargs):
-            calls["solve"] += 1
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(linprog, "_pivot", counted_pivot)
-        monkeypatch.setattr(coherence, "solve_lp", counted_solve)
+        calls = _count_calls(monkeypatch)
         for task in builtin_tasks():
             for interp in Interpretation:
                 for theta in THETA_GRID:
@@ -581,7 +588,7 @@ class TestSolveCounts:
         pinned = coherence._Layer(layer.entries, layer.tables, layer.domain ^ m_q)
         assert pinned.classes == []
         with monkeypatch.context() as m:
-            for name in ("_crash", "_simplex"):  # every start runs one
+            for name in ("_crash_start", "_simplex"):  # every start runs one
                 m.setattr(linprog, name, None)
             assert pinned.region().support() is None
         calls = _count_calls(monkeypatch)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bland_reference
-import solver_counts
+import general_rows
 from int_rows import int_objective, int_row, int_rows
-from general_rows import EQ, GE, LE, rows_region, solve_rows
+from general_rows import EQ, GE, LE, layer_tableau, rows_region, solve_rows
+from general_rows import started_region as started
 from probarg.linprog import DEGENERATE_RUN, LPResult, Region, solve_lp
 
 
@@ -357,16 +358,16 @@ def unbuilt(*args):
 def test_an_empty_row_is_infeasible_with_no_tableau(monkeypatch, rows, n):
     """An "==" or ">=" row with rhs > 0 (after a "<=" row with rhs < 0 is
     negated) and no nonzero coefficient holds at no point: the region is
-    infeasible, as the reference finds; it shows no support and no
-    singletons, and a solve over it builds no tableau: no cost row, no
+    infeasible, as the reference finds; it takes no crash start and shows
+    no support, and a solve over it builds no tableau: no cost row, no
     simplex."""
     from probarg import linprog
 
     assert bland_reference.solve_lp([1] * n, rows).status == "infeasible"
-    region = rows_region(rows, n)
+    region, crash = started(rows, n)
     for name in ("_reduced_costs", "_simplex"):
         monkeypatch.setattr(linprog, name, unbuilt)
-    assert region.support() is None and region.singletons() == 0
+    assert region.support() is None and crash is None
     assert solve_lp([1] * n, region).status == "infeasible"
 
 
@@ -377,11 +378,11 @@ def test_a_region_with_no_column_makes_no_start(monkeypatch, rows):
     finds it infeasible with no start: no crash, no phase 1."""
     from probarg import linprog
 
-    for name in ("_start", "_crash", "_simplex"):
+    for name in ("_start", "_crash_start", "_simplex"):
         monkeypatch.setattr(linprog, name, unbuilt)
     region = Region(0, rows)
     assert len(region) == 1 + len(rows)
-    assert region.support() is None and region.singletons() == 0
+    assert region.support() is None
     assert solve_lp([], region).status == "infeasible"
 
 
@@ -575,19 +576,10 @@ def one_artificial_systems(draw):
     return case, n, draw(st.permutations(rows))
 
 
-def started(rows, n):
-    """The region of rows over n variables, and whether its start took the
-    one-pivot crash start, with no phase-1 simplex."""
-    with solver_counts.starts() as made:
-        region = rows_region(rows, n)
-    [(_, _, kind)] = made
-    return region, kind == "crash"
-
-
 def assert_basic_feasible(start):
     """Positive basic coefficients, rhs >= 0, and each basic column zero in
     every other row."""
-    tableau, basis, _ = start
+    tableau, basis = start
     assert len(set(basis)) == len(basis)
     for i, (row, b) in enumerate(zip(tableau, basis)):
         assert row[b] > 0 and row[-1] >= 0
@@ -602,7 +594,8 @@ def test_crash_start_matches_bland_reference(system, data):
     eq = next(c for c, rel, _ in rows if rel == EQ)
     columns = crash_columns(eq, le_rows)
     assert bool(columns) == (case != "none")
-    region, crashed = started(int_rows(rows), n)
+    region, crash = started(int_rows(rows), n)
+    crashed = crash is not None
     start = region._base
     assert crashed == (case != "none")
     if start is None:
@@ -615,13 +608,13 @@ def test_crash_start_matches_bland_reference(system, data):
             # All the mass sits on the smallest column that allows the crash,
             # and each such column alone is a feasible point.
             assert [j for j, v in enumerate(x) if v] == columns[:1]
-            assert region.support() == region.singletons() == sum(1 << j for j in columns)
+            assert region.support() == 1 << columns[0]
+            assert crash == sum(1 << j for j in columns)
             rhs = next(r for _, rel, r in rows if rel == EQ)
             for j in columns:
                 assert satisfies(rows, [F(rhs) / F(eq[j]) if k == j else 0 for k in range(n)])
         else:
             assert region.support() == positive(x)
-            assert region.singletons() == 0
     for objective in data.draw(
         st.lists(st.lists(COEFF, min_size=n, max_size=n), min_size=1, max_size=3)
     ):
@@ -638,30 +631,31 @@ def test_crash_start_matches_bland_reference(system, data):
 def test_a_crash_start_at_rhs_0_shows_no_positive_column():
     """x + y == 0 starts in one pivot, but only x = y = 0 is feasible, so
     neither column that allowed the pivot is positive anywhere."""
-    region, crashed = started([([1, 1], EQ, 0), ([-1, 0], LE, 0)], 2)
-    assert crashed
+    region, crash = started([([1, 1], EQ, 0), ([-1, 0], LE, 0)], 2)
+    assert crash == 0
     assert solve_lp([0, 0], region).solution == [0, 0]
-    assert region.support() == region.singletons() == 0
-    region = rows_region([([1, 1], EQ, 2), ([-1, 0], LE, 0)], 2)
-    assert region.support() == region.singletons() == 0b11
+    assert region.support() == 0
+    region, crash = started([([1, 1], EQ, 2), ([-1, 0], LE, 0)], 2)
+    assert crash == 0b11 and region.support() == 0b01
 
 
 def test_singletons_are_the_crash_columns():
     """x + y + z == 1 with x <= y: y and z allow the crash start, each alone
-    a feasible point, and x does not (it is positive in x - y <= 0). With
-    y <= x too, no column allows it: phase 1 starts the region at x = y =
-    1/2, a point that singletons() does not show, and an infeasible region
-    shows none either."""
-    region, crashed = started([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3)
-    assert crashed and region.singletons() == 0b110
+    a feasible point, and x does not (it is positive in x - y <= 0); the
+    start vertex is y alone. With y <= x too, no column allows it: phase 1
+    starts the region at x = y = 1/2, and an infeasible region takes no
+    crash start either."""
+    region, crash = started([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], 3)
+    assert crash == 0b110 and region.support() == 0b010
     for j in (1, 2):
         point = [F(k == j) for k in range(3)]
         assert satisfies([([1, 1, 1], EQ, 1), ([1, -1, 0], LE, 0)], point)
     rows = [([1, 1], EQ, 1), ([1, -1], LE, 0), ([-1, 1], LE, 0)]
-    region, crashed = started(rows, 2)
-    assert region._base is not None and not crashed
-    assert region.singletons() == 0 and region.support() == 0b11
-    assert rows_region([([1, 1], EQ, 1), ([1, 1], GE, 2)], 2).singletons() == 0
+    region, crash = started(rows, 2)
+    assert region._base is not None and crash is None
+    assert region.support() == 0b11
+    region, crash = started([([1, 1], EQ, 1), ([1, 1], GE, 2)], 2)
+    assert region.support() is None and crash is None
 
 
 def test_a_fair_share_take_the_crash_start():
@@ -671,7 +665,7 @@ def test_a_fair_share_take_the_crash_start():
     @given(one_artificial_systems())
     def run(system):
         _, n, rows = system
-        taken.append(started(int_rows(rows), n)[1])
+        taken.append(started(int_rows(rows), n)[1] is not None)
 
     run()
     assert len(taken) >= 100
@@ -693,8 +687,8 @@ def crash_layer_systems(draw):
 @given(crash_layer_systems(), st.data())
 def test_charnes_cooper_from_a_crash_start_equals_rebuilt_region(system, data):
     n, homogeneous = system
-    region, crashed = started([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
-    assert crashed
+    region, crash = started([([1] * n, EQ, 1)] + int_rows(homogeneous), n)
+    assert crash is not None
     c = int_objective(data.draw(st.lists(COEFF, min_size=n, max_size=n)))[0]
     best = solve_lp(c, region)
     if best.value <= 0:
@@ -710,6 +704,37 @@ def test_charnes_cooper_from_a_crash_start_equals_rebuilt_region(system, data):
             assert (got.status, got.value) == (ref.status, ref.value)
             if got.status == "optimal":
                 assert satisfies(rebuilt, got.solution)
+
+
+@settings(max_examples=200, deadline=None)
+@given(crash_layer_systems())
+def test_laid_out_crash_start_is_the_pivot(system):
+    """Region(n, rows, j) lays out the tableau that pivoting its initial
+    tableau on row 0 at the crash column j gives, row for row, with no
+    pivot: each row coprime, its basic coefficient positive and its rhs >=
+    0."""
+    from probarg import linprog
+
+    n, homogeneous = system
+    rows = [(coeffs, k) for coeffs, _, _, k in int_rows(homogeneous)]
+    tableau, basis = layer_tableau(n, rows)
+    j = general_rows.crash_columns(tableau, n)[0]
+    linprog._pivot(tableau, basis, 0, j)
+    with mock.patch.object(linprog, "_pivot", unbuilt):
+        region = Region(n, rows, j)
+    assert region._base == (tableau, basis)
+    for row, b in zip(tableau, basis):
+        assert gcd(*row) == 1 and row[b] > 0 and row[-1] >= 0
+
+
+def test_laid_out_crash_start_checks_its_column():
+    """A column positive in some row does not allow the crash start, and
+    laying the start out on it raises, where an assert would vanish under
+    python -O."""
+    rows = [([1, -1], 1)]
+    with pytest.raises(RuntimeError, match="crash start broke the tableau invariant"):
+        Region(2, rows, 0)
+    assert Region(2, rows, 1).support() == 0b10
 
 
 def test_crash_start_checks_its_invariant(monkeypatch):

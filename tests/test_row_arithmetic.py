@@ -5,8 +5,9 @@ coefficient.
 linprog reduces each rewrite's multipliers by their gcd before it forms a
 row, and proves the row coprime from two entries where it can. Both
 shortcuts must leave exactly the rows of the plain form, on seeded random
-tableaux and on every pivot, pricing and Charnes-Cooper start that the
-corpus grid, the random-assess pool and the chain up to 8 atoms make.
+tableaux and on every pivot, laid-out crash start, pricing and
+Charnes-Cooper start that the corpus grid, the random-assess pool and the
+chain up to 8 atoms make.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 import row_reference
 import solver_counts
+from general_rows import layer_tableau
 from probarg import linprog
 from probarg.linprog import Region, solve_lp
 
@@ -142,7 +144,7 @@ def test_charnes_cooper_leaves_the_reference_rows():
         if res.status != "optimal" or res.numerator <= 0:
             continue
         derived = region.charnes_cooper(res)
-        tableau, basis, _ = derived._base
+        tableau, basis = derived._base
         assert tableau == row_reference.charnes_cooper_rows(res)
         assert_invariant(tableau, basis)
         p, q = res._ratio
@@ -157,10 +159,12 @@ def test_charnes_cooper_leaves_the_reference_rows():
 @pytest.fixture
 def replayed(monkeypatch):
     """Counts of the pivots, pricings and Charnes-Cooper starts made while
-    in use, each checked against row_reference as it is made."""
+    in use, each checked against row_reference as it is made. A crash
+    start that linprog lays out counts as the pivot it lays out, and is
+    checked against that pivot on the initial tableau."""
     counts = dict.fromkeys(("pivots", "pricings", "charnes-cooper"), 0)
     pivot, reduced_costs = linprog._pivot, linprog._reduced_costs
-    charnes_cooper = Region.charnes_cooper
+    crash_start, charnes_cooper = linprog._crash_start, Region.charnes_cooper
 
     def checked_pivot(tableau, basis, row, col):
         reference, ref_basis = tableau[:], basis[:]
@@ -169,6 +173,15 @@ def replayed(monkeypatch):
         assert (tableau, basis) == (reference, ref_basis)
         assert_invariant(tableau, basis)
         counts["pivots"] += 1
+
+    def checked_crash_start(n, rows, j):
+        tableau, basis = crash_start(n, rows, j)
+        reference, ref_basis = layer_tableau(n, rows)
+        row_reference.pivot(reference, ref_basis, 0, j)
+        assert (tableau, basis) == (reference, ref_basis)
+        assert_invariant(tableau, basis)
+        counts["pivots"] += 1
+        return tableau, basis
 
     def checked_reduced_costs(tableau, basis, c):
         got = reduced_costs(tableau, basis, c)
@@ -183,6 +196,7 @@ def replayed(monkeypatch):
         return derived
 
     monkeypatch.setattr(linprog, "_pivot", checked_pivot)
+    monkeypatch.setattr(linprog, "_crash_start", checked_crash_start)
     monkeypatch.setattr(linprog, "_reduced_costs", checked_reduced_costs)
     monkeypatch.setattr(Region, "charnes_cooper", checked_charnes_cooper)
     return counts

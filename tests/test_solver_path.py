@@ -31,13 +31,14 @@ import importlib.util
 import random
 from contextlib import contextmanager
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from class_presolve_reference import presolved
-from general_rows import EQ, LE, rows_region
+from general_rows import EQ, LE, crash_columns, layer_tableau, rows_region, started_region
 from int_rows import int_row
 from oracles import (
     assessment_polytope_rows,
@@ -230,6 +231,19 @@ def columns(mask):
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
+def column_mask(layer, worlds):
+    """A world mask, a set of the layer's columns as the mask of their
+    representatives, as a mask over its columns: bit k for the column
+    whose lowest world is in worlds."""
+    return sum(1 << k for k, w in enumerate(representatives(layer)) if worlds >> w & 1)
+
+
+def world_mask(layer, support):
+    """A mask over the layer's columns, as linprog's supports read, as a
+    world mask: the lowest world of each column in it."""
+    return sum(1 << w for k, w in enumerate(representatives(layer)) if support >> k & 1)
+
+
 def layer_rows(layer):
     """The layer's entry rows, (row, k) pairs, as the "<=" rows with rhs 0
     that rows_region takes."""
@@ -252,7 +266,9 @@ def forced_by_fixpoint(layer, region):
         if res.value == 0:
             return candidates
         candidates = [
-            i for i in candidates if not any(res.solution[j] for j in columns(layer.m_cols[i]))
+            i
+            for i in candidates
+            if not any(res.solution[j] for j in columns(column_mask(layer, layer.m_cols[i])))
         ]
     return candidates
 
@@ -350,6 +366,7 @@ def check_problem(a, q, atoms, rng):
             solve_lp([rng.randint(-2, 2) for _ in layer.classes], region).support()
             for _ in range(2)
         ]
+        points = [world_mask(layer, support) for support in points]
         support = solve_lp(layer.antecedent_mass(range(len(layer.entries))), region)
         assert coherence._forced_zero(layer, region) == forced
         assert coherence._forced_zero(layer, region, points) == forced
@@ -412,8 +429,10 @@ def full_layer(atoms):
     lo*m <= e <= hi*m for every entry, implied or not, as ">=" rows found
     column by column in Fractions with eval_classical at the column's
     lowest world, then given to linprog in int form (int_row).
-    It takes _Layer's arguments and its columns (_Layer.classes), and reads
-    of the tables only the deeper layers' domains (_Layer.deeper). Its
+    It takes _Layer's arguments and its columns (_Layer.classes, reps,
+    cols and the crash points singles: the implied rows are positive
+    nowhere, so they leave every crash point), and reads of the tables only
+    the deeper layers' domains (_Layer.deeper). Its
     ">=" rows are not in the form of the tableau _Layer builds, so it
     keeps them as rows, and its region goes through rows_region's checks
     and normalisation of each row."""
@@ -429,7 +448,7 @@ def full_layer(atoms):
                 m_cols, lo_row, hi_row = 0, [F(0)] * n, [F(0)] * n
                 for k, w in enumerate(worlds):
                     if eval_classical(entry.obj.antecedent, dicts[w]):
-                        m_cols |= 1 << k
+                        m_cols |= 1 << w
                         lo_row[k] -= entry.lo
                         hi_row[k] += entry.hi
                         if eval_classical(entry.obj.consequent, dicts[w]):
@@ -516,11 +535,14 @@ def counted(counts, key, module, name):
 
 def traced(fn):
     """fn() with what it took: (pivots, coherence's solve_lp calls, deeper
-    levels, result or raised IncoherentPremises)."""
+    levels, result or raised IncoherentPremises). A crash start that linprog
+    lays out counts as the one pivot it lays out."""
     counts = {"pivots": 0, "solves": 0, "levels": 0}
     with counted(counts, "pivots", linprog, "_pivot"), counted(
-        counts, "solves", coherence, "solve_lp"
-    ), counted(counts, "levels", coherence, "_restrict_worlds"):
+        counts, "pivots", linprog, "_crash_start"
+    ), counted(counts, "solves", coherence, "solve_lp"), counted(
+        counts, "levels", coherence, "_restrict_worlds"
+    ):
         try:
             out = fn()
         except IncoherentPremises as err:
@@ -692,19 +714,26 @@ def world_layer(atoms):
                     break
                 worlds = [w for w in worlds if w not in pinned]
             self.classes = [1 << w for w in worlds]
+            self.reps = worlds
+            self.cols = sum(self.classes)
             self.m_cols = m_cols
             self.homogeneous = [homogeneous_row(row) for row in rows]
+            # the worlds where no row is positive
+            self.singles = sum(
+                1 << w for k, w in enumerate(worlds) if all(row[k] <= 0 for row in rows)
+            )
 
         def premise_rows(self, worlds):
-            """Per entry its m_cols over worlds, and the rows lo*m - e <= 0
-            and e - hi*m <= 0 that have a positive coefficient there."""
+            """Per entry its m_cols over worlds, as a world mask, and the rows
+            lo*m - e <= 0 and e - hi*m <= 0 that have a positive coefficient
+            there."""
             n = len(worlds)
             m_cols, rows = [], []
             for entry in self.entries:
                 cols, lo_row, hi_row = 0, [F(0)] * n, [F(0)] * n
                 for k, w in enumerate(worlds):
                     if eval_classical(entry.obj.antecedent, dicts[w]):
-                        cols |= 1 << k
+                        cols |= 1 << w
                         lo_row[k] += entry.lo
                         hi_row[k] -= entry.hi
                         if eval_classical(entry.obj.consequent, dicts[w]):
@@ -876,7 +905,8 @@ def test_pinned_layer_forces_what_the_pinned_row_forces():
 class KeptLayer(coherence._Layer):
     """The layer without presolve: every class of its domain is a column.
     Its classes are those of the layer built with every bound set to [0, 1],
-    which pins nothing; its rows are each entry's lo*m - e <= 0 and e -
+    which pins nothing; its crash points are the columns where none of its
+    rows is positive; its rows are each entry's lo*m - e <= 0 and e -
     hi*m <= 0 where they have a positive coefficient, in int form
     (int_row), as _Layer builds them."""
 
@@ -892,6 +922,12 @@ class KeptLayer(coherence._Layer):
                 [0 if h is None else h - entry.hi for h in held],
             )
             self.homogeneous += [homogeneous_row(row) for row in rows if any(v > 0 for v in row)]
+        # the crash points of the rows kept, read off the rows
+        self.singles = sum(
+            1 << w
+            for k, w in enumerate(self.reps)
+            if all(row[k] <= 0 for row, _ in self.homogeneous)
+        )
 
 
 def small_kinded_problems(seed, count):
@@ -1017,7 +1053,8 @@ def test_presolve_on_worlds_matches_class_walking():
         rng = random.Random(seed)
         for _ in range(300):
             for kind, layer in presolve_layers(*problem(rng)):
-                got = (layer.classes, layer.m_cols, layer.homogeneous)
+                m_cols = [column_mask(layer, m) for m in layer.m_cols]
+                got = (layer.classes, m_cols, layer.homogeneous)
                 assert got == presolved(layer.entries, layer.tables, layer.domain, layer.extra)
                 reached[kind] += 1
                 reached["shrunk"] += sum(layer.classes) != layer.domain
@@ -1260,7 +1297,7 @@ def check_sides(a, q, atoms):
         layer, region = call["layer"], call["region"]
         m_row, e_row = q_rows(q, atoms, layer)
         m_cols, e_cols = mask(m_row), mask(e_row)
-        singles = region.singletons()
+        singles = column_mask(layer, layer.singles)
         assert singles == unit_points(layer, atoms)
         lo_proved, hi_proved = bool(singles & m_cols & ~e_cols), bool(singles & e_cols)
         if lo_proved and hi_proved:
@@ -1333,22 +1370,29 @@ def test_descent_skips_the_upper_side():
 # layer would have no world, and propagate builds none.
 
 
-def covered_problems():
-    """The corpus grid and the random-assess pool's odd items, the
-    propagate inputs of tests/solver_counts.py, as (a, q, atoms)."""
-    import solver_counts
+def corpus_problems():
+    """The corpus grid, every corpus task x reading x THETA_GRID, as (a, q,
+    atoms)."""
     from probarg.coherence import ClassificationConfig
     from probarg.corpus import THETA_GRID, builtin_tasks
     from probarg.dsl import lower
     from probarg.events import Interpretation
 
-    workloads = solver_counts.workloads
-    problems = [
+    return [
         (*lower(task.spec, interp, ClassificationConfig(theta=theta)), task.spec.atoms)
         for task in builtin_tasks()
         for interp in Interpretation
         for theta in THETA_GRID
     ]
+
+
+def covered_problems():
+    """The corpus grid and the random-assess pool's odd items, the
+    propagate inputs of tests/solver_counts.py, as (a, q, atoms)."""
+    import solver_counts
+
+    workloads = solver_counts.workloads
+    problems = corpus_problems()
     for n in workloads.ASSESS_SIZES:
         for index in range(1, workloads.ASSESS_POOL, 2):
             problems.append(workloads.assess_inputs(workloads.assess_item(n, index)))
@@ -1398,7 +1442,8 @@ def test_covered_layer_takes_no_max_m_and_no_pinned_layer():
 # tableau and starts it, with no row checked. Here every region a layer
 # builds is checked against rows_region (general_rows) over the same rows,
 # which checks and normalises each row and builds the tableau its own way:
-# the same rows, the same start, supports and singletons.
+# the same rows, the same start and supports, and the crash points that
+# its crash start scans the tableau for.
 
 
 def layers_with_regions(fn, full):
@@ -1447,7 +1492,8 @@ def recorded_start(build):
 def check_layer_regions(a, q, atoms, kinds):
     """Every region the layers of check_coherence and propagate build
     equals rows_region([sum row] + layer_rows(layer), n): the same initial
-    tableau, start, supports, singletons and len(); kinds counts the layers
+    tableau, start, supports and len(), and the layer's crash points are
+    the columns the general rows' crash start found; kinds counts the layers
     by kind and the starts by how they start, "no class" for a layer with
     no class."""
     full = (1 << (1 << len(atoms))) - 1
@@ -1456,8 +1502,8 @@ def check_layer_regions(a, q, atoms, kinds):
     for kind, layer in made:
         n = len(layer.classes)
         region, start = recorded_start(layer.region)
-        general, general_start = recorded_start(
-            lambda: rows_region([([1] * n, EQ, 1)] + layer_rows(layer), n)
+        (general, positive), general_start = recorded_start(
+            lambda: started_region([([1] * n, EQ, 1)] + layer_rows(layer), n)
         )
         if n == 0:
             # The empty-row rule: no start at all, where the general rows'
@@ -1469,7 +1515,7 @@ def check_layer_regions(a, q, atoms, kinds):
             how = start[2]
         assert region._base == general._base
         assert region.support() == general.support()
-        assert region.singletons() == general.singletons()
+        assert layer.singles == world_mask(layer, positive or 0)
         assert len(region) == len(general) == 1 + len(layer.homogeneous)
         kinds[kind] = kinds.get(kind, 0) + 1
         kinds[how] = kinds.get(how, 0) + 1
@@ -1511,6 +1557,102 @@ def test_layer_tableau_is_the_rows_tableau():
         "no class": 1200,
     }
     assert all(kinds.get(k, 0) >= v for k, v in least.items()), kinds
+
+
+# --- world masks and the laid-out crash start -------------------------------------
+#
+# A layer keeps its column sets as world masks, the masks of their columns'
+# representatives, reads its crash points off its tables, and names the
+# lowest to linprog's Region, which lays out the start the one pivot on it
+# gives. Here they are checked against what they replace: the column masks
+# found class by class, the scan of the initial tableau for the columns
+# that allow the crash start, and that pivot.
+
+
+def class_columns(table, layer):
+    """The columns of the layer where table holds, as a mask over its
+    columns, found class by class."""
+    return sum(1 << k for k, c in enumerate(layer.classes) if table & c)
+
+
+def check_masks_and_start(layer):
+    """One layer's world masks, crash points and start against the column
+    masks, the scan and the pivot; returns how its region starts: "crash",
+    "phase 1" or "no class"."""
+    n = len(layer.classes)
+    assert layer.reps == representatives(layer)
+    assert layer.cols == world_mask(layer, (1 << n) - 1)
+    for (m, _), m_cols in zip(layer.tables, layer.m_cols):
+        assert m_cols == world_mask(layer, class_columns(m, layer))
+    for t in layer.extra:
+        assert t & layer.cols == world_mask(layer, class_columns(t, layer))
+    tableau, basis = layer_tableau(n, layer.homogeneous)
+    scanned = crash_columns(tableau, n)
+    assert layer.singles == world_mask(layer, sum(1 << j for j in scanned))
+    if not scanned:
+        return "phase 1" if n else "no class"
+    linprog._pivot(tableau, basis, 0, scanned[0])
+
+    def unpivoted(*args):
+        raise AssertionError("a laid-out start made a pivot")
+
+    with patched(linprog, "_pivot", unpivoted):
+        region = layer.region()
+    assert region._base == (tableau, basis)
+    for row, b in zip(tableau, basis):
+        assert gcd(*row) == 1 and row[b] > 0 and row[-1] >= 0
+    return "crash"
+
+
+def test_world_masks_and_laid_out_starts_match_the_scan():
+    """Every layer whose region check_coherence and propagate build on the
+    corpus grid, the random-assess pool as tests/solver_counts.py runs it,
+    the chain over 3..10 atoms and the interval chain over 6..10:
+    its column sets, m_cols and the query's, map back to the column masks
+    found class by class; its crash points are the columns the tableau
+    scan finds, mapped through the representatives; where there are some,
+    the laid-out start is the pivot on the lowest, row for row, each row
+    coprime with a positive basic coefficient and rhs >= 0; and every
+    support it reads off a tableau maps to the world masks of those
+    columns' representatives."""
+    import solver_counts
+
+    workloads = solver_counts.workloads
+    runs = [(p[2], lambda p=p: propagate(*p)) for p in corpus_problems()]
+    for n in workloads.ASSESS_SIZES:
+        for index in range(workloads.ASSESS_POOL):
+            a, q, atoms = workloads.assess_inputs(workloads.assess_item(n, index))
+            fn = propagate if index % 2 else lambda a, q, atoms: check_coherence(a, atoms)
+            runs.append((atoms, lambda fn=fn, a=a, q=q, atoms=atoms: fn(a, q, atoms)))
+    for n in range(3, 11):
+        a, q, atoms = workloads.chain_inputs(n, solver_counts.CHAIN_THETA)
+        runs.append((atoms, lambda a=a, q=q, atoms=atoms: propagate(a, q, atoms)))
+    for n in range(6, 11):
+        a, q, atoms = solver_counts.interval_chain_inputs(n)
+        runs.append((atoms, lambda a=a, q=q, atoms=atoms: propagate(a, q, atoms)))
+    mapped, worlds = [], coherence._Layer.worlds
+
+    def recorded_worlds(layer, support):
+        got = worlds(layer, support)
+        mapped.append((layer, support, got))
+        return got
+
+    starts, supports = {}, 0
+    for atoms, fn in runs:
+        with patched(coherence._Layer, "worlds", recorded_worlds):
+            made = layers_with_regions(fn, everywhere(atoms))
+        for _, layer in made:
+            how = check_masks_and_start(layer)
+            starts[how] = starts.get(how, 0) + 1
+        for layer, support, got in mapped:
+            assert got == world_mask(layer, support)
+        supports += len(mapped)
+        mapped.clear()
+    least = {"crash": 500, "phase 1": 250, "no class": 300}
+    assert all(starts.get(k, 0) >= v for k, v in least.items()) and supports >= 900, (
+        starts,
+        supports,
+    )
 
 
 # --- the answers digest -----------------------------------------------------------
