@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,9 @@ from .events import Interpretation, atoms_of, constituents, is_satisfiable
 
 def _rational(text: str) -> Fraction:
     try:
+        if re.search(r"[\d.][eE]", text):
+            # Fraction() writes out an exponent's digits before any check
+            raise ValueError("exponent notation")
         return as_fraction(text)
     except (ValueError, ZeroDivisionError) as err:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({err})")
@@ -176,10 +180,7 @@ def _cmd_check(args) -> int:
             masses = ", ".join(str(m) for m in verdict.witness)
             print(f"{spec.name}: coherent; witness masses ({masses})")
         else:
-            print(
-                f"{spec.name}: incoherent at level {verdict.level}: "
-                f"{verdict.description}"
-            )
+            print(f"{spec.name}: incoherent at level {verdict.level}: {verdict.description}")
     return 0
 
 
@@ -224,11 +225,7 @@ def _read_table(path: str):
 
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [
-                [int(cell) for cell in row]
-                for row in csv.reader(fh)
-                if row
-            ]
+            rows = [[int(cell) for cell in row] for row in csv.reader(fh) if row]
     except (OSError, UnicodeDecodeError) as err:
         raise ValueError(f"cannot read {path}: {err}")
     except ValueError as err:

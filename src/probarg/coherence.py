@@ -20,13 +20,13 @@ query's), represented by the class's lowest world. Twin worlds would give
 equal columns that never enter the basis, so the merged system makes the
 per-world system's pivots on fewer cells, and a witness puts each class's
 mass on its representative (see _Layer). Rows, objectives and deeper
-domains read one bit per class. A set of columns is a world mask, the
-mask of their representatives, so it is read off the tables with mask
-operations: the columns where a table holds are the table & the mask of
-all representatives. The entry rows are "<=" rows with rhs 0
-in coprime ints, each with its slack coefficient, the form linprog's
-Region takes: it lays out the tableau and starts it, with no row checked
-or normalised.
+domains read one bit per class, its representative's, so a layer keeps
+representatives and world masks, not class masks. A set of columns is a
+world mask, the mask of their representatives, read off the tables with
+mask operations: the columns where a table holds are the table & the mask
+of all representatives. The entry rows are "<=" rows with rhs 0 in
+coprime ints, each with its slack coefficient, which linprog's Region
+lays out as a tableau and starts, with no row checked or normalised.
 
 The solver path takes as few solves as the answer allows:
 - A layer first drops the worlds that a row with no negative
@@ -272,21 +272,21 @@ class _Layer:
     more tables the columns must tell apart; on the propagate path, the
     query's (m, e).
 
-    classes: the columns, the classes of the worlds of domain that no table
+    reps: the columns, one per class of the worlds of domain that no table
     of tables or extra tells apart, once the worlds a forcing row pins (see
-    below) are dropped: the worlds left split by each table t into their
-    parts inside and outside t, empty parts dropped. They are int masks,
-    ordered by their lowest world, the class's representative. These are the
-    constituents generated by the family (Gilio 2002; Biazzo and Gilio
-    2000): every table holds on all of a class or on none of it, so rows,
-    objectives and deeper domains read one bit per class. reps: the
-    representatives, in column order, and cols: their mask. A set of
-    columns is a world mask, an int whose bit r is set for the column whose
-    representative is world r; a support read off the tableau, bit k for
-    column k, maps to it through reps (worlds). m_cols: per entry, the
-    columns where m holds, m & cols. homogeneous: the entry rows, each a
-    pair (row, k) of the coefficients of a "<=" row with rhs 0 in coprime
-    ints, 0 where m fails, and its slack coefficient k:
+    below) are dropped, each given by its lowest world, its representative,
+    in ascending order; cols: their mask. The classes are the worlds left
+    split by each table t into their parts inside and outside t, empty
+    parts dropped, the constituents generated by the family (Gilio 2002;
+    Biazzo and Gilio 2000): every table holds on all of a class or on none
+    of it, so rows, objectives and deeper domains read one bit per class,
+    the bit of its representative. Only the split holds the classes, as
+    int masks. A set of columns is a world mask, an int whose bit r is set
+    for the column whose representative is world r; a support read off the
+    tableau, bit k for column k, maps to it through reps (worlds). m_cols:
+    per entry, the columns where m holds, m & cols. homogeneous: the entry
+    rows, each a pair (row, k) of the coefficients of a "<=" row with rhs 0
+    in coprime ints, 0 where m fails, and its slack coefficient k:
 
     - lo*m <= e, for lo = a/b: a - b where e holds, a where m holds and e
       fails, slack coefficient b;
@@ -397,7 +397,7 @@ class _Layer:
         # each class by its lowest world, its representative
         ordered = sorted(zip([(c & -c).bit_length() - 1 for c in classes], classes))
         self.reps = [r for r, _ in ordered]
-        self.classes = classes = [c for _, c in ordered]
+        classes = [c for _, c in ordered]
         cols = 0
         for r in self.reps:
             cols |= 1 << r
@@ -484,10 +484,10 @@ def _tables(obj, table):
     return m, m & table(obj.consequent)
 
 
-def _mass_row(table, classes):
-    """1 on the classes where table holds, 0 elsewhere: the mass of an
-    event as an objective."""
-    return [1 if table & c else 0 for c in classes]
+def _mass_row(table, reps):
+    """1 on the columns where table holds, read at their representatives
+    reps, 0 elsewhere: the mass of an event as an objective."""
+    return [table >> r & 1 for r in reps]
 
 
 def _forced_zero(layer, region, probes=(), res=None):
@@ -708,7 +708,7 @@ def _propagate_layer(layer, region, q) -> Bounds:
     [0, 1] with any interval there is [0, 1]. The tests read the exact
     bounds, so no answer changes, only the solves that find it.
     """
-    classes, cols, singles = layer.classes, layer.cols, layer.singles
+    reps, cols, singles = layer.reps, layer.cols, layer.singles
     m_cols, e_cols = q[0] & cols, q[1] & cols
     lo = ZERO if singles & (m_cols ^ e_cols) else None
     hi = ONE if singles & e_cols else None
@@ -718,12 +718,12 @@ def _propagate_layer(layer, region, q) -> Bounds:
             # is its own Charnes-Cooper region
             scaled = region
         else:
-            max_m = _optimal(solve_lp(_mass_row(q[0], classes), region))
+            max_m = _optimal(solve_lp(_mass_row(q[0], reps), region))
             if not max_m.numerator:
                 forced = _forced_zero(layer, region, [layer.worlds(max_m.support())])
                 return _descend(layer, forced, q)
             scaled = region.charnes_cooper(max_m)
-        e_row = _mass_row(q[1], classes)
+        e_row = _mass_row(q[1], reps)
         if lo is None:
             lo = _ratio_bound(scaled, e_row, False)
         if lo == ZERO and hi is None:

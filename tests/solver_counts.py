@@ -83,11 +83,13 @@ def starts():
 
 @contextmanager
 def counting():
-    """Counts of pivots, solves and their cells, live, and of region
-    starts and starts on a region with no column, filled in when the block
-    ends. A laid-out crash start counts as one pivot."""
-    counts = dict.fromkeys(("pivots", "solves", "cells", "starts", "empty starts"), 0)
+    """Counts of pivots, solves and their cells and deeper levels (calls of
+    coherence._restrict_worlds), live, and of region starts and starts on a
+    region with no column, filled in when the block ends. A laid-out crash
+    start counts as one pivot."""
+    counts = dict.fromkeys(("pivots", "solves", "cells", "levels", "starts", "empty starts"), 0)
     pivot, crash_start, solve = linprog._pivot, linprog._crash_start, coherence.solve_lp
+    restrict = coherence._restrict_worlds
 
     def counted_pivot(*args):
         counts["pivots"] += 1
@@ -102,13 +104,18 @@ def counting():
         counts["cells"] += len(rows) * len(objective)
         return solve(objective, rows, *args, **kwargs)
 
+    def counted_restrict(*args):
+        counts["levels"] += 1
+        return restrict(*args)
+
     linprog._pivot, linprog._crash_start = counted_pivot, counted_crash_start
-    coherence.solve_lp = counted_solve
+    coherence.solve_lp, coherence._restrict_worlds = counted_solve, counted_restrict
     try:
         with starts() as made:
             yield counts
     finally:
         linprog._pivot, linprog._crash_start, coherence.solve_lp = pivot, crash_start, solve
+        coherence._restrict_worlds = restrict
         counts["starts"] = len(made)
         counts["empty starts"] = sum(1 for _, n, _ in made if n == 0)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -89,6 +90,24 @@ class TestExitCodes:
         code, _, err = run_cli("eval", str(DATA / "paradox.arg"), "--theta", theta)
         assert code == 1
         assert f"argument --theta: not a rational: {theta!r} ({reason})" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("eval", str(DATA / "paradox.arg"), "--theta"), "--theta"),
+            (("stats", "holm", "0.01,0.2", "--alpha"), "--alpha"),
+            (("counterfactual", "--c", "C", "--b", "B", "--a", "not(B)", "--p"), "--p"),
+        ],
+        ids=["theta", "alpha", "p"],
+    )
+    def test_exponent_is_1_at_once(self, argv, option):
+        """Fraction("1e-10000000") writes out ten million digits, which
+        takes seconds, before a range check could reject the value."""
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv, "1e-10000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "") and "Traceback" not in err
+        assert f"argument {option}: not a rational: '1e-10000000' (exponent notation)" in err
 
     def test_counterfactual_compatible_antecedents_is_1(self):
         code, out, err = run_cli(

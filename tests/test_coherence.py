@@ -40,6 +40,7 @@ from oracles import (
     vertex_bounds,
     witness_satisfies,
 )
+import solver_counts
 
 A = Atom("A")
 C = Atom("C")
@@ -424,48 +425,22 @@ def chain(n, theta):
     return Assessment(tuple(entries)), ConditionalObject(a[-1], a[0]), atoms
 
 
-def _count_calls(monkeypatch):
-    """Counts of simplex pivots and of coherence's solve_lp calls, live. A
-    crash start that linprog lays out counts as the one pivot it lays out."""
-    from probarg import coherence, linprog
-
-    calls = {"pivot": 0, "solve": 0}
-    pivot, crash_start, solve = linprog._pivot, linprog._crash_start, coherence.solve_lp
-
-    def counted_pivot(*args):
-        calls["pivot"] += 1
-        pivot(*args)
-
-    def counted_crash_start(*args):
-        calls["pivot"] += 1
-        return crash_start(*args)
-
-    def counted_solve(*args, **kwargs):
-        calls["solve"] += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(linprog, "_pivot", counted_pivot)
-    monkeypatch.setattr(linprog, "_crash_start", counted_crash_start)
-    monkeypatch.setattr(coherence, "solve_lp", counted_solve)
-    return calls
-
-
 class TestSolveCounts:
     """One n = 6 chain: the pivots and solves it takes, and one phase 1 on
     its level-0 system."""
 
-    def test_pivots_and_solves(self, monkeypatch):
+    def test_pivots_and_solves(self):
         """8 pivots in 4 solves while a min m solve decided whether m_q can
         be 0; the pinned layer's presolve now decides it with no pivot. 7
         pivots in 3 solves before the upper bound was read off the crash
         column, the all-true world, which holds q's antecedent and
         consequent: now max m and the lower bound."""
-        calls = _count_calls(monkeypatch)
-        b = propagate(*chain(6, F(9, 10)))
+        with solver_counts.counting() as calls:
+            b = propagate(*chain(6, F(9, 10)))
         assert (b.lo, b.hi) == (F(497051, 900000), 1)
-        assert calls == {"pivot": 7, "solve": 2}
+        assert (calls["pivots"], calls["solves"]) == (7, 2)
 
-    def test_corpus_grid_pivots_and_solves(self, monkeypatch):
+    def test_corpus_grid_pivots_and_solves(self):
         """Every corpus task x interpretation x THETA_GRID propagated: the
         pivots and solves the rational tableau's path takes. It took 400
         pivots in 472 solves while min m = 0 pinned the row m_q = 0 and a
@@ -478,17 +453,9 @@ class TestSolveCounts:
         unsolved, with the [0, 1] answers found with no solve. It took 152
         solves while the max m vertex proved sides too, and 156 while a
         layer whose columns all lie in q's antecedent solved max m."""
-        from probarg.corpus import THETA_GRID, builtin_tasks
-        from probarg.dsl import lower
-        from probarg.events import Interpretation
-
-        calls = _count_calls(monkeypatch)
-        for task in builtin_tasks():
-            for interp in Interpretation:
-                for theta in THETA_GRID:
-                    a, q = lower(task.spec, interp, ClassificationConfig(theta=theta))
-                    propagate(a, q, task.spec.atoms)
-        assert calls == {"pivot": 276, "solve": 92}
+        with solver_counts.counting() as calls:
+            solver_counts.corpus_grid()
+        assert (calls["pivots"], calls["solves"]) == (276, 92)
 
     def test_random_assess_pool_counts(self):
         """The random-assess pool, as tests/solver_counts.py runs it: 800
@@ -502,14 +469,13 @@ class TestSolveCounts:
         column, and while the max m vertex proved sides too, 2219 / 707 /
         691. Solves and cells were 742 and 22287 while a layer whose
         columns all lie in q's antecedent solved max m."""
-        import solver_counts
-
         with solver_counts.counting() as counts:
             solver_counts.pool()
         assert counts == {
             "pivots": 2220,
             "solves": 697,
             "cells": 21058,
+            "levels": 260,
             "starts": 691,
             "empty starts": 0,
         }
@@ -520,17 +486,17 @@ class TestSolveCounts:
         starts per size. Most of the pivots are in the level-0 phase 1:
         no crash start is possible, as every premise reads 0 or 1 on a
         single world, never a value in [8/10, 9/10]."""
-        import solver_counts
-
         got = {}
         for n in solver_counts.INTERVAL_SIZES:
             with solver_counts.counting() as counts:
                 solver_counts.interval_chain(n)
             got[n] = counts
+        # no deeper level, and one start, on a region with columns
+        once = {"levels": 0, "starts": 1, "empty starts": 0}
         assert got == {
-            6: {"pivots": 16, "solves": 3, "cells": 2184, "starts": 1, "empty starts": 0},
-            8: {"pivots": 27, "solves": 3, "cells": 11424, "starts": 1, "empty starts": 0},
-            10: {"pivots": 49, "solves": 3, "cells": 56448, "starts": 1, "empty starts": 0},
+            6: {"pivots": 16, "solves": 3, "cells": 2184, **once},
+            8: {"pivots": 27, "solves": 3, "cells": 11424, **once},
+            10: {"pivots": 49, "solves": 3, "cells": 56448, **once},
         }
 
     def test_random_assess_pool_leaves_no_cyclic_garbage(self):
@@ -542,8 +508,6 @@ class TestSolveCounts:
         and raise peak RSS."""
         import gc
 
-        import solver_counts
-
         gc.collect()
         gc.disable()
         try:
@@ -552,26 +516,26 @@ class TestSolveCounts:
         finally:
             gc.enable()
 
-    def test_chain8_pivots_and_solves(self, monkeypatch):
+    def test_chain8_pivots_and_solves(self):
         """A point further along the scale curve: n = 8 took 54 pivots and
         5 solves before the Charnes-Cooper program started from the max-m
         optimum, 43 pivots before the one-pivot crash start, 10 pivots in 4
         solves before the pinned layer's start replaced min m, and 9 in 3
         before the crash column proved the upper bound."""
-        calls = _count_calls(monkeypatch)
-        b = propagate(*chain(8, F(9, 10)))
+        with solver_counts.counting() as calls:
+            b = propagate(*chain(8, F(9, 10)))
         assert (b.lo, b.hi) == (F(38361131, 90000000), 1)
-        assert calls == {"pivot": 9, "solve": 2}
+        assert (calls["pivots"], calls["solves"]) == (9, 2)
 
-    def test_chain10_pivots_and_solves(self, monkeypatch):
+    def test_chain10_pivots_and_solves(self):
         """n = 10 took 242 pivots before the one-pivot crash start, 12
         pivots in 4 solves before the pinned layer's start replaced min m,
         and 11 in 3 before the crash column proved the upper bound; the
         chain now takes one pivot more per added atom."""
-        calls = _count_calls(monkeypatch)
-        b = propagate(*chain(10, F(9, 10)))
+        with solver_counts.counting() as calls:
+            b = propagate(*chain(10, F(9, 10)))
         assert (b.lo, b.hi) == (F(2917251611, 9000000000), 1)
-        assert calls == {"pivot": 11, "solve": 2}
+        assert (calls["pivots"], calls["solves"]) == (11, 2)
 
     def test_chain12_pivots_and_solves(self, monkeypatch):
         """n = 12, on the scale path: it took 14 pivots in 4 solves before
@@ -586,15 +550,15 @@ class TestSolveCounts:
         from probarg import linprog
 
         pinned = coherence._Layer(layer.entries, layer.tables, layer.domain ^ m_q)
-        assert pinned.classes == []
+        assert pinned.reps == []
         with monkeypatch.context() as m:
             for name in ("_crash_start", "_simplex"):  # every start runs one
                 m.setattr(linprog, name, None)
             assert pinned.region().support() is None
-        calls = _count_calls(monkeypatch)
-        b = propagate(a, q, atoms)
+        with solver_counts.counting() as calls:
+            b = propagate(a, q, atoms)
         assert (b.lo, b.hi) == (F(217297380491, 900000000000), 1)
-        assert calls == {"pivot": 13, "solve": 2}
+        assert (calls["pivots"], calls["solves"]) == (13, 2)
 
     def test_chain_level0_runs_no_phase1(self, monkeypatch):
         """The all-true world satisfies every premise row of the chain, so
@@ -604,7 +568,6 @@ class TestSolveCounts:
         from probarg import linprog
 
         a, _, atoms = chain(6, F(9, 10))
-        calls = _count_calls(monkeypatch)
         simplex, runs = linprog._simplex, []
 
         def counted_simplex(*args):
@@ -612,9 +575,10 @@ class TestSolveCounts:
             return simplex(*args)
 
         monkeypatch.setattr(linprog, "_simplex", counted_simplex)
-        layer, region = coherence._level0(a, atoms)
+        with solver_counts.counting() as calls:
+            layer, region = coherence._level0(a, atoms)
         assert region.support() is not None
-        assert (calls["pivot"], runs) == (1, [])
+        assert (calls["pivots"], runs) == (1, [])
         x = linprog.solve_lp([0] * region.n, region).solution
         assert layer.world_masses(x) == [0] * 63 + [1]
 
@@ -628,8 +592,6 @@ class TestSolveCounts:
         assert check_coherence(a, ["A"]).level == 0
 
     def test_level0_phase1_runs_once(self):
-        import solver_counts
-
         from probarg import coherence
 
         a, q, atoms = chain(6, F(9, 10))
@@ -784,9 +746,7 @@ class TestNonOptimalSolves:
         layer, _ = coherence._level0(a, atoms, q)
         worlds = constituents(atoms)
         event = q.antecedent if maximize else And(q.antecedent, q.consequent)
-        row = [
-            int(eval_classical(event, worlds[(c & -c).bit_length() - 1])) for c in layer.classes
-        ]
+        row = [int(eval_classical(event, worlds[r])) for r in layer.reps]
         solve, broken = coherence.solve_lp, maximize
 
         def failing(objective, rows, maximize=True):
@@ -850,8 +810,6 @@ class TestMonotonicity:
         the same premises the bounds of (A and C), (C|A) and (A -> C) are
         ordered, lo by lo and hi by hi. Checked on every random-assess pool
         item with coherent premises and on tests/data/paradox.arg."""
-        import solver_counts
-
         wl = solver_counts.workloads
         problems = [
             wl.assess_inputs(wl.assess_item(n, index))

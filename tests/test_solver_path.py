@@ -17,29 +17,28 @@ merged columns), some of them unused, with zero-probability premises
 A layer that builds both premise rows of every entry, implied or not, is the
 reference for the rows a layer skips, a layer with one column per world
 the reference for the classes of worlds a layer merges into one column, and
-vertex enumeration, a layer that keeps every class and the presolve that
-walks the classes (class_presolve_reference) the references for the
-classes a layer's presolve drops.
+vertex enumeration and a layer that keeps every class the references for
+the classes a layer's presolve drops. Every layer the solver builds is
+checked against its contract derived world by world (layer_reference).
 
 The references find what holds at each world with eval_classical over
 constituents(), not with the solver's truth tables, so they also check the
-tables, the domain of each deeper layer, the objective rows and that every
-world of a column agrees on them.
+tables, the domain of each deeper layer and the objective rows.
 """
 
 import importlib.util
 import random
-from contextlib import contextmanager
 from fractions import Fraction as F
-from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from class_presolve_reference import presolved
-from general_rows import EQ, LE, crash_columns, layer_tableau, rows_region, started_region
+import solver_counts
+from general_rows import EQ, LE, rows_region
 from int_rows import int_row
+from layer_reference import ReferenceLayer, built_region, check_layer, obj_tables, worlds_of
 from oracles import (
     assessment_polytope_rows,
     conditional_value,
@@ -165,32 +164,6 @@ def everywhere(atoms):
     return (1 << (1 << len(atoms))) - 1
 
 
-def worlds_of(domain):
-    """The world indices in a mask, ascending."""
-    return [w for w in range(domain.bit_length()) if domain >> w & 1]
-
-
-def representatives(layer):
-    """The lowest world of each of the layer's columns."""
-    return [(c & -c).bit_length() - 1 for c in layer.classes]
-
-
-def by_world(layer, row):
-    """A row of the layer, one entry per column, as one entry per world of
-    its domain."""
-    return [v for w in worlds_of(layer.domain) for c, v in zip(layer.classes, row) if c >> w & 1]
-
-
-def eval_table(f, atoms):
-    """f's truth table over constituents(atoms), world by world."""
-    return sum(1 << j for j, v in enumerate(constituents(atoms)) if eval_classical(f, v))
-
-
-def obj_tables(obj, atoms):
-    """A conditional object's (m, e) tables, world by world."""
-    return eval_table(obj.antecedent, atoms), eval_table(And(obj.antecedent, obj.consequent), atoms)
-
-
 def eval_tables(entries, atoms):
     """Per entry, the (m, e) tables a layer takes, world by world."""
     return [obj_tables(e.obj, atoms) for e in entries]
@@ -206,55 +179,20 @@ def restrict(atoms, domain, antecedents):
     )
 
 
-def event_row(f, atoms, layer):
-    """1 on the columns of the layer where f holds, 0 elsewhere; every
-    world of a column must agree."""
-    dicts = constituents(atoms)
-    row = []
-    for c in layer.classes:
-        held = {eval_classical(f, dicts[w]) for w in worlds_of(c)}
-        assert len(held) == 1, f"a column's worlds disagree on {f}"
-        row.append(int(held.pop()))
-    return row
-
-
 def q_rows(q, atoms, layer):
-    """The m and e rows of the query over the layer's columns."""
-    return (
-        event_row(q.antecedent, atoms, layer),
-        event_row(And(q.antecedent, q.consequent), atoms, layer),
+    """The m and e rows of the query over the layer's columns, read with
+    eval_classical at each column's representative."""
+    worlds = constituents(atoms)
+    return tuple(
+        [int(eval_classical(f, worlds[r])) for r in layer.reps]
+        for f in (q.antecedent, And(q.antecedent, q.consequent))
     )
-
-
-def columns(mask):
-    """The column positions in a mask over a layer's columns, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
-def column_mask(layer, worlds):
-    """A world mask, a set of the layer's columns as the mask of their
-    representatives, as a mask over its columns: bit k for the column
-    whose lowest world is in worlds."""
-    return sum(1 << k for k, w in enumerate(representatives(layer)) if worlds >> w & 1)
-
-
-def world_mask(layer, support):
-    """A mask over the layer's columns, as linprog's supports read, as a
-    world mask: the lowest world of each column in it."""
-    return sum(1 << w for k, w in enumerate(representatives(layer)) if support >> k & 1)
 
 
 def layer_rows(layer):
     """The layer's entry rows, (row, k) pairs, as the "<=" rows with rhs 0
     that rows_region takes."""
     return [(row, LE, 0, k) for row, k in layer.homogeneous]
-
-
-def homogeneous_row(row):
-    """The rational row . x <= 0 as _Layer.homogeneous holds a row: its
-    coprime int coefficients and slack unit, made by int_row."""
-    coeffs, _, _, k = int_row(row, "<=", 0)
-    return coeffs, k
 
 
 def forced_by_fixpoint(layer, region):
@@ -268,7 +206,7 @@ def forced_by_fixpoint(layer, region):
         candidates = [
             i
             for i in candidates
-            if not any(res.solution[j] for j in columns(column_mask(layer, layer.m_cols[i])))
+            if not any(x and layer.m_cols[i] >> r & 1 for x, r in zip(res.solution, layer.reps))
         ]
     return candidates
 
@@ -304,7 +242,7 @@ def warm_bounds(region, max_m, e_row):
 def rebuilt_bounds(layer, m_row, e_row):
     """min/max of e/m over the layer: the Charnes-Cooper region rebuilt
     from its rows and run through its own phase 1."""
-    region = rows_region(layer_rows(layer) + [(m_row, EQ, 1)], len(layer.classes))
+    region = rows_region(layer_rows(layer) + [(m_row, EQ, 1)], len(layer.reps))
     lo = solve_lp(e_row, region, maximize=False)
     hi = solve_lp(e_row, region, maximize=True)
     return region, lo.value, hi.value
@@ -327,7 +265,7 @@ def propagate_by_rebuilding(layer, region, q, atoms, levels=None):
         levels.append((lo, hi))
     if solve_lp(m_row, region, maximize=False).value > 0:
         return Bounds(lo, hi)
-    n = len(layer.classes)
+    n = len(layer.reps)
     pinned = rows_region([([1] * n, EQ, 1)] + layer_rows(layer) + [(m_row, EQ, 0)], n)
     forced = forced_by_fixpoint(layer, pinned)
     deeper = descend_by_rebuilding(layer, forced, q, atoms, levels)
@@ -363,10 +301,9 @@ def check_problem(a, q, atoms, rng):
     # Forced sets, whatever feasible points are tried first
     for layer, region, forced in layers:
         points = [
-            solve_lp([rng.randint(-2, 2) for _ in layer.classes], region).support()
+            layer.worlds(solve_lp([rng.randint(-2, 2) for _ in layer.reps], region).support())
             for _ in range(2)
         ]
-        points = [world_mask(layer, support) for support in points]
         support = solve_lp(layer.antecedent_mass(range(len(layer.entries))), region)
         assert coherence._forced_zero(layer, region) == forced
         assert coherence._forced_zero(layer, region, points) == forced
@@ -387,9 +324,9 @@ def check_problem(a, q, atoms, rng):
     rebuilt, lo, hi = rebuilt_bounds(layer, m_row, e_row)
     assert (len(derived), derived.n) == (len(rebuilt), rebuilt.n)
     assert warm_bounds(region, max_m, e_row) == (lo, hi)
-    if len(layer.classes) <= 4:
+    if len(layer.reps) <= 4:
         dicts = constituents(atoms)
-        assert vertex_bounds(layer.entries, [dicts[w] for w in representatives(layer)], q) == (lo, hi)
+        assert vertex_bounds(layer.entries, [dicts[w] for w in layer.reps], q) == (lo, hi)
         reached.add("vertex oracle")
     return reached
 
@@ -429,24 +366,22 @@ def full_layer(atoms):
     lo*m <= e <= hi*m for every entry, implied or not, as ">=" rows found
     column by column in Fractions with eval_classical at the column's
     lowest world, then given to linprog in int form (int_row).
-    It takes _Layer's arguments and its columns (_Layer.classes, reps,
-    cols and the crash points singles: the implied rows are positive
-    nowhere, so they leave every crash point), and reads of the tables only
-    the deeper layers' domains (_Layer.deeper). Its
-    ">=" rows are not in the form of the tableau _Layer builds, so it
-    keeps them as rows, and its region goes through rows_region's checks
-    and normalisation of each row."""
+    It takes _Layer's arguments and its columns (_Layer.reps, cols and the
+    crash points singles: the implied rows are positive nowhere, so they
+    leave every crash point), and reads of the tables only the deeper
+    layers' domains (_Layer.deeper). Its ">=" rows are not in the form of
+    the tableau _Layer builds, so it keeps them as rows, and its region
+    goes through rows_region's checks and normalisation of each row."""
     dicts = constituents(atoms)
 
     class FullLayer(coherence._Layer):
         def __init__(self, entries, tables, domain, extra=()):
             super().__init__(entries, tables, domain, extra)
-            worlds = representatives(self)
-            n = len(worlds)
+            n = len(self.reps)
             self.m_cols, self.rows = [], []
             for entry in entries:
                 m_cols, lo_row, hi_row = 0, [F(0)] * n, [F(0)] * n
-                for k, w in enumerate(worlds):
+                for k, w in enumerate(self.reps):
                     if eval_classical(entry.obj.antecedent, dicts[w]):
                         m_cols |= 1 << w
                         lo_row[k] -= entry.lo
@@ -458,7 +393,7 @@ def full_layer(atoms):
                 self.rows += [int_row(lo_row, ">=", 0), int_row(hi_row, ">=", 0)]
 
         def region(self):
-            n = len(self.classes)
+            n = len(self.reps)
             return rows_region([([1] * n, EQ, 1)] + self.rows, n)
 
     return FullLayer
@@ -509,18 +444,6 @@ def kinded_problem(rng):
     return Assessment(tuple(entries)), query, declared
 
 
-@contextmanager
-def patched(module, name, value):
-    """module.name is value while in use."""
-    saved = getattr(module, name)
-    setattr(module, name, value)
-    try:
-        yield
-    finally:
-        setattr(module, name, saved)
-
-
-@contextmanager
 def counted(counts, key, module, name):
     """module.name counts its calls in counts[key] while in use."""
     f = getattr(module, name)
@@ -529,25 +452,19 @@ def counted(counts, key, module, name):
         counts[key] += 1
         return f(*args, **kwargs)
 
-    with patched(module, name, wrapper):
-        yield
+    return mock.patch.object(module, name, wrapper)
 
 
 def traced(fn):
-    """fn() with what it took: (pivots, coherence's solve_lp calls, deeper
-    levels, result or raised IncoherentPremises). A crash start that linprog
-    lays out counts as the one pivot it lays out."""
-    counts = {"pivots": 0, "solves": 0, "levels": 0}
-    with counted(counts, "pivots", linprog, "_pivot"), counted(
-        counts, "pivots", linprog, "_crash_start"
-    ), counted(counts, "solves", coherence, "solve_lp"), counted(
-        counts, "levels", coherence, "_restrict_worlds"
-    ):
+    """fn() with what it took: (pivots, coherence's solve_lp calls and
+    deeper levels, as solver_counts.counting() counts them, and the result
+    or the raised IncoherentPremises)."""
+    with solver_counts.counting() as counts:
         try:
             out = fn()
         except IncoherentPremises as err:
             out = ("incoherent", err.certificate)
-    return counts, out
+    return {k: counts[k] for k in ("pivots", "solves", "levels")}, out
 
 
 def outcome(res):
@@ -584,7 +501,7 @@ def compare_layers(a, q, atoms):
     layer, _ = coherence._level0(a, atoms, q)
     m_q, e_q = layer.extra
     rows, steps = level0_solves(
-        layer, coherence._mass_row(m_q, layer.classes), coherence._mass_row(e_q, layer.classes)
+        layer, coherence._mass_row(m_q, layer.reps), coherence._mass_row(e_q, layer.reps)
     )
     FullLayer = full_layer(atoms)
     full = FullLayer(layer.entries, layer.tables, layer.domain, layer.extra)
@@ -592,7 +509,7 @@ def compare_layers(a, q, atoms):
     assert steps == full_steps
     assert rows <= full_rows
     for fn in (lambda: check_coherence(a, atoms), lambda: propagate(a, q, atoms)):
-        with patched(coherence, "_Layer", FullLayer):
+        with mock.patch.object(coherence, "_Layer", FullLayer):
             full = traced(fn)
         assert traced(fn) == full
     return rows < full_rows
@@ -628,8 +545,8 @@ def test_slack_has_the_rational_rows_unit():
     a = Assessment((AssessmentEntry(ConditionalObject(C), F(3, 5), F(9, 10)),))
     q = ConditionalObject(And(Atom("B"), C), Atom("A"))
     layer, _ = coherence._level0(a, ("A", "B", "C"))
-    rows = [(by_world(layer, row), k) for row, k in layer.homogeneous]
-    assert rows == [([3, -2] * 4, 5), ([-9, 1] * 4, 10)]
+    check_layer(layer, ("A", "B", "C"))
+    assert (layer.reps, layer.homogeneous) == ([0, 1], [([3, -2], 5), ([-9, 1], 10)])
     compare_layers(a, q, ("A", "B", "C"))
 
 
@@ -663,12 +580,14 @@ def test_free_entry_adds_no_row_but_descends():
             super().__init__(entries, tables, domain, extra)
             layers.append(self)
 
-    with patched(coherence, "_Layer", Recorded):
+    with mock.patch.object(coherence, "_Layer", Recorded):
         counts, verdict = traced(lambda: check_coherence(Assessment((zero, free)), ("A", "B")))
     assert isinstance(verdict, Coherent)
     assert counts == {"pivots": 2, "solves": 1, "levels": 1}
     level0, level1 = layers
-    assert worlds_of(level0.domain) == [0, 1, 2, 3] and level0.classes == [0b0011]
+    for layer in layers:
+        check_layer(layer, ("A", "B"))
+    assert worlds_of(level0.domain) == [0, 1, 2, 3] and level0.reps == [0]
     assert level0.homogeneous == [] and level0.m_cols == [1, 0]
     assert len(level0.region()) == 1
     assert level1.entries == [free]
@@ -685,65 +604,15 @@ def test_free_entry_adds_no_row_but_descends():
 PADDED_NAMES = tuple("ABCDEFGH")
 
 
-def world_layer(atoms):
-    """WorldLayer over the declared atoms: the layer with one column per
-    world of its domain, in world order, and its premise rows found world by
-    world in Fractions with eval_classical over constituents(atoms), built
-    where they have a positive coefficient, as _Layer builds them, and given
-    to linprog in int form (int_row). Its presolve is stated on the rows: a
-    row with no negative coefficient pins every world where it is positive,
-    and the rows are found again without the pinned worlds until none is
-    pinned. It takes _Layer's arguments and reads of the tables only the
-    deeper layers' domains (_Layer.deeper)."""
-    dicts = constituents(atoms)
+class WorldLayer(ReferenceLayer):
+    """The layer with one column per world its presolve leaves, in world
+    order, derived world by world (layer_reference): the presolve is stated
+    on the rows, a row with no negative coefficient pins every world where
+    it is positive and the rows are found again without the pinned worlds
+    until none is pinned, and a row is built where it has a positive
+    coefficient, as _Layer builds them."""
 
-    class WorldLayer(coherence._Layer):
-        def __init__(self, entries, tables, domain, extra=()):
-            self.entries, self.tables, self.domain, self.extra = entries, tables, domain, extra
-            worlds = worlds_of(domain)
-            while True:
-                m_cols, rows = self.premise_rows(worlds)
-                pinned = {
-                    w
-                    for row in rows
-                    if all(v >= 0 for v in row)
-                    for w, v in zip(worlds, row)
-                    if v > 0
-                }
-                if not pinned:
-                    break
-                worlds = [w for w in worlds if w not in pinned]
-            self.classes = [1 << w for w in worlds]
-            self.reps = worlds
-            self.cols = sum(self.classes)
-            self.m_cols = m_cols
-            self.homogeneous = [homogeneous_row(row) for row in rows]
-            # the worlds where no row is positive
-            self.singles = sum(
-                1 << w for k, w in enumerate(worlds) if all(row[k] <= 0 for row in rows)
-            )
-
-        def premise_rows(self, worlds):
-            """Per entry its m_cols over worlds, as a world mask, and the rows
-            lo*m - e <= 0 and e - hi*m <= 0 that have a positive coefficient
-            there."""
-            n = len(worlds)
-            m_cols, rows = [], []
-            for entry in self.entries:
-                cols, lo_row, hi_row = 0, [F(0)] * n, [F(0)] * n
-                for k, w in enumerate(worlds):
-                    if eval_classical(entry.obj.antecedent, dicts[w]):
-                        cols |= 1 << w
-                        lo_row[k] += entry.lo
-                        hi_row[k] -= entry.hi
-                        if eval_classical(entry.obj.consequent, dicts[w]):
-                            lo_row[k] -= 1
-                            hi_row[k] += 1
-                m_cols.append(cols)
-                rows += [row for row in (lo_row, hi_row) if any(v > 0 for v in row)]
-            return m_cols, rows
-
-    return WorldLayer
+    merge = False
 
 
 def padded_problem(rng):
@@ -762,17 +631,19 @@ def compare_merged(a, q, atoms):
     layer of propagate has at most 4 columns, its Charnes-Cooper bounds are
     also checked by vertex enumeration over the columns' lowest worlds.
     Returns what the problem reached."""
-    WorldLayer = world_layer(atoms)
     outcomes = []
     for fn in (lambda: check_coherence(a, atoms), lambda: propagate(a, q, atoms)):
         merged = traced(fn)
-        with patched(coherence, "_Layer", WorldLayer):
+        with mock.patch.object(coherence, "_Layer", WorldLayer):
             assert traced(fn) == merged
         outcomes.append(merged)
     (check_counts, verdict), (eval_counts, _) = outcomes
     layer, region = coherence._level0(a, atoms, q)
+    # WorldLayer reads the tables it is given, so they are read here with
+    # eval_classical, over every declared atom, padding included
+    assert (layer.tables, layer.extra) == (eval_tables(a.entries, atoms), obj_tables(q, atoms))
     reached = set()
-    if len(layer.classes) < 1 << len(atoms):
+    if len(layer.reps) < 1 << len(atoms):
         reached.add("merged")
     if len(a.atoms() | q.atoms()) < len(atoms):
         reached.add("padded")
@@ -782,12 +653,12 @@ def compare_merged(a, q, atoms):
     assert witness_satisfies(a.entries, constituents(atoms), verdict.witness)
     if check_counts["levels"] or eval_counts["levels"]:
         reached.add("descent")
-    if len(layer.classes) <= 4 and structural_bounds(q) is None:
-        m_row, e_row = (coherence._mass_row(t, layer.classes) for t in layer.extra)
+    if len(layer.reps) <= 4 and structural_bounds(q) is None:
+        m_row, e_row = (coherence._mass_row(t, layer.reps) for t in layer.extra)
         max_m = solve_lp(m_row, region)
         if max_m.value > 0:
             dicts = constituents(atoms)
-            want = vertex_bounds(layer.entries, [dicts[w] for w in representatives(layer)], q)
+            want = vertex_bounds(layer.entries, [dicts[w] for w in layer.reps], q)
             assert warm_bounds(region, max_m, e_row) == want
             reached.add("vertex oracle")
     return reached
@@ -825,7 +696,7 @@ def test_padded_modus_ponens_has_four_columns():
     )
     q = ConditionalObject(C)
     layer, _ = coherence._level0(a, names, q)
-    assert len(layer.classes) <= 4
+    assert len(layer.reps) <= 4
     assert propagate(a, q, names) == propagate(a, q, ["A", "C"]) == Bounds(F(81, 100), F(1))
     assert check_coherence(a, ["A", "C"]).witness == (0, 0, 0, 1)
     witness = check_coherence(a, names).witness
@@ -875,7 +746,7 @@ def test_pinned_layer_forces_what_the_pinned_row_forces():
             continue
         layer, region = coherence._level0(a, atoms, q)
         m_q = layer.extra[0]
-        m_row = coherence._mass_row(m_q, layer.classes)
+        m_row = coherence._mass_row(m_q, layer.reps)
         pinned = coherence._Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & m_q))
         pinned_region = pinned.region()
         min_m = solve_lp(m_row, region, maximize=False)
@@ -883,7 +754,7 @@ def test_pinned_layer_forces_what_the_pinned_row_forces():
         if min_m.value:
             positive += 1
             continue
-        n = len(layer.classes)
+        n = len(layer.reps)
         rows = rows_region([([1] * n, EQ, 1)] + layer_rows(layer) + [(m_row, EQ, 0)], n)
         forced = forced_by_fixpoint(layer, rows)
         assert coherence._forced_zero(pinned, pinned_region) == forced
@@ -902,32 +773,13 @@ def test_pinned_layer_forces_what_the_pinned_row_forces():
 # that keeps every class, on assessments full of [0, 0] and [1, 1] premises.
 
 
-class KeptLayer(coherence._Layer):
-    """The layer without presolve: every class of its domain is a column.
-    Its classes are those of the layer built with every bound set to [0, 1],
-    which pins nothing; its crash points are the columns where none of its
-    rows is positive; its rows are each entry's lo*m - e <= 0 and e -
-    hi*m <= 0 where they have a positive coefficient, in int form
-    (int_row), as _Layer builds them."""
+class KeptLayer(ReferenceLayer):
+    """The layer without presolve: every class of its domain is a column,
+    derived world by world (layer_reference), with each entry's rows lo*m -
+    e <= 0 and e - hi*m <= 0 where they have a positive coefficient, in int
+    form (int_row), as _Layer builds them."""
 
-    def __init__(self, entries, tables, domain, extra=()):
-        free = [AssessmentEntry(e.obj, F(0), F(1)) for e in entries]
-        super().__init__(free, tables, domain, extra)
-        self.entries = entries
-        self.homogeneous = []
-        for entry, (m, e) in zip(entries, tables):
-            held = [(1 if e & c else 0) if m & c else None for c in self.classes]
-            rows = (
-                [0 if h is None else entry.lo - h for h in held],
-                [0 if h is None else h - entry.hi for h in held],
-            )
-            self.homogeneous += [homogeneous_row(row) for row in rows if any(v > 0 for v in row)]
-        # the crash points of the rows kept, read off the rows
-        self.singles = sum(
-            1 << w
-            for k, w in enumerate(self.reps)
-            if all(row[k] <= 0 for row, _ in self.homogeneous)
-        )
+    presolve = False
 
 
 def small_kinded_problems(seed, count):
@@ -958,7 +810,8 @@ def oracle_classes(entries, atoms):
 def check_presolve(a, q, atoms):
     """The level-0 layer of check_coherence against vertex enumeration, and
     check_coherence and propagate against KeptLayer. Returns whether the
-    level-0 layer dropped a class.
+    level-0 layer dropped a class. The worlds it keeps are those of the
+    reference it is checked against (check_layer).
 
     The vertices are those of the level-0 polytope over one world per
     oracle class (assessment_polytope_rows), whose points are the world
@@ -969,7 +822,7 @@ def check_presolve(a, q, atoms):
     active only where the x >= 0 rows of its positive columns are, which
     span it, so leaving it out changes no vertex."""
     layer, _ = coherence._level0(a, atoms)
-    kept = worlds_of(sum(layer.classes))
+    kept = worlds_of(check_layer(layer, atoms)["live"])
     classes = oracle_classes(a.entries, atoms)
     dicts = constituents(atoms)
     eqs, ineqs = assessment_polytope_rows(a.entries, [dicts[ws[0]] for ws in classes])
@@ -986,7 +839,7 @@ def check_presolve(a, q, atoms):
 
     def answers(kept_every_class):
         layer_class = KeptLayer if kept_every_class else coherence._Layer
-        with patched(coherence, "_Layer", layer_class):
+        with mock.patch.object(coherence, "_Layer", layer_class):
             verdict = check_coherence(a, atoms)
             try:
                 bounds = propagate(a, q, atoms)
@@ -999,7 +852,7 @@ def check_presolve(a, q, atoms):
         return verdict, evaluated
 
     assert answers(False) == answers(True)
-    return len(layer.classes) < len(classes)
+    return len(layer.reps) < len(classes)
 
 
 def test_presolve_drops_only_zero_mass_and_keeps_the_answers():
@@ -1007,59 +860,6 @@ def test_presolve_drops_only_zero_mass_and_keeps_the_answers():
     at level 0."""
     fired = sum(check_presolve(*problem) for problem in small_kinded_problems("presolve", 300))
     assert fired >= 50, fired
-
-
-def presolve_layers(a, q, atoms):
-    """The layers check_coherence and propagate build on one problem, with
-    their kinds ("level 0", "deeper", "pinned"): every layer of the check,
-    every layer of the propagate path whose columns tell q's tables apart,
-    and for each of those the layer of its worlds where q's antecedent
-    fails, built here whether propagate builds it or not."""
-    built = []
-
-    class Recorded(coherence._Layer):
-        def __init__(self, entries, tables, domain, extra=()):
-            super().__init__(entries, tables, domain, extra)
-            built.append(self)
-
-    with patched(coherence, "_Layer", Recorded):
-        check_coherence(a, atoms)
-        checked = len(built)
-        try:
-            propagate(a, q, atoms)
-        except IncoherentPremises:
-            pass
-    layers = built[:checked] + [layer for layer in built[checked:] if layer.extra]
-    pinned = [
-        coherence._Layer(layer.entries, layer.tables, layer.domain ^ (layer.domain & layer.extra[0]))
-        for layer in layers
-        if layer.extra
-    ]
-    level0 = everywhere(atoms)
-    return [
-        ("level 0" if layer.domain == level0 else "deeper", layer) for layer in layers
-    ] + [("pinned", layer) for layer in pinned]
-
-
-def test_presolve_on_worlds_matches_class_walking():
-    """300 seeded random_problem and 300 kinded_problem sets: every layer
-    check_coherence and propagate build, and every pinned layer, has the
-    classes, m_cols and rows of the presolve that splits every world first
-    and then drops pinned classes (class_presolve_reference). The sets
-    reach each kind of layer, layers the presolve shrinks and layers it
-    empties."""
-    reached = dict.fromkeys(("level 0", "deeper", "pinned", "shrunk", "emptied"), 0)
-    for seed, problem in (("presolve-worlds", random_problem), ("presolve-kinds", kinded_problem)):
-        rng = random.Random(seed)
-        for _ in range(300):
-            for kind, layer in presolve_layers(*problem(rng)):
-                m_cols = [column_mask(layer, m) for m in layer.m_cols]
-                got = (layer.classes, m_cols, layer.homogeneous)
-                assert got == presolved(layer.entries, layer.tables, layer.domain, layer.extra)
-                reached[kind] += 1
-                reached["shrunk"] += sum(layer.classes) != layer.domain
-                reached["emptied"] += bool(layer.domain) and not layer.classes
-    assert min(reached.values()) >= 100, reached
 
 
 def test_presolve_pivots_and_solves():
@@ -1250,36 +1050,31 @@ def layer_calls(fn):
             stack[-1]["pinned"] += 1
         build(layer, entries, tables, domain, extra)
 
-    with patched(coherence, "_propagate_layer", traced_layer), patched(
+    with mock.patch.object(coherence, "_propagate_layer", traced_layer), mock.patch.object(
         coherence, "solve_lp", traced_solve
-    ), patched(coherence, "_ratio_bound", traced_bound), patched(
+    ), mock.patch.object(coherence, "_ratio_bound", traced_bound), mock.patch.object(
         coherence, "_descend", traced_descend
-    ), patched(linprog.Region, "charnes_cooper", traced_derive), patched(
+    ), mock.patch.object(linprog.Region, "charnes_cooper", traced_derive), mock.patch.object(
         coherence._Layer, "__init__", traced_build
     ):
         out = fn()
     return calls, out
 
 
-def mask(row):
-    """A 0/1 row as an int mask over its columns."""
-    return sum(1 << k for k, v in enumerate(row) if v)
-
-
 def unit_points(layer, atoms):
-    """The columns where all the mass can sit, found with eval_classical at
-    each column's lowest world: every entry is void there, true with hi =
-    1 or false with lo = 0."""
+    """The columns where all the mass can sit, as a world mask, found with
+    eval_classical at each column's representative: every entry is void
+    there, true with hi = 1 or false with lo = 0."""
     dicts = constituents(atoms)
     found = 0
-    for k, w in enumerate(representatives(layer)):
+    for w in layer.reps:
         v = dicts[w]
         if all(
             not eval_classical(e.obj.antecedent, v)
             or (e.hi == 1 if eval_classical(e.obj.consequent, v) else e.lo == 0)
             for e in layer.entries
         ):
-            found |= 1 << k
+            found |= 1 << w
     return found
 
 
@@ -1293,13 +1088,12 @@ def check_sides(a, q, atoms):
     layer, region = coherence._level0(a, atoms, q)
     assert got == propagate_by_rebuilding(layer, region, q, atoms)
     taken = set()
+    m_q, e_q = obj_tables(q, atoms)
     for call in calls:
         layer, region = call["layer"], call["region"]
         m_row, e_row = q_rows(q, atoms, layer)
-        m_cols, e_cols = mask(m_row), mask(e_row)
-        singles = column_mask(layer, layer.singles)
-        assert singles == unit_points(layer, atoms)
-        lo_proved, hi_proved = bool(singles & m_cols & ~e_cols), bool(singles & e_cols)
+        assert layer.singles == unit_points(layer, atoms)
+        lo_proved, hi_proved = bool(layer.singles & (m_q ^ e_q)), bool(layer.singles & e_q)
         if lo_proved and hi_proved:
             assert call["solves"] == 0 and not call["descended"]
             taken.add("no solve")
@@ -1318,7 +1112,7 @@ def check_sides(a, q, atoms):
             taken.add("descent")
         assert call["sides"] == want
         # max m is 1 with no solve where every column lies in q's antecedent
-        max_m_solves = 0 if m_cols == (1 << len(layer.classes)) - 1 else 1
+        max_m_solves = 0 if all(m_row) else 1
         assert call["solves"] == max_m_solves + len(want) or call["descended"]
     return taken
 
@@ -1436,39 +1230,40 @@ def test_covered_layer_takes_no_max_m_and_no_pinned_layer():
     }
 
 
-# --- the tableau a layer builds -------------------------------------------------
+# --- every layer against its contract ---------------------------------------------
 #
-# _Layer.region() hands its rows to linprog's Region, which lays out the
-# tableau and starts it, with no row checked. Here every region a layer
-# builds is checked against rows_region (general_rows) over the same rows,
-# which checks and normalises each row and builds the tableau its own way:
-# the same rows, the same start and supports, and the crash points that
-# its crash start scans the tableau for.
+# The rest of the package reads a layer through its contract: its columns'
+# representatives and their world masks, its rows, its crash points, the
+# supports it maps to worlds and the region it starts. Here every layer
+# check_coherence and propagate build is checked against that contract
+# derived world by world (layer_reference), whose region is the one
+# general_rows builds and starts its own way over the same rows.
 
 
 def layers_with_regions(fn, full):
     """fn() with every layer that built a region while it ran, as (kind,
-    layer); full is the level-0 domain. kind: "level 0", "deeper" (made by
-    _Layer.deeper) or "pinned" (the layer of the worlds where q's
-    antecedent fails)."""
+    layer, built): full is the level-0 domain, kind "level 0", "deeper"
+    (made by _Layer.deeper) or "pinned" (the layer of the worlds where q's
+    antecedent fails), and built the region with its starts and pivots
+    (built_region)."""
     made, deeper_layers = [], []
     region, deeper = coherence._Layer.region, coherence._Layer.deeper
 
     def recorded_region(layer):
-        r = region(layer)
+        built = built_region(lambda: region(layer))
         if any(layer is d for d in deeper_layers):
             kind = "deeper"
         else:
             kind = "level 0" if layer.domain == full else "pinned"
-        made.append((kind, layer))
-        return r
+        made.append((kind, layer, built))
+        return built[0]
 
     def recorded_deeper(layer, *args):
         sub = deeper(layer, *args)
         deeper_layers.append(sub)
         return sub
 
-    with patched(coherence._Layer, "region", recorded_region), patched(
+    with mock.patch.object(coherence._Layer, "region", recorded_region), mock.patch.object(
         coherence._Layer, "deeper", recorded_deeper
     ):
         try:
@@ -1478,63 +1273,77 @@ def layers_with_regions(fn, full):
     return made
 
 
-def recorded_start(build):
-    """build(), a region, and the start it made, as solver_counts.starts()
-    records it: (initial tableau, n, kind), or None when it made none."""
-    import solver_counts
-
-    with solver_counts.starts() as made:
-        region = build()
-    assert len(made) <= 1
-    return region, made[0] if made else None
-
-
-def check_layer_regions(a, q, atoms, kinds):
-    """Every region the layers of check_coherence and propagate build
-    equals rows_region([sum row] + layer_rows(layer), n): the same initial
-    tableau, start, supports and len(), and the layer's crash points are
-    the columns the general rows' crash start found; kinds counts the layers
-    by kind and the starts by how they start, "no class" for a layer with
-    no class."""
-    full = (1 << (1 << len(atoms))) - 1
-    made = layers_with_regions(lambda: check_coherence(a, atoms), full)
-    made += layers_with_regions(lambda: propagate(a, q, atoms), full)
-    for kind, layer in made:
-        n = len(layer.classes)
-        region, start = recorded_start(layer.region)
-        (general, positive), general_start = recorded_start(
-            lambda: started_region([([1] * n, EQ, 1)] + layer_rows(layer), n)
+def both_calls(problems):
+    """Runs for check_layers: each problem through check_coherence and
+    propagate."""
+    return [
+        (
+            atoms,
+            q,
+            [lambda a=a, atoms=atoms: check_coherence(a, atoms), lambda p=(a, q, atoms): propagate(*p)],
         )
-        if n == 0:
-            # The empty-row rule: no start at all, where the general rows'
-            # start finds sum(x) == 1 over no column infeasible.
-            assert start is None and general_start[2] == "infeasible"
-            how = "no class"
-        else:
-            assert start == general_start
-            how = start[2]
-        assert region._base == general._base
-        assert region.support() == general.support()
-        assert layer.singles == world_mask(layer, positive or 0)
-        assert len(region) == len(general) == 1 + len(layer.homogeneous)
-        kinds[kind] = kinds.get(kind, 0) + 1
-        kinds[how] = kinds.get(how, 0) + 1
+        for a, q, atoms in problems
+    ]
+
+
+def check_layers(runs):
+    """For each (atoms, q, calls) of runs: every level-0, deeper and pinned
+    layer that builds a region while the calls run, and for each layer of
+    the propagate path the layer of its worlds where q's antecedent fails,
+    built here whether propagate builds it or not, is the layer its
+    arguments derive (check_layer); every support the solver maps through
+    a layer's worlds() goes to its columns' representatives. Returns the
+    counts: layers by kind and regions by how they start ("no column" for
+    a layer with no column), "supports" mapped, "every pinned" layer built
+    here, and the layers the presolve "shrunk" and "emptied" (of a domain
+    that is not empty)."""
+    worlds = coherence._Layer.worlds
+    kinds = dict.fromkeys(("supports", "every pinned", "shrunk", "emptied"), 0)
+
+    def checked_worlds(layer, support):
+        # checked as the solver maps it: a wrong mapping can make the
+        # forced-zero fixpoint repeat one solve forever
+        got = worlds(layer, support)
+        assert got == sum(1 << w for k, w in enumerate(layer.reps) if support >> k & 1)
+        kinds["supports"] += 1
+        return got
+
+    for atoms, q, calls in runs:
+        made = []
+        with mock.patch.object(coherence._Layer, "worlds", checked_worlds):
+            for call in calls:
+                made += layers_with_regions(call, everywhere(atoms))
+        pinned = [
+            coherence._Layer(layer.entries, layer.tables, layer.domain & ~layer.extra[0])
+            for _, layer, _ in made
+            if layer.extra
+        ]
+        kinds["every pinned"] += len(pinned)
+        for kind, layer, built in made + [(None, layer, None) for layer in pinned]:
+            ref = check_layer(layer, atoms, q, built)
+            if kind:
+                for key in (kind, ref["start"]):
+                    kinds[key] = kinds.get(key, 0) + 1
+            kinds["shrunk"] += ref["live"] != layer.domain
+            kinds["emptied"] += bool(layer.domain) and not layer.reps
+    return kinds
+
+
+def at_least(kinds, least):
+    assert all(kinds.get(k, 0) >= v for k, v in least.items()), kinds
 
 
 def test_layer_tableau_is_the_rows_tableau():
-    """300 seeded kinded_problem and 300 random_problem sets, the 800
-    random-assess pool items and the chain over 3..8 atoms: each level-0,
-    deeper and pinned layer's region has the initial tableau, the start,
-    the supports and the row count of rows_region over its rows. Every kind of
-    layer and of start occurs: these inputs build 2812 level-0, 1048
-    deeper and 67 pinned layers' regions, of which 1812 take the crash
-    start, 756 phase 1 and 16 are found infeasible by phase 1, and 1343
-    are of layers with no class (most incoherent sets are emptied by the
-    presolve). They built 207 pinned layers and 1483 with no class while
-    a layer whose domain lies in q's antecedent built its pinned layer,
-    whose domain is empty."""
-    import solver_counts
-
+    """check_coherence and propagate on 300 seeded kinded_problem and 300
+    random_problem sets, the 800 random-assess pool items and the chain
+    over 3..8 atoms: every layer is the one check_layer derives, and its
+    region has the initial tableau, the start, the supports and the row
+    count of the general rows' region over its rows. Every kind of layer
+    and of start occurs: these inputs build 2812 level-0, 1048 deeper
+    and 67 pinned layers' regions, of which 1812 take the crash start,
+    756 phase 1 and 16 are found infeasible by phase 1, and
+    1343 are of layers with no column (most incoherent sets are emptied
+    by the presolve)."""
     workloads = solver_counts.workloads
     problems = []
     for seed, problem in (("tableau-kinds", kinded_problem), ("tableau-random", random_problem)):
@@ -1544,115 +1353,63 @@ def test_layer_tableau_is_the_rows_tableau():
         for index in range(workloads.ASSESS_POOL):
             problems.append(workloads.assess_inputs(workloads.assess_item(n, index)))
     problems += [workloads.chain_inputs(n, F(9, 10)) for n in range(3, 9)]
-    kinds = {}
-    for a, q, atoms in problems:
-        check_layer_regions(a, q, atoms, kinds)
-    least = {
-        "level 0": 2500,
-        "deeper": 900,
-        "pinned": 50,
-        "crash": 1500,
-        "phase 1": 600,
-        "infeasible": 10,
-        "no class": 1200,
-    }
-    assert all(kinds.get(k, 0) >= v for k, v in least.items()), kinds
-
-
-# --- world masks and the laid-out crash start -------------------------------------
-#
-# A layer keeps its column sets as world masks, the masks of their columns'
-# representatives, reads its crash points off its tables, and names the
-# lowest to linprog's Region, which lays out the start the one pivot on it
-# gives. Here they are checked against what they replace: the column masks
-# found class by class, the scan of the initial tableau for the columns
-# that allow the crash start, and that pivot.
-
-
-def class_columns(table, layer):
-    """The columns of the layer where table holds, as a mask over its
-    columns, found class by class."""
-    return sum(1 << k for k, c in enumerate(layer.classes) if table & c)
-
-
-def check_masks_and_start(layer):
-    """One layer's world masks, crash points and start against the column
-    masks, the scan and the pivot; returns how its region starts: "crash",
-    "phase 1" or "no class"."""
-    n = len(layer.classes)
-    assert layer.reps == representatives(layer)
-    assert layer.cols == world_mask(layer, (1 << n) - 1)
-    for (m, _), m_cols in zip(layer.tables, layer.m_cols):
-        assert m_cols == world_mask(layer, class_columns(m, layer))
-    for t in layer.extra:
-        assert t & layer.cols == world_mask(layer, class_columns(t, layer))
-    tableau, basis = layer_tableau(n, layer.homogeneous)
-    scanned = crash_columns(tableau, n)
-    assert layer.singles == world_mask(layer, sum(1 << j for j in scanned))
-    if not scanned:
-        return "phase 1" if n else "no class"
-    linprog._pivot(tableau, basis, 0, scanned[0])
-
-    def unpivoted(*args):
-        raise AssertionError("a laid-out start made a pivot")
-
-    with patched(linprog, "_pivot", unpivoted):
-        region = layer.region()
-    assert region._base == (tableau, basis)
-    for row, b in zip(tableau, basis):
-        assert gcd(*row) == 1 and row[b] > 0 and row[-1] >= 0
-    return "crash"
+    kinds = check_layers(both_calls(problems))
+    at_least(
+        kinds,
+        {
+            "level 0": 2500,
+            "deeper": 900,
+            "pinned": 50,
+            "crash": 1500,
+            "phase 1": 600,
+            "infeasible": 10,
+            "no column": 1200,
+        },
+    )
 
 
 def test_world_masks_and_laid_out_starts_match_the_scan():
     """Every layer whose region check_coherence and propagate build on the
     corpus grid, the random-assess pool as tests/solver_counts.py runs it,
-    the chain over 3..10 atoms and the interval chain over 6..10:
-    its column sets, m_cols and the query's, map back to the column masks
-    found class by class; its crash points are the columns the tableau
-    scan finds, mapped through the representatives; where there are some,
-    the laid-out start is the pivot on the lowest, row for row, each row
-    coprime with a positive basic coefficient and rhs >= 0; and every
-    support it reads off a tableau maps to the world masks of those
-    columns' representatives."""
-    import solver_counts
-
+    the chain over 3..10 atoms and the interval chain over 6..10, and the
+    pinned layer of each layer of the propagate path: its world masks
+    (cols, m_cols, singles) are those check_layer derives, its crash points
+    those the general rows' crash start scans the tableau for, a crash
+    start is laid out with no pivot, each row coprime with a positive basic
+    coefficient and rhs >= 0, and every support the solver maps through
+    its worlds() goes to its columns' representatives. The runs start
+    572 regions by the crash start, 268 by phase 1 and 404 have no
+    column; the solver maps 987 supports."""
     workloads = solver_counts.workloads
-    runs = [(p[2], lambda p=p: propagate(*p)) for p in corpus_problems()]
+    runs = [(p[2], p[1], [lambda p=p: propagate(*p)]) for p in corpus_problems()]
     for n in workloads.ASSESS_SIZES:
         for index in range(workloads.ASSESS_POOL):
             a, q, atoms = workloads.assess_inputs(workloads.assess_item(n, index))
             fn = propagate if index % 2 else lambda a, q, atoms: check_coherence(a, atoms)
-            runs.append((atoms, lambda fn=fn, a=a, q=q, atoms=atoms: fn(a, q, atoms)))
-    for n in range(3, 11):
-        a, q, atoms = workloads.chain_inputs(n, solver_counts.CHAIN_THETA)
-        runs.append((atoms, lambda a=a, q=q, atoms=atoms: propagate(a, q, atoms)))
-    for n in range(6, 11):
-        a, q, atoms = solver_counts.interval_chain_inputs(n)
-        runs.append((atoms, lambda a=a, q=q, atoms=atoms: propagate(a, q, atoms)))
-    mapped, worlds = [], coherence._Layer.worlds
+            runs.append((atoms, q, [lambda fn=fn, a=a, q=q, atoms=atoms: fn(a, q, atoms)]))
+    chains = [workloads.chain_inputs(n, solver_counts.CHAIN_THETA) for n in range(3, 11)]
+    chains += [solver_counts.interval_chain_inputs(n) for n in range(6, 11)]
+    runs += [(atoms, q, [lambda p=(a, q, atoms): propagate(*p)]) for a, q, atoms in chains]
+    kinds = check_layers(runs)
+    at_least(kinds, {"crash": 500, "phase 1": 250, "no column": 300, "supports": 900})
 
-    def recorded_worlds(layer, support):
-        got = worlds(layer, support)
-        mapped.append((layer, support, got))
-        return got
 
-    starts, supports = {}, 0
-    for atoms, fn in runs:
-        with patched(coherence._Layer, "worlds", recorded_worlds):
-            made = layers_with_regions(fn, everywhere(atoms))
-        for _, layer in made:
-            how = check_masks_and_start(layer)
-            starts[how] = starts.get(how, 0) + 1
-        for layer, support, got in mapped:
-            assert got == world_mask(layer, support)
-        supports += len(mapped)
-        mapped.clear()
-    least = {"crash": 500, "phase 1": 250, "no class": 300}
-    assert all(starts.get(k, 0) >= v for k, v in least.items()) and supports >= 900, (
-        starts,
-        supports,
-    )
+def test_presolve_on_worlds_matches_class_walking():
+    """300 seeded random_problem and 300 kinded_problem sets through
+    check_coherence and propagate: every layer they build, and the pinned
+    layer of each layer of the propagate path, keeps the live worlds, the
+    columns, m_cols and rows that the forcing-row rule, stated on the
+    Fraction rows and repeated world by world until it pins no world,
+    leaves (check_layer). The sets reach each kind of layer, layers the
+    presolve shrinks and layers it empties: 1200 level-0 and 579
+    deeper layers, 617 pinned layers built here, 1431 shrunk and
+    715 emptied."""
+    problems = []
+    for seed, problem in (("presolve-worlds", random_problem), ("presolve-kinds", kinded_problem)):
+        rng = random.Random(seed)
+        problems += [problem(rng) for _ in range(300)]
+    kinds = check_layers(both_calls(problems))
+    at_least(kinds, dict.fromkeys(("level 0", "deeper", "every pinned", "shrunk", "emptied"), 100))
 
 
 # --- the answers digest -----------------------------------------------------------
